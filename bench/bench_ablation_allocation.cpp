@@ -1,13 +1,12 @@
 // Ablation: what makes the ATM net tractable despite 11 choices?  The raw
 // allocation space has prod(cluster sizes) = 4608 points, but choices inside
-// removed branches are moot, so only 120 distinct T-reductions remain.  This
-// bench quantifies the deduplication and its cost.
+// removed branches are moot, so only 120 distinct T-reductions remain.  The
+// scheduler enumerates those classes directly; this bench reports how many
+// reductions it ran to find them (obs counters) and times the scheduler.
 #include "bench_util.hpp"
 
-#include <set>
-
 #include "apps/atm/atm_net.hpp"
-#include "qss/reduction.hpp"
+#include "obs/obs.hpp"
 #include "qss/scheduler.hpp"
 
 namespace {
@@ -16,56 +15,35 @@ using namespace fcqss;
 
 void report()
 {
-    benchutil::heading("Ablation: allocation enumeration vs reduction dedup (ATM net)");
+    benchutil::heading("Ablation: allocation space vs distinct T-reductions (ATM net)");
     const auto net = atm::build_atm_net();
-    const auto clusters = qss::choice_clusters(net);
-    benchutil::row("choice clusters", std::to_string(clusters.size()));
-    benchutil::row("allocation space", std::to_string(qss::allocation_count(clusters)));
-
-    // Count distinct reductions by their kept-transition bitmaps.
-    std::set<std::vector<bool>> distinct;
-    for (const qss::t_allocation& a : qss::enumerate_allocations(clusters)) {
-        distinct.insert(qss::reduce(net, clusters, a).keep_transition);
-    }
-    benchutil::row("distinct T-reductions (paper: 120)", std::to_string(distinct.size()));
+    obs::reset();
+    obs::set_stats_enabled(true);
+    const qss::qss_result result = qss::quasi_static_schedule(net);
+    obs::set_stats_enabled(false);
+    const auto counter = [](const char* name) {
+        return std::to_string(obs::get_counter(name).value());
+    };
+    benchutil::row("choice clusters", std::to_string(result.clusters.size()));
+    benchutil::row("allocation space", std::to_string(result.allocations_enumerated));
+    benchutil::row("distinct T-reductions (paper: 120)",
+                   std::to_string(result.entries.size()));
     benchutil::row("dedup factor",
-                   std::to_string(static_cast<double>(qss::allocation_count(clusters)) /
-                                  static_cast<double>(distinct.size())));
+                   std::to_string(static_cast<double>(result.allocations_enumerated) /
+                                  static_cast<double>(result.entries.size())));
+    benchutil::row("prefix reductions", counter("qss.prefix_reductions"));
+    benchutil::row("leaf reductions", counter("qss.leaf_reductions"));
+    obs::reset();
 }
 
-void bm_enumerate_allocations(benchmark::State& state)
-{
-    const auto net = atm::build_atm_net();
-    const auto clusters = qss::choice_clusters(net);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(qss::enumerate_allocations(clusters));
-    }
-}
-BENCHMARK(bm_enumerate_allocations);
-
-void bm_reduce_all_allocations(benchmark::State& state)
-{
-    const auto net = atm::build_atm_net();
-    const auto clusters = qss::choice_clusters(net);
-    const auto allocations = qss::enumerate_allocations(clusters);
-    for (auto _ : state) {
-        std::size_t kept = 0;
-        for (const qss::t_allocation& a : allocations) {
-            kept += qss::reduce(net, clusters, a).kept_transition_count();
-        }
-        benchmark::DoNotOptimize(kept);
-    }
-}
-BENCHMARK(bm_reduce_all_allocations);
-
-void bm_full_scheduler_with_dedup(benchmark::State& state)
+void bm_quasi_static_schedule(benchmark::State& state)
 {
     const auto net = atm::build_atm_net();
     for (auto _ : state) {
         benchmark::DoNotOptimize(qss::quasi_static_schedule(net));
     }
 }
-BENCHMARK(bm_full_scheduler_with_dedup);
+BENCHMARK(bm_quasi_static_schedule);
 
 } // namespace
 

@@ -1,5 +1,6 @@
 #include "qss/reduction.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "base/error.hpp"
@@ -43,11 +44,9 @@ public:
         result_.keep_place.assign(net.place_count(), true);
     }
 
-    t_reduction run(const std::vector<choice_cluster>& clusters,
-                    const t_allocation& allocation)
+    t_reduction run(const std::vector<pn::transition_id>& excluded)
     {
-        result_.allocation = allocation;
-        for (pn::transition_id t : excluded_transitions(clusters, allocation)) {
+        for (pn::transition_id t : excluded) {
             remove_transition(t, reduction_step::kind::remove_unallocated_transition,
                               "unallocated");
         }
@@ -244,7 +243,19 @@ t_reduction reduce(const pn::petri_net& net, const std::vector<choice_cluster>& 
     if (allocation.chosen.size() != clusters.size()) {
         throw model_error("reduce: allocation does not match cluster count");
     }
-    return reducer(net, record_trace).run(clusters, allocation);
+    t_reduction result =
+        reducer(net, record_trace).run(excluded_transitions(clusters, allocation));
+    result.allocation = allocation;
+    return result;
+}
+
+t_reduction reduce_excluding(const pn::petri_net& net,
+                             std::vector<pn::transition_id> excluded)
+{
+    // The same ascending, duplicate-free removal order reduce() uses.
+    std::sort(excluded.begin(), excluded.end());
+    excluded.erase(std::unique(excluded.begin(), excluded.end()), excluded.end());
+    return reducer(net, false).run(excluded);
 }
 
 reduced_net materialize(const pn::petri_net& net, const t_reduction& reduction)

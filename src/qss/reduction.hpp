@@ -41,6 +41,8 @@ struct reduction_step {
     std::string node;
     /// Why the rule fired, in Fig. 6's style ("Remove t3 (unallocated)").
     std::string reason;
+
+    friend bool operator==(const reduction_step&, const reduction_step&) = default;
 };
 
 /// A T-reduction: membership bitmaps over the original net's node spaces.
@@ -65,6 +67,17 @@ struct t_reduction {
                                  const std::vector<choice_cluster>& clusters,
                                  const t_allocation& allocation,
                                  bool record_trace = false);
+
+/// Runs the same rules with `excluded` (any order, duplicates allowed) as the
+/// transitions removed in step (a), so it also applies to a partial
+/// allocation: the unchosen alternatives of the clusters decided so far.
+/// reduce(net, clusters, a) keeps exactly the nodes that
+/// reduce_excluding(net, excluded_transitions(clusters, a)) keeps; the
+/// result carries no allocation and no trace.  Removing more transitions
+/// never keeps more nodes, which is what lets the scheduler skip choices a
+/// partial reduction has already made moot.
+[[nodiscard]] t_reduction reduce_excluding(const pn::petri_net& net,
+                                           std::vector<pn::transition_id> excluded);
 
 /// The reduction materialized as its own petri_net (names preserved), with
 /// maps from the subnet's ids back to the original net's.

@@ -1,9 +1,21 @@
 // fcqss — qss/scheduler.hpp
-// The complete QSS pipeline (Sec. 3): enumerate T-allocations, compute
-// T-reductions, deduplicate, check Def. 3.5 on each, and assemble the valid
-// schedule — one finite complete cycle per distinct T-reduction.  By
-// Theorem 3.1 the net is quasi-statically schedulable iff every reduction
-// passes; the algorithm is complete for free-choice nets.
+// The complete QSS pipeline (Sec. 3): enumerate the distinct T-reductions,
+// check Def. 3.5 on each, and assemble the valid schedule — one finite
+// complete cycle per distinct T-reduction.  By Theorem 3.1 the net is
+// quasi-statically schedulable iff every reduction passes; the algorithm is
+// complete for free-choice nets.
+//
+// Allocations that differ only in choices inside removed branches share a
+// reduction, so the scheduler enumerates reductions, not allocations: a
+// depth-first walk over the choice clusters in odometer order reduces each
+// decided prefix and, for every later cluster whose choice place that
+// partial reduction already removed, follows only the first alternative.
+// In a free-choice net the choice place is the only input of its
+// alternatives and the reduction is monotone in the removed set, so such a
+// choice cannot change the reduction.  Each distinct reduction comes out
+// once, in order of its first allocation in odometer order, represented by
+// that (lowest-index) allocation — the same entries, in the same order, as
+// reducing every allocation and keeping first occurrences.
 #ifndef FCQSS_QSS_SCHEDULER_HPP
 #define FCQSS_QSS_SCHEDULER_HPP
 
@@ -18,21 +30,20 @@ namespace fcqss::qss {
 
 /// Tuning knobs for the scheduler.
 struct scheduler_options {
-    /// Abort instead of enumerating more allocations than this (the count is
-    /// exponential in the number of choice clusters).
+    /// Throw resource_limit_error when the allocation space (allocation_count,
+    /// exponential in the number of choice clusters) is larger than this.
+    /// The cap bounds the space, not the distinct reductions actually
+    /// enumerated, so verdicts do not depend on how well choices prune.
     std::size_t max_allocations = 1u << 20;
     /// Record reduction traces (Fig. 6 style) into the result.
     bool record_traces = false;
 };
 
-/// One entry of the valid schedule: a distinct T-reduction together with its
-/// finite complete cycle and the allocations that map to it.
+/// One entry of the valid schedule: a distinct T-reduction (generated by its
+/// lowest-index allocation) together with its finite complete cycle.
 struct schedule_entry {
     t_reduction reduction;
     reduction_schedule analysis;
-    /// Indices (into the enumeration order) of all allocations that produced
-    /// this same subnet.
-    std::vector<std::size_t> allocation_indices;
 };
 
 /// Outcome of quasi-static scheduling.
@@ -41,13 +52,16 @@ struct qss_result {
     bool schedulable = false;
 
     /// All distinct T-reductions with their cycles (the valid schedule when
-    /// schedulable; partial diagnostics otherwise).
+    /// schedulable; partial diagnostics otherwise), in order of their first
+    /// allocation.
     std::vector<schedule_entry> entries;
 
-    /// The choice clusters of the net (enumeration order for allocations).
+    /// The choice clusters of the net (the digits of the odometer order).
     std::vector<choice_cluster> clusters;
 
-    /// Total allocations enumerated (product of cluster sizes).
+    /// Size of the allocation space (product of cluster sizes) — the
+    /// allocations the distinct reductions stand for, not the reductions
+    /// computed to find them (see the qss.* obs counters for those).
     std::size_t allocations_enumerated = 0;
 
     /// Human-readable failure summary; empty when schedulable.

@@ -39,47 +39,6 @@ std::size_t allocation_count(const std::vector<choice_cluster>& clusters)
     return count;
 }
 
-std::vector<t_allocation>
-enumerate_allocations(const std::vector<choice_cluster>& clusters,
-                      std::size_t max_allocations)
-{
-    const std::size_t total = allocation_count(clusters);
-    if (total > max_allocations) {
-        throw resource_limit_error("enumerate_allocations: " + std::to_string(total) +
-                    " allocations exceed the configured limit of " +
-                    std::to_string(max_allocations));
-    }
-
-    std::vector<t_allocation> result;
-    result.reserve(total);
-    t_allocation current;
-    current.chosen.resize(clusters.size());
-
-    // Odometer enumeration, most significant cluster first.
-    std::vector<std::size_t> digit(clusters.size(), 0);
-    while (true) {
-        for (std::size_t i = 0; i < clusters.size(); ++i) {
-            current.chosen[i] = clusters[i].alternatives[digit[i]];
-        }
-        result.push_back(current);
-        // Increment from the last cluster.
-        std::size_t i = clusters.size();
-        while (i > 0) {
-            --i;
-            if (++digit[i] < clusters[i].alternatives.size()) {
-                break;
-            }
-            digit[i] = 0;
-            if (i == 0) {
-                return result;
-            }
-        }
-        if (clusters.empty()) {
-            return result;
-        }
-    }
-}
-
 std::string to_string(const pn::petri_net& net,
                       const std::vector<choice_cluster>& clusters,
                       const t_allocation& allocation)

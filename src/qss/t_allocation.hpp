@@ -2,8 +2,11 @@
 // T-allocations (Def. 3.3): control functions that pick exactly one successor
 // transition for each place.  Only choice places carry a real decision, so an
 // allocation is represented by one chosen transition per choice cluster.
-// Enumeration is exponential in the number of clusters (Sec. 3's complexity
-// remark); a configurable cap turns blowup into a clean error.
+// The allocation space is exponential in the number of clusters (Sec. 3's
+// complexity remark), but many allocations share a T-reduction; the
+// scheduler (qss/scheduler.hpp) skips the choices that earlier clusters'
+// choices make moot and never materializes the space.  allocation_count() sizes it
+// for the scheduler's cap.
 #ifndef FCQSS_QSS_T_ALLOCATION_HPP
 #define FCQSS_QSS_T_ALLOCATION_HPP
 
@@ -29,14 +32,7 @@ struct t_allocation {
 excluded_transitions(const std::vector<choice_cluster>& clusters,
                      const t_allocation& allocation);
 
-/// Enumerates every T-allocation in lexicographic order of cluster choices.
-/// Throws fcqss::error when the count would exceed `max_allocations`.
-[[nodiscard]] std::vector<t_allocation>
-enumerate_allocations(const std::vector<choice_cluster>& clusters,
-                      std::size_t max_allocations = 1u << 20);
-
-/// Number of allocations without materializing them (product of cluster
-/// sizes, saturating).
+/// Size of the allocation space (product of cluster sizes, saturating).
 [[nodiscard]] std::size_t allocation_count(const std::vector<choice_cluster>& clusters);
 
 /// Renders e.g. "{p1 -> t2, p5 -> t9}".

@@ -1,8 +1,9 @@
 // Cross-analysis agreement properties: independent algorithms deciding the
 // same question must agree — Karp–Miller vs explicit reachability for
 // boundedness, P-invariant structural bounds vs observed peaks, Commoner's
-// siphon condition vs behavioural liveness on free-choice nets, and the
-// QSS verdict vs brute-force cycle search on small nets.
+// siphon condition vs behavioural liveness on free-choice nets, and QSS
+// schedules staying bounded under their own cycles.  The QSS verdict itself
+// is held to the brute-force allocation oracle in test_qss_enumeration.cpp.
 #include <gtest/gtest.h>
 
 #include "nets/paper_nets.hpp"

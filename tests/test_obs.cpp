@@ -14,11 +14,13 @@
 #include <thread>
 #include <vector>
 
+#include "apps/atm/atm_net.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
 #include "pn/petri_net.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
+#include "qss/scheduler.hpp"
 
 namespace fcqss::obs {
 namespace {
@@ -291,7 +293,10 @@ TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match
         // Poll while exploration runs: per-level flushes must only grow.
         for (int poll = 0; poll < 200; ++poll) {
             const std::vector<metric> rows = snapshot();
-            if (has_metric(rows, "pn.explore.states")) {
+            // The two counters register one after the other, so a poll can
+            // land between the registrations.
+            if (has_metric(rows, "pn.explore.states") &&
+                has_metric(rows, "pn.explore.edges")) {
                 const auto states =
                     static_cast<std::uint64_t>(metric_value(rows, "pn.explore.states"));
                 const auto edges =
@@ -329,6 +334,32 @@ TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match
         shard_sum += metric_value(rows, name);
     }
     EXPECT_EQ(shard_sum, static_cast<double>(space.state_count()));
+}
+
+TEST_F(obs_snapshot, qss_counters_pin_the_atm_enumeration)
+{
+    // The ATM net: 11 choice clusters, 4608 allocations, 120 distinct
+    // T-reductions.  The enumeration reduces 109 decided prefixes and one
+    // allocation per distinct reduction — no leaf is a duplicate.
+    const pn::petri_net net = atm::build_atm_net();
+    set_stats_enabled(true);
+    const qss::qss_result result = qss::quasi_static_schedule(net);
+    set_stats_enabled(false);
+    ASSERT_TRUE(result.schedulable);
+
+    const std::vector<metric> rows = snapshot();
+    EXPECT_EQ(metric_value(rows, "qss.schedules"), 1.0);
+    EXPECT_EQ(metric_value(rows, "qss.allocation_space"), 4608.0);
+    EXPECT_EQ(metric_value(rows, "qss.prefix_reductions"), 109.0);
+    EXPECT_EQ(metric_value(rows, "qss.leaf_reductions"), 120.0);
+    EXPECT_EQ(metric_value(rows, "qss.distinct_reductions"), 120.0);
+    EXPECT_GT(metric_value(rows, "qss.enumerate_ns"), 0.0);
+    EXPECT_GT(metric_value(rows, "qss.check_ns"), 0.0);
+
+    // Stats off: a second schedule leaves every total where it was.
+    (void)qss::quasi_static_schedule(net);
+    EXPECT_EQ(get_counter("qss.schedules").value(), 1u);
+    EXPECT_EQ(get_counter("qss.leaf_reductions").value(), 120u);
 }
 
 TEST_F(obs_snapshot, sequential_explore_flushes_matching_totals)

@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "apps/atm/atm_net.hpp"
 #include "obs/obs.hpp"
+#include "pipeline/synthesis_pipeline.hpp"
 
 namespace fcqss::obs {
 namespace {
@@ -419,6 +421,48 @@ TEST_F(obs_trace_test, per_thread_events_are_well_nested)
             }
         }
     }
+}
+
+TEST_F(obs_trace_test, qss_spans_nest_in_the_schedule_stage)
+{
+    pipeline::pipeline_options options;
+    options.generate_code = false;
+    const pipeline::synthesis_pipeline pipe(options);
+    set_tracing_enabled(true);
+    const pipeline::pipeline_result result =
+        pipe.run_one(pipeline::net_source::from_net(atm::build_atm_net()));
+    set_tracing_enabled(false);
+    ASSERT_EQ(result.status, pipeline::pipeline_status::ok);
+
+    const parsed_trace trace = parse_and_validate_trace();
+    const auto find = [&](const std::string& name) -> const trace_event* {
+        for (const trace_event& e : trace.events) {
+            if (e.name == name) {
+                return &e;
+            }
+        }
+        ADD_FAILURE() << "span missing from trace: " << name;
+        return nullptr;
+    };
+    const trace_event* stage = find("stage.schedule");
+    const trace_event* enumerate = find("qss.enumerate");
+    const trace_event* check = find("qss.check");
+    ASSERT_TRUE(stage != nullptr && enumerate != nullptr && check != nullptr);
+    EXPECT_TRUE(contains(*stage, *enumerate));
+    EXPECT_TRUE(contains(*stage, *check));
+    EXPECT_TRUE(disjoint(*enumerate, *check));
+    EXPECT_LE(enumerate->ts, check->ts);
+
+    // The enumeration span carries the allocation space and the distinct
+    // reductions found in it; the check span how many it checked.
+    ASSERT_NE(enumerate->args, nullptr);
+    ASSERT_NE(enumerate->args->find("allocations"), nullptr);
+    ASSERT_NE(enumerate->args->find("reductions"), nullptr);
+    EXPECT_EQ(enumerate->args->find("allocations")->number, 4608.0);
+    EXPECT_EQ(enumerate->args->find("reductions")->number, 120.0);
+    ASSERT_NE(check->args, nullptr);
+    ASSERT_NE(check->args->find("reductions"), nullptr);
+    EXPECT_EQ(check->args->find("reductions")->number, 120.0);
 }
 
 TEST_F(obs_trace_test, trace_survives_writer_thread_exit)

@@ -63,7 +63,7 @@ TEST_P(random_net_property, every_reduction_is_conflict_free_subnet)
 {
     const pn::petri_net net = make_net();
     const auto clusters = qss::choice_clusters(net);
-    for (const qss::t_allocation& a : qss::enumerate_allocations(clusters)) {
+    for (const qss::t_allocation& a : testutil::enumerate_allocations(clusters)) {
         const qss::t_reduction r = qss::reduce(net, clusters, a);
         const qss::reduced_net sub = materialize(net, r);
         EXPECT_TRUE(pn::is_conflict_free(sub.net));

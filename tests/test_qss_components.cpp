@@ -12,6 +12,7 @@
 #include "qss/scheduler.hpp"
 #include "qss/t_allocation.hpp"
 #include "qss/task_partition.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::qss {
 namespace {
@@ -59,16 +60,12 @@ TEST(allocations, enumeration_counts)
     const petri_net net = nets::figure_3a();
     const auto clusters = choice_clusters(net);
     EXPECT_EQ(allocation_count(clusters), 2u);
-    const auto allocations = enumerate_allocations(clusters);
-    ASSERT_EQ(allocations.size(), 2u);
-    EXPECT_EQ(allocations[0].chosen[0], net.find_transition("t2"));
-    EXPECT_EQ(allocations[1].chosen[0], net.find_transition("t3"));
-}
-
-TEST(allocations, cap_enforced)
-{
-    const auto clusters = choice_clusters(nets::figure_3a());
-    EXPECT_THROW((void)enumerate_allocations(clusters, 1), error);
+    // One entry per allocation here, in odometer order.
+    const qss_result result = quasi_static_schedule(net);
+    EXPECT_EQ(result.allocations_enumerated, 2u);
+    ASSERT_EQ(result.entries.size(), 2u);
+    EXPECT_EQ(result.entries[0].reduction.allocation.chosen[0], net.find_transition("t2"));
+    EXPECT_EQ(result.entries[1].reduction.allocation.chosen[0], net.find_transition("t3"));
 }
 
 TEST(allocations, excluded_and_text)
@@ -87,18 +84,18 @@ TEST(allocations, excluded_and_text)
 
 TEST(allocations, no_choices_single_empty_allocation)
 {
-    const auto clusters = choice_clusters(nets::figure_2());
-    EXPECT_TRUE(clusters.empty());
-    const auto allocations = enumerate_allocations(clusters);
-    ASSERT_EQ(allocations.size(), 1u);
-    EXPECT_TRUE(allocations.front().chosen.empty());
+    const qss_result result = quasi_static_schedule(nets::figure_2());
+    EXPECT_TRUE(result.clusters.empty());
+    EXPECT_EQ(result.allocations_enumerated, 1u);
+    ASSERT_EQ(result.entries.size(), 1u);
+    EXPECT_TRUE(result.entries.front().reduction.allocation.chosen.empty());
 }
 
 TEST(reduction, is_conflict_free_and_subnet)
 {
     const petri_net net = nets::figure_5();
     const auto clusters = choice_clusters(net);
-    for (const t_allocation& a : enumerate_allocations(clusters)) {
+    for (const t_allocation& a : testutil::enumerate_allocations(clusters)) {
         const t_reduction r = reduce(net, clusters, a);
         const reduced_net sub = materialize(net, r);
         // Every reduction is a conflict-free subnet of the original.
@@ -260,9 +257,19 @@ TEST(scheduler, allocation_dedup_merges_moot_choices)
 
 TEST(scheduler, options_cap_allocations)
 {
+    // The cap bounds the allocation space, whatever pruning would save, and
+    // its message is part of the pipeline's diagnosis text.
     scheduler_options options;
     options.max_allocations = 1;
-    EXPECT_THROW((void)quasi_static_schedule(nets::figure_3a(), options), error);
+    try {
+        (void)quasi_static_schedule(nets::figure_3a(), options);
+        ADD_FAILURE() << "expected resource_limit_error";
+    } catch (const resource_limit_error& e) {
+        EXPECT_STREQ(e.what(), "enumerate_allocations: 2 allocations exceed the "
+                               "configured limit of 1");
+    }
+    options.max_allocations = 2;
+    EXPECT_TRUE(quasi_static_schedule(nets::figure_3a(), options).schedulable);
 }
 
 TEST(scheduler, records_traces_on_request)

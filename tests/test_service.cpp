@@ -257,6 +257,7 @@ TEST(service, inflight_duplicates_attach_to_the_running_synthesis)
 {
     std::mutex gate_mutex;
     std::condition_variable gate_cv;
+    bool running = false;
     bool release = false;
 
     service_options options;
@@ -266,17 +267,27 @@ TEST(service, inflight_duplicates_attach_to_the_running_synthesis)
 
     const std::string text = pnio::write_net(nets::figure_3a());
     // The leader blocks in its first stage callback until released, so the
-    // duplicate demonstrably arrives while the synthesis is in flight.
+    // duplicate demonstrably arrives while the synthesis is in flight.  Only
+    // the request that registered the content hash streams stages, so the
+    // callback firing also proves the leader owns the hash.
     const auto leader = svc.submit(
         net_source::from_text("leader", text), collector.callback(),
         [&](request_id, pipeline_stage stage, const pipeline_result&) {
             if (stage == pipeline_stage::parse) {
                 std::unique_lock lock(gate_mutex);
+                running = true;
+                gate_cv.notify_all();
                 gate_cv.wait(lock, [&] { return release; });
             }
         });
     ASSERT_EQ(leader.status, submit_status::accepted);
 
+    // Submit the duplicate only once the leader is running: with two
+    // workers, a duplicate submitted earlier could parse first and lead.
+    {
+        std::unique_lock lock(gate_mutex);
+        EXPECT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(30), [&] { return running; }));
+    }
     const auto duplicate =
         svc.submit(net_source::from_text("dup", text), collector.callback());
     ASSERT_EQ(duplicate.status, submit_status::accepted);

@@ -164,4 +164,77 @@ void eager_react(const pn::petri_net& net, pn::marking& m, pn::transition_id sou
     }
 }
 
+std::vector<qss::t_allocation>
+enumerate_allocations(const std::vector<qss::choice_cluster>& clusters)
+{
+    std::vector<qss::t_allocation> result;
+    std::vector<std::size_t> digit(clusters.size(), 0);
+    qss::t_allocation current;
+    current.chosen.resize(clusters.size());
+    while (true) {
+        for (std::size_t i = 0; i < clusters.size(); ++i) {
+            current.chosen[i] = clusters[i].alternatives[digit[i]];
+        }
+        result.push_back(current);
+        // Increment from the last cluster; done once the first wraps.
+        std::size_t i = clusters.size();
+        while (i > 0) {
+            --i;
+            if (++digit[i] < clusters[i].alternatives.size()) {
+                break;
+            }
+            digit[i] = 0;
+            if (i == 0) {
+                return result;
+            }
+        }
+        if (clusters.empty()) {
+            return result;
+        }
+    }
+}
+
+qss::qss_result brute_force_schedule(const pn::petri_net& net, bool record_traces)
+{
+    qss::qss_result result;
+    result.clusters = qss::choice_clusters(net);
+    const std::vector<qss::t_allocation> allocations =
+        enumerate_allocations(result.clusters);
+    result.allocations_enumerated = allocations.size();
+    for (const qss::t_allocation& allocation : allocations) {
+        qss::t_reduction reduction =
+            qss::reduce(net, result.clusters, allocation, record_traces);
+        const bool seen = std::any_of(
+            result.entries.begin(), result.entries.end(),
+            [&](const qss::schedule_entry& e) { return e.reduction.same_subnet(reduction); });
+        if (!seen) {
+            result.entries.push_back({std::move(reduction), {}});
+        }
+    }
+    result.schedulable = true;
+    for (qss::schedule_entry& entry : result.entries) {
+        entry.analysis = qss::schedule_reduction(net, result.clusters, entry.reduction);
+        if (entry.analysis.ok()) {
+            continue;
+        }
+        if (result.schedulable) {
+            result.failure = entry.analysis.failure;
+        } else {
+            result.diagnosis += "; ";
+        }
+        result.schedulable = false;
+        result.diagnosis += "T-reduction for allocation " +
+                            qss::to_string(net, result.clusters, entry.reduction.allocation) +
+                            " is " + qss::to_string(entry.analysis.failure);
+        if (!entry.analysis.offending.empty()) {
+            std::string names;
+            for (pn::transition_id t : entry.analysis.offending) {
+                names += (names.empty() ? "" : ", ") + net.transition_name(t);
+            }
+            result.diagnosis += " (" + names + ")";
+        }
+    }
+    return result;
+}
+
 } // namespace fcqss::testutil

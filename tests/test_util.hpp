@@ -1,6 +1,7 @@
 // Shared test utilities: a seeded random free-choice net generator (for
-// property-style sweeps) and an eager reference simulator that mirrors the
-// generated code's operational semantics on the net itself.
+// property-style sweeps), an eager reference simulator that mirrors the
+// generated code's operational semantics on the net itself, and the
+// brute-force T-allocation oracle for the scheduler's enumeration.
 #ifndef FCQSS_TESTS_TEST_UTIL_HPP
 #define FCQSS_TESTS_TEST_UTIL_HPP
 
@@ -13,6 +14,7 @@
 #include "pn/builder.hpp"
 #include "pn/firing.hpp"
 #include "pn/petri_net.hpp"
+#include "qss/scheduler.hpp"
 
 namespace fcqss::testutil {
 
@@ -44,6 +46,18 @@ void eager_react(const pn::petri_net& net, pn::marking& m, pn::transition_id sou
                  const std::function<int(pn::place_id)>& choose,
                  const std::function<void(pn::transition_id)>& on_fire,
                  int max_steps = 100000);
+
+/// Every T-allocation of `clusters` in odometer order (most significant
+/// cluster first, alternatives ascending) — allocation_count() of them.
+[[nodiscard]] std::vector<qss::t_allocation>
+enumerate_allocations(const std::vector<qss::choice_cluster>& clusters);
+
+/// Brute-force twin of qss::quasi_static_schedule without the allocation
+/// cap: reduces every allocation, keeps the first occurrence of each subnet
+/// (linear same_subnet scan), checks Def. 3.5 on each and assembles the
+/// verdict and diagnosis as the scheduler does.
+[[nodiscard]] qss::qss_result brute_force_schedule(const pn::petri_net& net,
+                                                   bool record_traces = false);
 
 } // namespace fcqss::testutil
 
