@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "codegen/c_emitter.hpp"
 #include "codegen/task_codegen.hpp"
@@ -195,7 +196,10 @@ double engine_states_per_second(const pn::petri_net& net,
 // Thread-scaling rows for the sharded parallel engine (PR 3 tentpole): the
 // same exploration at 1/2/4 threads against the sequential engine, on
 // >= 500-transition generated nets.  CI gates on the best "par4 speedup"
-// row staying >= 2x.
+// row staying >= 2x.  Beside them, the deterministic row footprint of the
+// 4-thread result: "<family> row B/state" is arena bytes per state (count
+// width x places, plus chunk slack) next to "<family> places"; CI gates
+// mg and choice at <= 2 bytes per place (8-byte counts would read 8).
 void report_parallel_engine()
 {
     benchutil::heading(
@@ -221,6 +225,13 @@ void report_parallel_engine()
         const std::string prefix = std::string(pipeline::to_string(family)) + " ";
         benchutil::row(prefix + "par transitions",
                        std::to_string(net.transition_count()));
+        const pn::state_space space = pn::explore_space(net, options);
+        char row_bytes[32];
+        std::snprintf(row_bytes, sizeof row_bytes, "%.1f",
+                      static_cast<double>(space.store().arena_bytes()) /
+                          static_cast<double>(space.state_count()));
+        benchutil::row(prefix + "places", std::to_string(net.place_count()));
+        benchutil::row(prefix + "row B/state", row_bytes);
         benchutil::row(prefix + "seq states/s",
                        std::to_string(static_cast<long long>(sequential)));
         benchutil::row(prefix + "par2 states/s",
@@ -235,7 +246,7 @@ void report_parallel_engine()
     }
 }
 
-// Bit-identity of two compact state spaces: same ids, token spans, CSR
+// Bit-identity of two compact state spaces: same ids, decoded tokens, CSR
 // rows, truncation verdict.
 bool identical_spaces(const pn::state_space& a, const pn::state_space& b)
 {
@@ -243,10 +254,12 @@ bool identical_spaces(const pn::state_space& a, const pn::state_space& b)
         a.truncated() != b.truncated()) {
         return false;
     }
+    std::vector<std::int64_t> at(a.store().width());
+    std::vector<std::int64_t> bt(b.store().width());
     for (pn::state_id s = 0; s < static_cast<pn::state_id>(a.state_count()); ++s) {
-        const auto at = a.tokens(s);
-        const auto bt = b.tokens(s);
-        if (!std::equal(at.begin(), at.end(), bt.begin(), bt.end())) {
+        a.load(s, at.data());
+        b.load(s, bt.data());
+        if (at != bt) {
             return false;
         }
         const auto ae = a.successors(s);

@@ -1,5 +1,6 @@
 #include "apps/cli/cli.hpp"
 
+#include <cerrno>
 #include <exception>
 
 #include "obs/obs.hpp"
@@ -46,8 +47,9 @@ bool int_option(int argc, char** argv, int& i, const char* flag, long& out)
     }
     const char* text = argv[++i];
     char* end = nullptr;
+    errno = 0;
     out = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0') {
+    if (end == text || *end != '\0' || errno == ERANGE) {
         std::fprintf(stderr, "%s needs an integer, got '%s'\n", flag, text);
         std::exit(2);
     }
@@ -65,7 +67,9 @@ bool byte_option(int argc, char** argv, int& i, const char* flag,
     }
     const char* text = argv[++i];
     char* end = nullptr;
+    errno = 0;
     const unsigned long long value = std::strtoull(text, &end, 10);
+    const bool out_of_range = errno == ERANGE;
     unsigned long long scale = 1;
     if (end != text) {
         switch (*end) {
@@ -81,7 +85,7 @@ bool byte_option(int argc, char** argv, int& i, const char* flag,
             ++end;
         }
     }
-    if (end == text || *end != '\0' || text[0] == '-' ||
+    if (end == text || *end != '\0' || text[0] == '-' || out_of_range ||
         (scale != 1 && value > ~0ULL / scale)) {
         std::fprintf(stderr,
                      "%s needs a byte size (integer with optional K/M/G "

@@ -44,13 +44,14 @@ int dispatch(const char* tool, const command* commands, std::size_t count,
 int usage(const char* tool, const command* commands, std::size_t count);
 
 /// Parses "--flag N" style integer options; advances `i` past the value.
-/// Exits 2 when the value is missing or not an integer.
+/// Exits 2 when the value is missing, not an integer, or outside long.
 bool int_option(int argc, char** argv, int& i, const char* flag, long& out);
 
 /// Parses "--flag SIZE" byte-size options: a non-negative integer with an
 /// optional K/M/G suffix (binary multiples, case-insensitive, optional
 /// trailing B or iB — "512K", "64MiB", "1g").  Advances `i` past the
-/// value; exits 2 when the value is missing or malformed.
+/// value; exits 2 when the value is missing, malformed, or does not fit in
+/// 64 bits.
 bool byte_option(int argc, char** argv, int& i, const char* flag,
                  unsigned long long& out);
 

@@ -44,12 +44,14 @@ lin_program lin_synthesize(const pn::petri_net& net, const lin_options& options)
     // Safeness makes 2 tokens in a place a violation; capping exploration
     // there keeps the safety check cheap even for unbounded nets.
     explore_options.max_tokens_per_place = 2;
-    // Span-served: the safety scan and successor lists read the engine's
-    // arena directly instead of a materialized marking graph.
+    // Compact form: the safety scan decodes one state at a time and the
+    // successor lists come from the CSR, not a materialized marking graph.
     const pn::state_space space = pn::explore_space(net, explore_options);
 
+    std::vector<std::int64_t> counts(space.store().width());
     for (pn::state_id s = 0; s < static_cast<pn::state_id>(space.state_count()); ++s) {
-        for (std::int64_t tokens : space.tokens(s)) {
+        space.load(s, counts.data());
+        for (std::int64_t tokens : counts) {
             if (tokens > 1) {
                 program.failure = lin_failure::not_safe;
                 return program;

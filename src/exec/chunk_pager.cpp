@@ -121,6 +121,29 @@ void chunk_pager::evict_to_fit_locked(std::size_t incoming_bytes)
     }
 }
 
+void chunk_pager::release(std::uint32_t id)
+{
+    std::lock_guard lock(mutex_);
+    chunk_meta& chunk = chunks_[id];
+    if (chunk.released) return;
+    if (chunk.resident) resident_bytes_ -= chunk.bytes;
+    if (chunk.owned != nullptr) {
+        chunk.owned.reset();
+    } else {
+        ::munmap(chunk.data, chunk.bytes);
+        // Give the file range's blocks back too (TMPDIR is often tmpfs, where
+        // they are memory); the extent stays, so offsets never shift.  A
+        // filesystem without hole punching just keeps the bytes.
+        static_cast<void>(::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                                      static_cast<off_t>(chunk.file_offset),
+                                      static_cast<off_t>(chunk.bytes)));
+    }
+    chunk.data = nullptr;
+    chunk.pins = 0;
+    chunk.resident = false;
+    chunk.released = true;
+}
+
 void chunk_pager::pin(std::uint32_t id)
 {
     std::lock_guard lock(mutex_);
@@ -162,7 +185,9 @@ chunk_pager_stats chunk_pager::stats() const
     chunk_pager_stats out;
     out.chunks = chunks_.size();
     for (const auto& chunk : chunks_)
-        (chunk.resident ? out.resident_chunks : out.spilled_chunks) += 1;
+        (chunk.released   ? out.released_chunks
+         : chunk.resident ? out.resident_chunks
+                          : out.spilled_chunks) += 1;
     out.evictions = evictions_;
     out.spill_file_bytes = file_extent_;
     out.resident_bytes = resident_bytes_;

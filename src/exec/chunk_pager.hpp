@@ -5,16 +5,18 @@
 // resident set under the budget.
 //
 // The one invariant everything above relies on: **a chunk's address never
-// changes for the life of the pager.**  marking_store spans, the engines'
-// cross-thread parent-row pointers and the public state_space token spans
-// all point straight into chunks, so eviction must not remap anything.
-// File-backed chunks are therefore MAP_SHARED mappings that stay mapped
-// forever; "eviction" is msync(MS_ASYNC) + madvise(MADV_DONTNEED), which
-// drops the chunk's resident pages (the file keeps the bytes) while leaving
-// the address range valid — a later read simply refaults the pages back in
-// from the spill file, transparently and safely, even concurrently with the
-// eviction itself.  Correctness is thus independent of eviction policy;
-// only locality is at stake.
+// changes until the chunk is released.**  marking_store rows and the
+// engines' cross-thread parent-row pointers point straight into chunks, so
+// eviction must not remap anything.  File-backed chunks are therefore
+// MAP_SHARED mappings that stay mapped until release(); "eviction" is
+// msync(MS_ASYNC) + madvise(MADV_DONTNEED), which drops the chunk's
+// resident pages (the file keeps the bytes) while leaving the address range
+// valid — a later read simply refaults the pages back in from the spill
+// file, transparently and safely, even concurrently with the eviction
+// itself.  Correctness is thus independent of eviction policy; only
+// locality is at stake.  A store that re-encodes its rows at a wider count
+// width (marking_store::widen) copies them into fresh chunks and releases
+// the old ones: row pointers stay valid until the next widening.
 //
 // Two modes, chosen at construction:
 //
@@ -67,6 +69,7 @@ struct chunk_pager_stats {
     std::uint64_t chunks = 0;          ///< chunks allocated, ever
     std::uint64_t resident_chunks = 0; ///< believed resident right now
     std::uint64_t spilled_chunks = 0;  ///< believed evicted right now
+    std::uint64_t released_chunks = 0; ///< handed back through release()
     std::uint64_t evictions = 0;       ///< eviction operations, ever
     std::uint64_t spill_file_bytes = 0; ///< spill file extent (0 unbudgeted)
     std::uint64_t resident_bytes = 0;  ///< believed resident bytes
@@ -82,10 +85,16 @@ public:
 
     /// Allocates a chunk of `bytes` (page-rounded in budgeted mode) and
     /// returns (chunk id, base address).  The address is stable until the
-    /// pager is destroyed.  May evict cold chunks first; throws
-    /// fcqss::io_error when the spill file cannot grow or was truncated
-    /// externally.
+    /// chunk is released or the pager is destroyed.  May evict cold chunks
+    /// first; throws fcqss::io_error when the spill file cannot grow or was
+    /// truncated externally.
     std::pair<std::uint32_t, void*> allocate(std::size_t bytes);
+
+    /// Hands a chunk back: its memory is freed (anonymous mode) or unmapped
+    /// and its spill-file range hole-punched (budgeted mode), and its
+    /// address becomes invalid.  The id is never reused.  Releasing twice
+    /// is a no-op.
+    void release(std::uint32_t id);
 
     /// Pin/unpin a chunk against eviction (counted: pins nest).
     void pin(std::uint32_t id);
@@ -126,6 +135,7 @@ private:
         std::size_t file_offset = 0; ///< offset in the spill file
         int pins = 0;
         bool resident = true;
+        bool released = false;
         /// Unbudgeted-mode ownership (budgeted chunks are unmapped whole
         /// via the file mappings in the destructor).
         std::unique_ptr<std::byte[]> owned;

@@ -59,11 +59,12 @@ std::string compare_spaces(const pn::state_space& seq, const pn::state_space& pa
     if (seq.truncated() != par.truncated()) {
         return where + "truncation verdicts differ";
     }
+    tokens_vec seq_tokens(seq.store().width());
+    tokens_vec par_tokens(par.store().width());
     for (pn::state_id s = 0; s < static_cast<pn::state_id>(seq.state_count()); ++s) {
-        const auto seq_tokens = seq.tokens(s);
-        const auto par_tokens = par.tokens(s);
-        if (!std::equal(seq_tokens.begin(), seq_tokens.end(), par_tokens.begin(),
-                        par_tokens.end())) {
+        seq.load(s, seq_tokens.data());
+        par.load(s, par_tokens.data());
+        if (seq_tokens != par_tokens) {
             return where + "state " + std::to_string(s) + " markings differ";
         }
         const auto seq_edges = seq.successors(s);
@@ -83,8 +84,7 @@ cell_verdict verdict_of(const pn::petri_net& net, const pn::state_space& space)
     v.edges = space.edge_count();
     v.truncated = space.truncated();
     for (const pn::state_id s : pn::deadlock_states(net, space)) {
-        const auto span = space.tokens(s);
-        v.dead.insert(tokens_vec(span.begin(), span.end()));
+        v.dead.insert(space.tokens(s));
     }
     return v;
 }

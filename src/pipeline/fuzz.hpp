@@ -10,7 +10,7 @@
 //
 //   engine agreement     for each reduction strength, the parallel engine's
 //                        state space is bit-identical to the sequential one
-//                        (states, edges, token spans, truncation) — the
+//                        (states, edges, decoded tokens, truncation) — the
 //                        repo-wide determinism guarantee.
 //   reduction soundness  a stubborn-reduced exploration never visits more
 //                        states than the full one (both untruncated), every

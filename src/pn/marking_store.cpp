@@ -23,7 +23,48 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept
     return x ^ (x >> 31);
 }
 
+template <typename T>
+void encode_row(const std::int64_t* in, T* out, std::size_t count) noexcept
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        out[i] = static_cast<T>(in[i]);
+    }
+}
+
+template <typename T>
+void decode_row(const T* in, std::int64_t* out, std::size_t count) noexcept
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        out[i] = static_cast<std::int64_t>(in[i]);
+    }
+}
+
+/// Branch-free so it vectorizes: a candidate count above T's range differs
+/// from every stored count in some bit, so no fit check is needed.
+template <typename T>
+bool equal_decoded(const T* stored, const std::int64_t* candidate,
+                   std::size_t count) noexcept
+{
+    std::uint64_t diff = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        diff |= static_cast<std::uint64_t>(candidate[i]) ^
+                static_cast<std::uint64_t>(static_cast<std::int64_t>(stored[i]));
+    }
+    return diff == 0;
+}
+
 } // namespace
+
+unsigned row_count_bytes(const std::int64_t* tokens, std::size_t count) noexcept
+{
+    // OR of the counts bounds the maximum bit by bit; a negative count sets
+    // the top bit and lands on 8 bytes.
+    std::uint64_t all = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        all |= static_cast<std::uint64_t>(tokens[i]);
+    }
+    return count_bytes_for(static_cast<std::int64_t>(all));
+}
 
 marking_store::marking_store(std::size_t width)
     : marking_store(width, nullptr)
@@ -31,21 +72,35 @@ marking_store::marking_store(std::size_t width)
 }
 
 marking_store::marking_store(std::size_t width,
-                             std::shared_ptr<exec::chunk_pager> pager)
+                             std::shared_ptr<exec::chunk_pager> pager,
+                             unsigned count_bytes)
     : width_(width),
-      states_per_chunk_(width == 0
-                            ? std::size_t{1} << 16
-                            : std::max<std::size_t>(1, target_chunk_bytes /
-                                                           (width * sizeof(std::int64_t)))),
       pager_(std::move(pager)),
       table_(initial_table_capacity, invalid_state),
       table_mask_(initial_table_capacity - 1)
 {
+    assert(count_bytes == 1 || count_bytes == 2 || count_bytes == 4 || count_bytes == 8);
+    set_count_bytes(count_bytes);
 }
 
 marking_store::~marking_store() = default;
 marking_store::marking_store(marking_store&&) noexcept = default;
 marking_store& marking_store::operator=(marking_store&&) noexcept = default;
+
+void marking_store::set_count_bytes(unsigned count_bytes) noexcept
+{
+    count_bytes_ = count_bytes;
+    row_bytes_ = width_ * count_bytes;
+    // The largest power of two of rows that fits the target chunk (at least
+    // one row; 2^16 rows of nothing for a place-less net).
+    const std::size_t rows =
+        row_bytes_ == 0 ? std::size_t{1} << 16
+                        : std::max<std::size_t>(1, target_chunk_bytes / row_bytes_);
+    chunk_shift_ = 0;
+    while ((std::size_t{2} << chunk_shift_) <= rows) {
+        ++chunk_shift_;
+    }
+}
 
 std::uint64_t marking_store::component_mix(std::size_t place, std::int64_t count) noexcept
 {
@@ -63,28 +118,148 @@ std::uint64_t marking_store::hash_tokens(const std::int64_t* tokens,
     return hash;
 }
 
-bool marking_store::equal_at(state_id id, const std::int64_t* candidate) const noexcept
+std::pair<state_id, bool> marking_store::intern(const std::int64_t* tokens,
+                                                std::uint64_t hash,
+                                                std::size_t max_states)
 {
-    return width_ == 0 ||
-           std::memcmp(tokens(id).data(), candidate, width_ * sizeof(std::int64_t)) == 0;
+    // Probe against rows decoded on the fly; the candidate is encoded only
+    // once it is known to be fresh and within budget.
+    const auto [slot, found] = with_count_type(count_bytes_, [&]<typename T>(T) {
+        std::size_t at = hash & table_mask_;
+        for (;; at = (at + 1) & table_mask_) {
+            ++stats_.probes;
+            const state_id id = table_[at];
+            if (id == invalid_state ||
+                (hashes_[id] == hash &&
+                 equal_decoded(reinterpret_cast<const T*>(probe_row(id)), tokens,
+                               width_))) {
+                return std::pair{at, id};
+            }
+        }
+    });
+    if (found != invalid_state) {
+        ++stats_.dedup_hits;
+        return {found, false};
+    }
+    if (size() >= max_states) {
+        ++stats_.budget_rejects;
+        return {invalid_state, false};
+    }
+    if (const unsigned needed = row_count_bytes(tokens, width_); needed > count_bytes_) {
+        widen(needed);
+    }
+    const state_id id = insert_at(slot, hash);
+    with_count_type(count_bytes_, [&]<typename T>(T) {
+        encode_row(tokens, reinterpret_cast<T*>(own_row(id)), width_);
+    });
+    return {id, true};
+}
+
+state_id marking_store::insert_at(std::size_t slot, std::uint64_t hash)
+{
+    ++stats_.inserts;
+    const state_id id = static_cast<state_id>(size());
+    if (((id - adopted_count_) & ((std::size_t{1} << chunk_shift_) - 1)) == 0) {
+        allocate_chunk();
+    }
+    hashes_.push_back(hash);
+    table_[slot] = id;
+    // Keep the load factor below ~0.7 (power-of-two capacity, linear
+    // probes).
+    if (size() * 10 >= (table_mask_ + 1) * 7) {
+        rebuild_table((table_mask_ + 1) * 2);
+    }
+    return id;
 }
 
 state_id marking_store::find(const std::int64_t* candidate,
                              std::uint64_t hash) const noexcept
 {
-    for (std::size_t slot = hash & table_mask_;; slot = (slot + 1) & table_mask_) {
-        const state_id id = table_[slot];
-        if (id == invalid_state) {
-            return invalid_state;
+    return with_count_type(count_bytes_, [&]<typename T>(T) {
+        for (std::size_t slot = hash & table_mask_;; slot = (slot + 1) & table_mask_) {
+            const state_id id = table_[slot];
+            if (id == invalid_state ||
+                (hashes_[id] == hash &&
+                 equal_decoded(reinterpret_cast<const T*>(row(id)), candidate, width_))) {
+                return id;
+            }
         }
-        if (hashes_[id] == hash && equal_at(id, candidate)) {
-            return id;
+    });
+}
+
+std::vector<std::int64_t> marking_store::tokens(state_id id) const
+{
+    std::vector<std::int64_t> out(width_);
+    load(id, out.data());
+    return out;
+}
+
+void marking_store::load(state_id id, std::int64_t* out) const noexcept
+{
+    with_count_type(count_bytes_, [&]<typename T>(T) {
+        decode_row(reinterpret_cast<const T*>(row(id)), out, width_);
+    });
+}
+
+void marking_store::widen(unsigned count_bytes)
+{
+    if (count_bytes <= count_bytes_) {
+        return;
+    }
+    assert(adopted_count_ == 0 && "adopted rows are 8 bytes and never widen");
+    ++stats_.widenings;
+    const unsigned old_bytes = count_bytes_;
+    const std::size_t old_row_bytes = row_bytes_;
+    const unsigned old_shift = chunk_shift_;
+    std::vector<std::byte*> old_rows = std::move(chunk_rows_);
+    std::vector<std::unique_ptr<std::byte[]>> old_owned = std::move(owned_chunks_);
+    std::vector<std::uint32_t> old_ids = std::move(pager_chunk_ids_);
+    if (pager_ != nullptr && !old_ids.empty()) {
+        pager_->unpin(old_ids.back());
+    }
+    const auto release_old = [&](std::size_t chunk) {
+        if (pager_ != nullptr) {
+            pager_->release(old_ids[chunk]);
+        } else {
+            old_owned[chunk].reset();
+        }
+    };
+    set_count_bytes(count_bytes);
+
+    // Copy chunk by chunk, releasing each old chunk as soon as its last row
+    // has moved, so the transient footprint is the new arena plus at most
+    // one old chunk.
+    const std::size_t count = size();
+    const std::size_t rows_per_chunk = std::size_t{1} << chunk_shift_;
+    std::vector<std::int64_t> row_buffer(width_);
+    std::size_t released = 0;
+    for (std::size_t begin = 0; begin < count; begin += rows_per_chunk) {
+        allocate_chunk();
+        const std::size_t end = std::min(count, begin + rows_per_chunk);
+        for (std::size_t id = begin; id < end; ++id) {
+            const std::size_t old_index = id & ((std::size_t{1} << old_shift) - 1);
+            const std::byte* from = old_rows[id >> old_shift] + old_index * old_row_bytes;
+            std::byte* to = own_row(static_cast<state_id>(id));
+            with_count_type(old_bytes, [&]<typename S>(S) {
+                decode_row(reinterpret_cast<const S*>(from), row_buffer.data(), width_);
+            });
+            with_count_type(count_bytes_, [&]<typename T>(T) {
+                encode_row(row_buffer.data(), reinterpret_cast<T*>(to), width_);
+            });
+        }
+        while (released < old_rows.size() && ((released + 1) << old_shift) <= end) {
+            release_old(released++);
         }
     }
+    while (released < old_rows.size()) {
+        release_old(released++);
+    }
+    decode_cache_.clear();
 }
 
 void marking_store::allocate_chunk()
 {
+    const std::size_t bytes = (std::size_t{1} << chunk_shift_) * row_bytes_;
     if (pager_ != nullptr) {
         // Keep exactly the bump chunk being filled pinned: the frontier of
         // writes (and the densest probe target) stays resident whatever the
@@ -92,14 +267,12 @@ void marking_store::allocate_chunk()
         if (!pager_chunk_ids_.empty()) {
             pager_->unpin(pager_chunk_ids_.back());
         }
-        const std::size_t bytes =
-            states_per_chunk_ * width_ * sizeof(std::int64_t);
         const auto [id, data] = pager_->allocate(bytes);
         pager_->pin(id);
         pager_chunk_ids_.push_back(id);
-        chunk_rows_.push_back(static_cast<std::int64_t*>(data));
+        chunk_rows_.push_back(static_cast<std::byte*>(data));
     } else {
-        owned_chunks_.emplace_back(new std::int64_t[states_per_chunk_ * width_]);
+        owned_chunks_.emplace_back(new std::byte[bytes]);
         chunk_rows_.push_back(owned_chunks_.back().get());
     }
 }
@@ -121,13 +294,11 @@ void marking_store::record_parent(
     delta_pool_.insert(delta_pool_.end(), deltas.begin(), deltas.end());
 }
 
-const std::int64_t* marking_store::cold_row(state_id id)
+const std::byte* marking_store::cold_row(state_id id)
 {
-    const std::size_t own = id - adopted_count_;
-    const std::size_t chunk = own / states_per_chunk_;
-    const std::int64_t* direct =
-        chunk_rows_[chunk] + (own % states_per_chunk_) * width_;
-    if (pager_chunk_ids_.empty() || pager_->resident(pager_chunk_ids_[chunk])) {
+    const std::byte* direct = own_row(id);
+    if (pager_chunk_ids_.empty() ||
+        pager_->resident(pager_chunk_ids_[(id - adopted_count_) >> chunk_shift_])) {
         return direct;
     }
     if (decode_cache_.empty()) {
@@ -144,14 +315,11 @@ const std::int64_t* marking_store::cold_row(state_id id)
     state_id chain[decode_chain_limit];
     std::size_t depth = 0;
     state_id cur = id;
-    const std::int64_t* base = nullptr;
+    const std::byte* base = nullptr;
     bool faulted = false;
     for (;;) {
-        const std::size_t cur_own = cur - adopted_count_;
-        const std::size_t cur_chunk = cur_own / states_per_chunk_;
-        const std::int64_t* cur_direct =
-            chunk_rows_[cur_chunk] + (cur_own % states_per_chunk_) * width_;
-        if (pager_->resident(pager_chunk_ids_[cur_chunk])) {
+        const std::byte* cur_direct = own_row(cur);
+        if (pager_->resident(pager_chunk_ids_[(cur - adopted_count_) >> chunk_shift_])) {
             base = cur_direct;
             break;
         }
@@ -172,14 +340,21 @@ const std::int64_t* marking_store::cold_row(state_id id)
         cur = delta_of_[cur].parent;
     }
     // Replay deltas from the base down to id, materializing into the slot.
-    slot.row.assign(base, base + width_);
-    for (std::size_t i = depth; i-- > 0;) {
-        const delta_ref& ref = delta_of_[chain[i]];
-        for (std::uint32_t d = 0; d < ref.count; ++d) {
-            const auto& [place, change] = delta_pool_[ref.begin + d];
-            slot.row[place] += change;
+    // Every intermediate row is an interned marking, so it fits the width.
+    // memcpy (not an element copy) so the counts are typed objects there.
+    slot.row.resize(row_bytes_);
+    std::memcpy(slot.row.data(), base, row_bytes_);
+    with_count_type(count_bytes_, [&]<typename T>(T) {
+        T* counts = reinterpret_cast<T*>(slot.row.data());
+        for (std::size_t i = depth; i-- > 0;) {
+            const delta_ref& ref = delta_of_[chain[i]];
+            for (std::uint32_t d = 0; d < ref.count; ++d) {
+                const auto& [place, change] = delta_pool_[ref.begin + d];
+                counts[place] =
+                    static_cast<T>(static_cast<std::int64_t>(counts[place]) + change);
+            }
         }
-    }
+    });
     slot.id = id;
     if (faulted) {
         ++stats_.decode_misses;
@@ -199,8 +374,8 @@ void marking_store::grow_bulk_build(std::size_t count)
 {
     assert(count >= size());
     const std::size_t own = count - adopted_count_;
-    const std::size_t chunk_count =
-        (own + states_per_chunk_ - 1) / states_per_chunk_;
+    const std::size_t rows_per_chunk = std::size_t{1} << chunk_shift_;
+    const std::size_t chunk_count = (own + rows_per_chunk - 1) / rows_per_chunk;
     chunk_rows_.reserve(chunk_count);
     while (chunk_rows_.size() < chunk_count) {
         allocate_chunk();
@@ -219,8 +394,8 @@ void marking_store::finish_bulk_build()
 
 void marking_store::start_adopt(std::size_t count)
 {
-    assert(size() == 0 && chunk_rows_.empty() &&
-           "adoption requires an empty store");
+    assert(size() == 0 && chunk_rows_.empty() && count_bytes_ == 8 &&
+           "adoption requires an empty 8-byte store");
     adopted_count_ = count;
     adopted_rows_.resize(count);
     hashes_.resize(count);
@@ -249,7 +424,7 @@ void marking_store::rebuild_table(std::size_t capacity)
 std::size_t marking_store::arena_bytes() const noexcept
 {
     std::size_t bytes =
-        chunk_rows_.size() * states_per_chunk_ * width_ * sizeof(std::int64_t);
+        chunk_rows_.size() * (std::size_t{1} << chunk_shift_) * row_bytes_;
     for (const auto& store : adopted_backing_) {
         bytes += store->arena_bytes();
     }
@@ -259,9 +434,9 @@ std::size_t marking_store::arena_bytes() const noexcept
 std::size_t marking_store::memory_bytes() const noexcept
 {
     std::size_t bytes =
-        chunk_rows_.size() * states_per_chunk_ * width_ * sizeof(std::int64_t) +
+        chunk_rows_.size() * (std::size_t{1} << chunk_shift_) * row_bytes_ +
         hashes_.size() * sizeof(std::uint64_t) + table_.size() * sizeof(state_id) +
-        adopted_rows_.size() * sizeof(const std::int64_t*) +
+        adopted_rows_.size() * sizeof(const std::byte*) +
         delta_pool_.size() * sizeof(delta_pool_[0]) +
         delta_of_.size() * sizeof(delta_of_[0]);
     for (const auto& store : adopted_backing_) {

@@ -1,11 +1,25 @@
 // fcqss — pn/marking_store.hpp
 // Arena-interned marking storage for explicit-state exploration.  Every
-// distinct marking is stored exactly once as a contiguous span of token
+// distinct marking is stored exactly once as a contiguous row of token
 // counts inside a chunked bump arena and addressed by a dense 32-bit
 // state_id; a separate open-addressing hash set (keyed by precomputed
 // 64-bit hashes) deduplicates candidates without per-state heap nodes.
-// Spans handed out by tokens() stay valid for the life of the store —
-// the arena grows by whole fixed-capacity chunks, never by reallocation.
+//
+// Compact rows: a store keeps every count in count_bytes() ∈ {1, 2, 4, 8}
+// bytes — u8, u16, u32, and signed 8-byte from 2^32 up — so a row is
+// width() × count_bytes() bytes.  The width is one per store.  It starts at
+// whatever the caller passes (the engines pass the narrowest width that
+// holds the root marking), and the first marking about to be interned that
+// has a count the width cannot hold widens the store: every row is
+// re-encoded at the wider width into fresh chunks and the old chunks are
+// released.  Hashes are Zobrist over the int64 values, never over the
+// encoding, so ids, hashes and lookups are unaffected by any widening.
+//
+// Row pointers stay valid until the next widening; public accessors
+// decode.  tokens() returns a copy and load() decodes into a caller buffer.
+// Only the exploration engines touch encoded rows, through
+// detail::row_access, and they widen only at points where no other thread
+// holds a row pointer.
 //
 // External memory: a store constructed with an exec::chunk_pager draws its
 // arena chunks from the pager instead of the heap.  Under a --max-bytes
@@ -15,8 +29,8 @@
 // equality probes off the fault path, the sequential engine records each
 // inserted state's (BFS parent, firing delta) via record_parent(); probes
 // against rows whose chunk is believed evicted then materialize the row by
-// replaying deltas down the parent chain into a small decode cache instead
-// of touching the cold page.
+// replaying deltas down the parent chain into a small decode cache of
+// encoded rows (cleared on widening) instead of touching the cold page.
 //
 // Adoption: the unordered engine's renumber pass used to copy every marking
 // out of the per-shard stores into the result store.  start_adopt() /
@@ -24,12 +38,14 @@
 // shard stores' rows in place and take ownership of the stores themselves;
 // ids below adopted_count() resolve through the adopted row table, and the
 // store can still grow past them through intern() (enforce_nonignoring
-// appends merged markings after adoption).
+// appends merged markings after adoption).  Adoption is for 8-byte stores
+// only, which never widen, so adopted row pointers never go stale.
 #ifndef FCQSS_PN_MARKING_STORE_HPP
 #define FCQSS_PN_MARKING_STORE_HPP
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <utility>
@@ -47,6 +63,36 @@ using state_id = std::uint32_t;
 /// Sentinel for "no such state".
 inline constexpr state_id invalid_state = static_cast<state_id>(-1);
 
+/// Bytes per stored count (1, 2, 4 or 8) that hold `count`: u8 / u16 / u32
+/// for non-negative counts below 2^8 / 2^16 / 2^32, signed 8-byte otherwise.
+[[nodiscard]] constexpr unsigned count_bytes_for(std::int64_t count) noexcept
+{
+    const auto value = static_cast<std::uint64_t>(count); // negatives -> huge
+    return value <= 0xffu ? 1u : value <= 0xffffu ? 2u : value <= 0xffffffffu ? 4u : 8u;
+}
+
+/// count_bytes_for the largest count of a token vector.
+[[nodiscard]] unsigned row_count_bytes(const std::int64_t* tokens,
+                                       std::size_t count) noexcept;
+
+/// Calls fn(T{}) with T the storage type of a `bytes`-wide count —
+/// std::uint8_t, std::uint16_t, std::uint32_t or std::int64_t — so one
+/// generic body compiles once per width and is dispatched once per call.
+template <typename Fn>
+decltype(auto) with_count_type(unsigned bytes, Fn&& fn)
+{
+    switch (bytes) {
+    case 1:
+        return fn(std::uint8_t{});
+    case 2:
+        return fn(std::uint16_t{});
+    case 4:
+        return fn(std::uint32_t{});
+    default:
+        return fn(std::int64_t{});
+    }
+}
+
 /// Running tallies of one store's dedup work, maintained unconditionally
 /// (plain increments on single-owner stores — the engines shard stores per
 /// thread, so no atomics are needed) and flushed into the global obs
@@ -59,17 +105,25 @@ struct marking_store_stats {
     std::uint64_t resizes = 0;        ///< open-addressing table rebuilds
     std::uint64_t decode_hits = 0;    ///< cold rows served by the decode cache
     std::uint64_t decode_misses = 0;  ///< cold rows forced to fault pages back
+    std::uint64_t widenings = 0;      ///< re-encodings at a wider count width
 };
+
+namespace detail {
+struct row_access;
+}
 
 class marking_store {
 public:
-    /// A store for markings of `width` places, arena on the heap.
+    /// A store for markings of `width` places, arena on the heap, counts
+    /// starting at one byte.
     explicit marking_store(std::size_t width);
 
     /// A store whose arena chunks come from `pager` (shared across all the
-    /// stores of one exploration run so they compete for one budget).
-    /// A null pager is equivalent to the plain constructor.
-    marking_store(std::size_t width, std::shared_ptr<exec::chunk_pager> pager);
+    /// stores of one exploration run so they compete for one budget), with
+    /// counts starting at `count_bytes` (1, 2, 4 or 8) bytes.  A null pager
+    /// keeps the arena on the heap.
+    marking_store(std::size_t width, std::shared_ptr<exec::chunk_pager> pager,
+                  unsigned count_bytes = 1);
 
     ~marking_store();
     marking_store(marking_store&&) noexcept;
@@ -79,6 +133,8 @@ public:
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
     /// Number of distinct markings interned so far (adopted included).
     [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
+    /// Bytes per stored count: 1, 2, 4 or 8.
+    [[nodiscard]] unsigned count_bytes() const noexcept { return count_bytes_; }
 
     /// 64-bit hash of a token vector.  Zobrist-style: the hash is the XOR of
     /// a per-(place, count) mix, so callers that change a few places can
@@ -95,35 +151,32 @@ public:
     /// Interns `tokens` (length width()) whose hash_tokens value is `hash`.
     /// Returns the state id and whether the marking was newly inserted.
     /// When inserting would grow the store past `max_states`, returns
-    /// {invalid_state, false} and leaves the store untouched.
+    /// {invalid_state, false} and leaves the store untouched.  A marking
+    /// about to be inserted with a count the current width cannot hold
+    /// widens the store first (see widen()).
     std::pair<state_id, bool>
     intern(const std::int64_t* tokens, std::uint64_t hash,
-           std::size_t max_states = static_cast<std::size_t>(-1))
-    {
-        const std::size_t bytes = width_ * sizeof(std::int64_t);
-        return intern_with(
-            hash, max_states,
-            [&](const std::int64_t* stored) {
-                return bytes == 0 || std::memcmp(stored, tokens, bytes) == 0;
-            },
-            [&](std::int64_t* slot) { std::memcpy(slot, tokens, bytes); });
-    }
+           std::size_t max_states = static_cast<std::size_t>(-1));
 
-    /// intern() with the token vector virtualized: `equals(stored)` decides
-    /// whether the candidate equals an already-interned vector, and
-    /// `fill(slot)` writes the candidate's width() counts directly into its
-    /// arena slot on insertion.  Neither is called unless the probe needs
-    /// it, so candidates that lose by hash alone — fresh markings rejected
-    /// by `max_states`, or probes that run into an empty slot — cost
-    /// O(probe) instead of O(width), and insertions write the arena without
-    /// an intermediate copy.  The parallel engine lives on this: near a
-    /// state budget almost every candidate is a doomed fresh marking, and
+    /// intern() with the token vector virtualized, for callers that work on
+    /// encoded rows: T must be the storage type of count_bytes(), and the
+    /// caller guarantees the candidate fits it.  `equals(stored)` decides
+    /// whether the candidate equals an already-interned row, and
+    /// `fill(slot)` writes the candidate's width() encoded counts directly
+    /// into its arena slot on insertion; both pointers are valid only
+    /// during the call.  Neither is called unless the probe needs it, so
+    /// candidates that lose by hash alone — fresh markings rejected by
+    /// `max_states`, or probes that run into an empty slot — cost O(probe)
+    /// instead of O(width), and insertions write the arena without an
+    /// intermediate copy.  The parallel engine lives on this: near a state
+    /// budget almost every candidate is a doomed fresh marking, and
     /// accepted ones are reconstructed from (parent row, firing delta)
     /// straight into the arena.
-    template <typename Equals, typename Fill>
+    template <typename T, typename Equals, typename Fill>
     std::pair<state_id, bool> intern_with(std::uint64_t hash, std::size_t max_states,
                                           Equals&& equals, Fill&& fill)
     {
+        assert(sizeof(T) == count_bytes_);
         std::size_t slot = hash & table_mask_;
         for (;; slot = (slot + 1) & table_mask_) {
             ++stats_.probes;
@@ -131,7 +184,8 @@ public:
             if (id == invalid_state) {
                 break;
             }
-            if (hashes_[id] == hash && equals(probe_row(id))) {
+            if (hashes_[id] == hash &&
+                equals(reinterpret_cast<const T*>(probe_row(id)))) {
                 ++stats_.dedup_hits;
                 return {id, false};
             }
@@ -140,44 +194,37 @@ public:
             ++stats_.budget_rejects;
             return {invalid_state, false};
         }
-        ++stats_.inserts;
-        const state_id id = static_cast<state_id>(size());
-        if ((id - adopted_count_) % states_per_chunk_ == 0) {
-            allocate_chunk();
-        }
-        fill(bulk_tokens(id));
-        hashes_.push_back(hash);
-        table_[slot] = id;
-        // Keep the load factor below ~0.7 (power-of-two capacity, linear
-        // probes).
-        if (size() * 10 >= (table_mask_ + 1) * 7) {
-            rebuild_table((table_mask_ + 1) * 2);
-        }
+        const state_id id = insert_at(slot, hash);
+        fill(reinterpret_cast<T*>(own_row(id)));
         return {id, true};
     }
 
-    /// Looks `tokens` up without inserting; invalid_state when absent.
+    /// Looks `tokens` up without inserting; invalid_state when absent.  A
+    /// marking with a count above the current width is absent by
+    /// construction; find() never widens.
     [[nodiscard]] state_id find(const std::int64_t* tokens,
                                 std::uint64_t hash) const noexcept;
 
-    /// The interned token span of `id`.  Stable across later interns.
-    /// Reads evicted rows straight through the mapping (the pages refault).
-    [[nodiscard]] std::span<const std::int64_t> tokens(state_id id) const noexcept
-    {
-        if (id < adopted_count_) {
-            return {adopted_rows_[id], width_};
-        }
-        const std::size_t own = id - adopted_count_;
-        return {chunk_rows_[own / states_per_chunk_] +
-                    (own % states_per_chunk_) * width_,
-                width_};
-    }
+    /// The token counts of `id`, decoded into a fresh vector.
+    [[nodiscard]] std::vector<std::int64_t> tokens(state_id id) const;
+
+    /// Decodes the token counts of `id` into out[0, width()) — the
+    /// allocation-free form of tokens() for loops over every state.  Reads
+    /// evicted rows straight through the mapping (the pages refault).
+    void load(state_id id, std::int64_t* out) const noexcept;
 
     /// The precomputed hash of `id` (as passed to intern()).
     [[nodiscard]] std::uint64_t stored_hash(state_id id) const noexcept
     {
         return hashes_[id];
     }
+
+    /// Re-encodes every row at `count_bytes` (1, 2, 4 or 8) bytes per count
+    /// if that is wider than count_bytes(); a no-op otherwise.  Rows move
+    /// to fresh chunks (the old ones go back to the heap or the pager), so
+    /// every row pointer taken before the call is invalidated; ids, hashes
+    /// and lookups are unchanged.  Not valid on a store with adopted rows.
+    void widen(unsigned count_bytes);
 
     // -- External-memory support --------------------------------------------
 
@@ -193,19 +240,21 @@ public:
         return pager_;
     }
 
-    /// Arena bytes only (chunks, at full chunk granularity), excluding the
-    /// hash table — the denominator of a spill ratio.
+    /// Arena bytes only (chunks, at full chunk granularity, at the current
+    /// count width), excluding the hash table — the denominator of a spill
+    /// ratio.
     [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
     // -- Bulk building (the parallel engine's merge step) -------------------
     //
     // The sharded explorer dedups markings in per-shard stores and already
     // knows the final result is `count` pairwise-distinct markings; copying
-    // them through intern() would redo one hash probe and one memcmp per
+    // them through intern() would redo one hash probe and one compare per
     // state on one thread.  start_bulk_build() pre-sizes the arena so
-    // disjoint ids can be filled concurrently through bulk_tokens() /
-    // set_bulk_hash(); finish_bulk_build() then rebuilds the dedup table
-    // from the hashes alone.  No lookup or intern is valid in between.
+    // disjoint ids can be filled concurrently through
+    // detail::row_access::bulk_row() / set_bulk_hash(); finish_bulk_build()
+    // then rebuilds the dedup table from the hashes alone.  No lookup or
+    // intern is valid in between.
 
     /// Pre-sizes an empty store to exactly `count` markings with
     /// unspecified contents.  Every id in [0, count) must be filled before
@@ -216,18 +265,9 @@ public:
     /// Extends a bulk build to `count` markings (count >= size()): the new
     /// slots [size(), count) behave like start_bulk_build slots.  Must be
     /// called from one thread, with no concurrent reader or writer; already
-    /// filled token rows stay valid (the arena never moves), so barrier-
-    /// separated phases can keep reading them.
+    /// filled rows stay where they are (only widen() moves rows), so
+    /// barrier-separated phases can keep reading them.
     void grow_bulk_build(std::size_t count);
-
-    /// Writable token slot of `id` during a bulk build (length width()).
-    /// Not valid for adopted ids.
-    [[nodiscard]] std::int64_t* bulk_tokens(state_id id) noexcept
-    {
-        const std::size_t own = id - adopted_count_;
-        return chunk_rows_[own / states_per_chunk_] +
-               (own % states_per_chunk_) * width_;
-    }
 
     /// Records the precomputed hash of `id` during a bulk build.
     void set_bulk_hash(state_id id, std::uint64_t hash) noexcept { hashes_[id] = hash; }
@@ -239,20 +279,20 @@ public:
     // -- Adoption (the unordered engine's zero-copy renumber) ---------------
     //
     // Like a bulk build, but the rows stay where the per-shard stores
-    // interned them: set_adopted() records a stable row pointer per final
-    // id, and finish_adopt() takes ownership of the source stores so those
-    // pointers outlive the exploration.  Distinct ids may be recorded from
-    // different threads.  After finish_adopt() the store behaves normally —
-    // lookups see adopted rows, and intern() appends past them.
+    // interned them: set_adopted() records a row pointer per final id, and
+    // finish_adopt() takes ownership of the source stores so those pointers
+    // outlive the exploration.  Adopting and adopted stores hold 8-byte
+    // counts and never widen.  Distinct ids may be recorded from different
+    // threads.  After finish_adopt() the store behaves normally — lookups
+    // see adopted rows, and intern() appends past them.
 
-    /// Pre-sizes an empty store to `count` adopted markings.
+    /// Pre-sizes an empty 8-byte store to `count` adopted markings.
     void start_adopt(std::size_t count);
 
-    /// Records the row pointer and hash of adopted id `id`.
-    void set_adopted(state_id id, const std::int64_t* row,
-                     std::uint64_t hash) noexcept
+    /// Records the row and hash of adopted id `id`.
+    void set_adopted(state_id id, const std::int64_t* row, std::uint64_t hash) noexcept
     {
-        adopted_rows_[id] = row;
+        adopted_rows_[id] = reinterpret_cast<const std::byte*>(row);
         hashes_[id] = hash;
     }
 
@@ -263,16 +303,19 @@ public:
     /// Ids below this resolve through the adopted row table.
     [[nodiscard]] std::size_t adopted_count() const noexcept { return adopted_count_; }
 
-    /// Approximate arena + table footprint, for telemetry and benches.
+    /// Arena, hashes, table, adopted-row table and delta chains: the
+    /// store's whole footprint, for telemetry and benches.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-    /// Arena chunks allocated so far (own chunks; adopted backing excluded).
+    /// Arena chunks held right now (own chunks; adopted backing excluded).
     [[nodiscard]] std::size_t chunk_count() const noexcept { return chunk_rows_.size(); }
 
     /// Dedup-work tallies since construction (see marking_store_stats).
     [[nodiscard]] const marking_store_stats& stats() const noexcept { return stats_; }
 
 private:
+    friend struct detail::row_access;
+
     /// Parent-chain link of an interned state (invalid_state = unknown);
     /// the delta half-open range lives in delta_pool_.
     struct delta_ref {
@@ -281,40 +324,66 @@ private:
         std::uint32_t count = 0;
     };
 
-    /// One decode-cache slot: a materialized cold row.
+    /// One decode-cache slot: a materialized cold row, encoded at the
+    /// store's current width.
     struct decode_slot {
         state_id id = invalid_state;
-        std::vector<std::int64_t> row;
+        std::vector<std::byte> row;
     };
 
-    [[nodiscard]] bool equal_at(state_id id, const std::int64_t* tokens) const noexcept;
+    /// The encoded row of `id`.  Valid until the next widening.
+    [[nodiscard]] const std::byte* row(state_id id) const noexcept
+    {
+        if (id < adopted_count_) {
+            return adopted_rows_[id];
+        }
+        return own_row(id);
+    }
+
+    [[nodiscard]] std::byte* own_row(state_id id) const noexcept
+    {
+        const std::size_t own = id - adopted_count_;
+        return chunk_rows_[own >> chunk_shift_] +
+               (own & ((std::size_t{1} << chunk_shift_) - 1)) * row_bytes_;
+    }
+
+    /// Appends `id` = size() with `hash` into empty table slot `slot`
+    /// (allocating a chunk when the row starts one) and keeps the load
+    /// factor in check.  The caller fills the row.
+    state_id insert_at(std::size_t slot, std::uint64_t hash);
+
+    void set_count_bytes(unsigned count_bytes) noexcept;
     void rebuild_table(std::size_t capacity);
     void allocate_chunk();
 
     /// The row to hand an equality probe: direct when safe/cheap, decoded
     /// through the cache when the row's chunk is believed evicted.
-    [[nodiscard]] const std::int64_t* probe_row(state_id id)
+    [[nodiscard]] const std::byte* probe_row(state_id id)
     {
         if (pager_ == nullptr || id < adopted_count_) {
-            return tokens(id).data();
+            return row(id);
         }
         return cold_row(id);
     }
 
-    [[nodiscard]] const std::int64_t* cold_row(state_id id);
+    [[nodiscard]] const std::byte* cold_row(state_id id);
 
     std::size_t width_;
-    std::size_t states_per_chunk_;
+    unsigned count_bytes_ = 1;
+    std::size_t row_bytes_ = 0;
+    /// log2 of the states per chunk: a power of two near 256 KiB of rows,
+    /// so locating a row is a shift and a mask.
+    unsigned chunk_shift_ = 0;
     /// Adopted prefix: row pointers into adopted_backing_'s arenas.
     std::size_t adopted_count_ = 0;
-    std::vector<const std::int64_t*> adopted_rows_;
+    std::vector<const std::byte*> adopted_rows_;
     std::vector<std::unique_ptr<marking_store>> adopted_backing_;
     /// Bump arena for own (non-adopted) states: fixed-capacity chunks of
-    /// states_per_chunk_ * width_ counts, allocated whole so spans never
-    /// move.  Rows are addressed through chunk_rows_; the memory is owned
-    /// either by owned_chunks_ (heap mode) or by the pager.
-    std::vector<std::int64_t*> chunk_rows_;
-    std::vector<std::unique_ptr<std::int64_t[]>> owned_chunks_;
+    /// 2^chunk_shift_ rows, allocated whole so rows never move except by
+    /// widen().  Rows are addressed through chunk_rows_; the memory is
+    /// owned either by owned_chunks_ (heap mode) or by the pager.
+    std::vector<std::byte*> chunk_rows_;
+    std::vector<std::unique_ptr<std::byte[]>> owned_chunks_;
     std::shared_ptr<exec::chunk_pager> pager_;
     std::vector<std::uint32_t> pager_chunk_ids_;
     /// Per-state precomputed hashes, indexed by state_id.
@@ -329,6 +398,30 @@ private:
     std::vector<decode_slot> decode_cache_;
     marking_store_stats stats_{};
 };
+
+namespace detail {
+
+/// Encoded-row access for the exploration engines.  T must be the storage
+/// type of the store's count_bytes(); the pointers stay valid until the
+/// store's next widen().
+struct row_access {
+    template <typename T>
+    [[nodiscard]] static const T* row(const marking_store& store, state_id id) noexcept
+    {
+        assert(sizeof(T) == store.count_bytes_);
+        return reinterpret_cast<const T*>(store.row(id));
+    }
+
+    /// Writable row of a bulk-build slot (not valid for adopted ids).
+    template <typename T>
+    [[nodiscard]] static T* bulk_row(marking_store& store, state_id id) noexcept
+    {
+        assert(sizeof(T) == store.count_bytes_);
+        return reinterpret_cast<T*>(store.own_row(id));
+    }
+};
+
+} // namespace detail
 
 } // namespace fcqss::pn
 

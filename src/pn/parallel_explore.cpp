@@ -26,6 +26,14 @@
 //                16-byte candidate (hash, parent, transition) to the shard
 //                owning the hash prefix through per-(chunk, shard) outboxes
 //                — no shared mutable state and no token copies at all.
+//                Every successor count the delta raises is at hand for the
+//                hash anyway, so each chunk also records the largest one.
+//   W  widen     only when some candidate's count does not fit the run's
+//                count width: every store — result and shards — is
+//                re-encoded at the wider width, one store per task.  No row
+//                pointer survives from phase A into phase B, and phases B
+//                and E dispatch on the width afresh, so all stores always
+//                share one width and rows compare and copy bytewise.
 //   B  dedup     parallel over shards: each owner drains the outboxes
 //                aimed at it and resolves candidates against its private
 //                store with marking_store::intern_with — equality against a
@@ -76,7 +84,10 @@
 // Because every cross-thread effect is separated by a barrier and every
 // order-sensitive step runs on deterministic keys, the result is
 // bit-identical to explore_state_space() at any thread count, truncation
-// included.
+// included.  The count width is not part of the result: hashes are over
+// the int64 values, and phase A may widen one level earlier than the
+// sequential engine when the state budget then rejects the marking that
+// asked for it.
 
 namespace fcqss::pn {
 
@@ -109,6 +120,11 @@ struct chunk_state {
     std::vector<edge_ref> refs;           ///< per-parent refs, concatenated
     std::vector<std::uint32_t> ref_count; ///< candidates per parent
     bool saw_over_cap = false;
+    /// Largest count any routed candidate has in a place its firing
+    /// touches; phase W widens the stores when it does not fit.
+    std::int64_t raised = 0;
+    /// Decoded parent row for the stubborn closure, which reads int64s.
+    std::vector<std::int64_t> decoded;
     /// Stubborn-set scratch; chunks are single-owner per barrier phase, so
     /// per-chunk scratch keeps phase A lock-free under reduction too.
     stubborn_workspace stubborn_ws;
@@ -128,8 +144,9 @@ struct shard_state {
     std::vector<state_id> global_of_local;
     std::vector<fresh_entry> fresh; ///< this level, ascending (parent, via)
 
-    shard_state(std::size_t width, std::shared_ptr<exec::chunk_pager> pager)
-        : store(width, std::move(pager))
+    shard_state(std::size_t width, std::shared_ptr<exec::chunk_pager> pager,
+                unsigned count_bytes)
+        : store(width, std::move(pager), count_bytes)
     {
     }
 };
@@ -223,12 +240,16 @@ state_space explore_leveled(const petri_net& net,
                                                .observed_places = options.observed_places});
     }
 
+    // One count width for every store of the run, starting at the
+    // narrowest that holds the root; phase W raises it for all at once.
+    const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
+    unsigned count_bytes = row_count_bytes(m0.data(), width);
     const std::shared_ptr<exec::chunk_pager> pager =
         make_run_pager(options.max_bytes);
     std::vector<shard_state> shards;
     shards.reserve(shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {
-        shards.emplace_back(width, pager);
+        shards.emplace_back(width, pager, count_bytes);
     }
     std::vector<chunk_state> chunks(max_chunks);
     for (chunk_state& chunk : chunks) {
@@ -239,18 +260,21 @@ state_space explore_leveled(const petri_net& net,
     marking_store& rstore = detail::space_access::store(result);
     std::vector<state_space_edge>& redges = detail::space_access::edges(result);
     std::vector<std::size_t>& roffsets = detail::space_access::edge_offsets(result);
-    rstore = marking_store(width, pager);
+    rstore = marking_store(width, pager, count_bytes);
     roffsets.push_back(0);
     bool truncated = false;
 
     // Global id 0 is the root: published into the result store immediately
     // (phases A/B read parent rows from there) and interned into its shard
     // for deduplication.
-    const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
     const std::uint64_t root_hash = marking_store::hash_tokens(m0.data(), width);
     rstore.start_bulk_build(1);
-    std::memcpy(rstore.bulk_tokens(0), m0.data(),
-                width * sizeof(std::int64_t));
+    with_count_type(count_bytes, [&]<typename T>(T) {
+        T* row = detail::row_access::bulk_row<T>(rstore, 0);
+        for (std::size_t place = 0; place < width; ++place) {
+            row[place] = static_cast<T>(m0[place]);
+        }
+    });
     rstore.set_bulk_hash(0, root_hash);
     std::vector<locator> locators;
     {
@@ -330,75 +354,83 @@ state_space explore_leveled(const petri_net& net,
 
         // Phase A: expand the frontier into per-(chunk, shard) outboxes.
         const std::uint64_t obs_a_begin = obs_timing ? obs::now_ns() : 0;
-        run_indexed(pool, chunk_count, inline_run, [&](std::size_t c) {
-            obs::span phase_span("phase.expand", "chunk",
-                                 static_cast<std::int64_t>(c));
-            chunk_state& chunk = chunks[c];
-            for (outbox& ob : chunk.to_shard) {
-                ob.cands.clear();
-            }
-            chunk.refs.clear();
-            chunk.ref_count.clear();
-            chunk.saw_over_cap = false;
-
-            const auto [begin, end] = chunk_range(c);
-            for (std::size_t p = begin; p < end; ++p) {
-                const std::int64_t* row =
-                    rstore.tokens(static_cast<state_id>(p)).data();
-                const std::uint64_t row_hash =
-                    rstore.stored_hash(static_cast<state_id>(p));
-                const bool full_cap_scan = root_over_cap && p == 0;
-
-                const std::vector<transition_id>& enabled =
-                    cur_enabled[p - level_begin];
-                const std::vector<transition_id>* expand = &enabled;
-                if (stubborn) {
-                    stubborn->reduce(row, enabled, chunk.stubborn_ws, chunk.reduced);
-                    expand = &chunk.reduced;
+        with_count_type(count_bytes, [&]<typename T>(T) {
+            run_indexed(pool, chunk_count, inline_run, [&](std::size_t c) {
+                obs::span phase_span("phase.expand", "chunk",
+                                     static_cast<std::int64_t>(c));
+                chunk_state& chunk = chunks[c];
+                for (outbox& ob : chunk.to_shard) {
+                    ob.cands.clear();
                 }
-                std::uint32_t emitted = 0;
-                for (transition_id t : *expand) {
-                    std::uint64_t next_hash = row_hash;
-                    bool over_cap = false;
-                    const delta_list& delta = deltas[t.index()];
-                    for (const auto& [place, d] : delta) {
-                        const std::int64_t now = row[place];
-                        const std::int64_t then = now + d;
-                        next_hash ^= marking_store::component_mix(place, now) ^
-                                     marking_store::component_mix(place, then);
-                        over_cap |= d > 0 && then > cap;
+                chunk.refs.clear();
+                chunk.ref_count.clear();
+                chunk.saw_over_cap = false;
+                chunk.raised = 0;
+
+                const auto [begin, end] = chunk_range(c);
+                for (std::size_t p = begin; p < end; ++p) {
+                    const T* row =
+                        detail::row_access::row<T>(rstore, static_cast<state_id>(p));
+                    const std::uint64_t row_hash =
+                        rstore.stored_hash(static_cast<state_id>(p));
+                    const bool full_cap_scan = root_over_cap && p == 0;
+
+                    const std::vector<transition_id>& enabled =
+                        cur_enabled[p - level_begin];
+                    const std::vector<transition_id>* expand = &enabled;
+                    if (stubborn) {
+                        chunk.decoded.assign(row, row + width);
+                        stubborn->reduce(chunk.decoded.data(), enabled,
+                                         chunk.stubborn_ws, chunk.reduced);
+                        expand = &chunk.reduced;
                     }
-                    if (full_cap_scan && !over_cap) {
-                        // Over-cap root counts stay over cap unless lowered.
-                        std::size_t at = 0;
-                        for (std::size_t place = 0; place < width; ++place) {
-                            std::int64_t then = row[place];
-                            if (at < delta.size() && delta[at].first == place) {
-                                then += delta[at++].second;
-                            }
-                            if (then > cap) {
-                                over_cap = true;
-                                break;
+                    std::uint32_t emitted = 0;
+                    for (transition_id t : *expand) {
+                        std::uint64_t next_hash = row_hash;
+                        bool over_cap = false;
+                        std::int64_t raised = 0;
+                        const delta_list& delta = deltas[t.index()];
+                        for (const auto& [place, d] : delta) {
+                            const auto now = static_cast<std::int64_t>(row[place]);
+                            const std::int64_t then = now + d;
+                            next_hash ^= marking_store::component_mix(place, now) ^
+                                         marking_store::component_mix(place, then);
+                            over_cap |= d > 0 && then > cap;
+                            raised = std::max(raised, then);
+                        }
+                        if (full_cap_scan && !over_cap) {
+                            // Over-cap root counts stay over cap unless lowered.
+                            std::size_t at = 0;
+                            for (std::size_t place = 0; place < width; ++place) {
+                                auto then = static_cast<std::int64_t>(row[place]);
+                                if (at < delta.size() && delta[at].first == place) {
+                                    then += delta[at++].second;
+                                }
+                                if (then > cap) {
+                                    over_cap = true;
+                                    break;
+                                }
                             }
                         }
-                    }
 
-                    if (over_cap) {
-                        chunk.saw_over_cap = true;
-                    } else {
-                        const std::uint32_t dest = shard_of(next_hash);
-                        outbox& ob = chunk.to_shard[dest];
-                        ob.cands.push_back({next_hash, static_cast<state_id>(p), t,
-                                            invalid_state});
-                        chunk.refs.push_back(
-                            {dest, static_cast<std::uint32_t>(ob.cands.size() - 1)});
-                        ++emitted;
+                        if (over_cap) {
+                            chunk.saw_over_cap = true;
+                        } else {
+                            const std::uint32_t dest = shard_of(next_hash);
+                            outbox& ob = chunk.to_shard[dest];
+                            ob.cands.push_back({next_hash, static_cast<state_id>(p), t,
+                                                invalid_state});
+                            chunk.refs.push_back(
+                                {dest, static_cast<std::uint32_t>(ob.cands.size() - 1)});
+                            chunk.raised = std::max(chunk.raised, raised);
+                            ++emitted;
+                        }
                     }
+                    chunk.ref_count.push_back(emitted);
                 }
-                chunk.ref_count.push_back(emitted);
-            }
-            phase_span.arg("candidates",
-                           static_cast<std::int64_t>(chunk.refs.size()));
+                phase_span.arg("candidates",
+                               static_cast<std::int64_t>(chunk.refs.size()));
+            });
         });
         if (obs_timing) {
             obs_phase_a_ns += obs::now_ns() - obs_a_begin;
@@ -407,60 +439,75 @@ state_space explore_leveled(const petri_net& net,
             }
         }
 
+        // Phase W: widen every store when a routed candidate does not fit.
+        std::int64_t raised = 0;
+        for (std::size_t c = 0; c < chunk_count; ++c) {
+            raised = std::max(raised, chunks[c].raised);
+        }
+        if (const unsigned needed = count_bytes_for(raised); needed > count_bytes) {
+            count_bytes = needed;
+            run_indexed(pool, shard_count + 1, inline_run, [&](std::size_t s) {
+                (s == shard_count ? rstore : shards[s].store).widen(count_bytes);
+            });
+        }
+
         // Phase B: every shard drains its inboxes and resolves candidates.
         const std::uint64_t obs_b_begin = obs_timing ? obs::now_ns() : 0;
-        run_indexed(pool, shard_count, inline_run, [&](std::size_t s) {
-            obs::span phase_span("phase.dedup", "shard",
-                                 static_cast<std::int64_t>(s));
-            shard_state& shard = shards[s];
-            shard.fresh.clear();
-            // Fresh markings past the budget remainder cannot be kept (the
-            // shard-local discovery rank is a lower bound on the global
-            // one), so stop interning there and let them resolve invalid.
-            const std::size_t intern_limit = shard.store.size() + available;
-            for (std::size_t c = 0; c < chunk_count; ++c) {
-                for (candidate& cand : chunks[c].to_shard[s].cands) {
-                    const std::int64_t* row =
-                        rstore.tokens(cand.parent).data();
-                    const delta_list& delta = deltas[cand.via.index()];
-                    // stored == row + delta, compared as memcmp runs between
-                    // the (few) delta places so the common long stretches
-                    // stay vectorized.
-                    const auto equals = [&](const std::int64_t* stored) {
-                        std::size_t prev = 0;
-                        for (const auto& [place, d] : delta) {
-                            if (std::memcmp(stored + prev, row + prev,
-                                            (place - prev) * sizeof(std::int64_t)) !=
-                                0) {
-                                return false;
+        with_count_type(count_bytes, [&]<typename T>(T) {
+            run_indexed(pool, shard_count, inline_run, [&](std::size_t s) {
+                obs::span phase_span("phase.dedup", "shard",
+                                     static_cast<std::int64_t>(s));
+                shard_state& shard = shards[s];
+                shard.fresh.clear();
+                // Fresh markings past the budget remainder cannot be kept
+                // (the shard-local discovery rank is a lower bound on the
+                // global one), so stop interning there and let them resolve
+                // invalid.
+                const std::size_t intern_limit = shard.store.size() + available;
+                for (std::size_t c = 0; c < chunk_count; ++c) {
+                    for (candidate& cand : chunks[c].to_shard[s].cands) {
+                        const T* row = detail::row_access::row<T>(rstore, cand.parent);
+                        const delta_list& delta = deltas[cand.via.index()];
+                        // stored == row + delta, compared as memcmp runs
+                        // between the (few) delta places so the common long
+                        // stretches stay vectorized.
+                        const auto equals = [&](const T* stored) {
+                            std::size_t prev = 0;
+                            for (const auto& [place, d] : delta) {
+                                if (std::memcmp(stored + prev, row + prev,
+                                                (place - prev) * sizeof(T)) != 0) {
+                                    return false;
+                                }
+                                if (static_cast<std::int64_t>(stored[place]) !=
+                                    static_cast<std::int64_t>(row[place]) + d) {
+                                    return false;
+                                }
+                                prev = place + 1;
                             }
-                            if (stored[place] != row[place] + d) {
-                                return false;
+                            return std::memcmp(stored + prev, row + prev,
+                                               (width - prev) * sizeof(T)) == 0;
+                        };
+                        const auto fill = [&](T* slot) {
+                            std::memcpy(slot, row, width * sizeof(T));
+                            for (const auto& [place, d] : delta) {
+                                slot[place] = static_cast<T>(
+                                    static_cast<std::int64_t>(row[place]) + d);
                             }
-                            prev = place + 1;
+                        };
+                        const auto [local, inserted] = shard.store.intern_with<T>(
+                            cand.hash, intern_limit, equals, fill);
+                        cand.resolved = local;
+                        if (inserted) {
+                            assert(shard.fresh.empty() ||
+                                   key_less(shard.fresh.back(),
+                                            {cand.parent, cand.via, local}));
+                            shard.fresh.push_back({cand.parent, cand.via, local});
+                            shard.global_of_local.push_back(invalid_state);
                         }
-                        return std::memcmp(stored + prev, row + prev,
-                                           (width - prev) * sizeof(std::int64_t)) == 0;
-                    };
-                    const auto fill = [&](std::int64_t* slot) {
-                        std::memcpy(slot, row, width * sizeof(std::int64_t));
-                        for (const auto& [place, d] : delta) {
-                            slot[place] += d;
-                        }
-                    };
-                    const auto [local, inserted] =
-                        shard.store.intern_with(cand.hash, intern_limit, equals, fill);
-                    cand.resolved = local;
-                    if (inserted) {
-                        assert(shard.fresh.empty() ||
-                               key_less(shard.fresh.back(),
-                                        {cand.parent, cand.via, local}));
-                        shard.fresh.push_back({cand.parent, cand.via, local});
-                        shard.global_of_local.push_back(invalid_state);
                     }
                 }
-            }
-            phase_span.arg("fresh", static_cast<std::int64_t>(shard.fresh.size()));
+                phase_span.arg("fresh", static_cast<std::int64_t>(shard.fresh.size()));
+            });
         });
         if (obs_timing) {
             obs_phase_b_ns += obs::now_ns() - obs_b_begin;
@@ -525,25 +572,27 @@ state_space explore_leveled(const petri_net& net,
         if (keep != 0) {
             const std::size_t publish_chunks =
                 inline_run ? 1 : std::min(keep, max_chunks);
-            run_indexed(pool, publish_chunks, inline_run, [&](std::size_t c) {
-                obs::span phase_span("phase.publish", "chunk",
-                                     static_cast<std::int64_t>(c));
-                const std::size_t begin = keep * c / publish_chunks;
-                const std::size_t end = keep * (c + 1) / publish_chunks;
-                for (std::size_t i = begin; i < end; ++i) {
-                    const fresh_entry& entry = kept[i];
-                    const state_id gid = static_cast<state_id>(level_end + i);
-                    const locator loc = locators[gid];
-                    const marking_store& store = shards[loc.shard].store;
-                    std::memcpy(rstore.bulk_tokens(gid),
-                                store.tokens(loc.local).data(),
-                                width * sizeof(std::int64_t));
-                    rstore.set_bulk_hash(gid, store.stored_hash(loc.local));
-                    detail::merge_enabled(net, cur_enabled[entry.parent - level_begin],
-                                          affected[entry.via.index()],
-                                          rstore.tokens(gid).data(),
-                                          next_enabled[i]);
-                }
+            with_count_type(count_bytes, [&]<typename T>(T) {
+                run_indexed(pool, publish_chunks, inline_run, [&](std::size_t c) {
+                    obs::span phase_span("phase.publish", "chunk",
+                                         static_cast<std::int64_t>(c));
+                    const std::size_t begin = keep * c / publish_chunks;
+                    const std::size_t end = keep * (c + 1) / publish_chunks;
+                    for (std::size_t i = begin; i < end; ++i) {
+                        const fresh_entry& entry = kept[i];
+                        const state_id gid = static_cast<state_id>(level_end + i);
+                        const locator loc = locators[gid];
+                        const marking_store& store = shards[loc.shard].store;
+                        T* row = detail::row_access::bulk_row<T>(rstore, gid);
+                        std::memcpy(row, detail::row_access::row<T>(store, loc.local),
+                                    width * sizeof(T));
+                        rstore.set_bulk_hash(gid, store.stored_hash(loc.local));
+                        detail::merge_enabled(net,
+                                              cur_enabled[entry.parent - level_begin],
+                                              affected[entry.via.index()], row,
+                                              next_enabled[i]);
+                    }
+                });
             });
         }
         if (obs_timing) {
@@ -648,7 +697,8 @@ state_space explore_leveled(const petri_net& net,
 // budget caps the useful speedup anyway; correctness never degrades.
 //
 // Cross-shard candidates carry stable pointers instead of tokens: the
-// parent's arena row (marking_store chunks never move) and its enabled set
+// parent's arena row (unordered stores hold 8-byte counts and never widen,
+// so their rows never move) and its enabled set
 // (a deque element, address-stable under growth).  The shard_queues mutex
 // orders the producer's writes before any consumer's reads, and claims hand
 // each shard's state to exactly one worker at a time, so the hot paths stay
@@ -657,7 +707,8 @@ state_space explore_leveled(const petri_net& net,
 /// One successor travelling between shards in unordered mode.
 struct ucand {
     std::uint64_t hash;
-    /// Parent's arena token row — stable for the life of the run.
+    /// Parent's arena token row — stable for the life of the run, because
+    /// unordered stores hold 8-byte counts and never widen.
     const std::int64_t* parent_row;
     /// Parent's full enabled set — deque-resident, address-stable.
     const std::vector<transition_id>* parent_enabled;
@@ -689,7 +740,7 @@ struct ushard {
     std::vector<transition_id> reduced;
 
     ushard(std::size_t width, std::shared_ptr<exec::chunk_pager> pager)
-        : store(width, std::move(pager))
+        : store(width, std::move(pager), 8)
     {
     }
 };
@@ -814,7 +865,7 @@ state_space explore_unordered(const petri_net& net,
                 slot[place] += d;
             }
         };
-        const auto [local, inserted] = sh.store.intern_with(
+        const auto [local, inserted] = sh.store.intern_with<std::int64_t>(
             cand.hash, ~std::size_t{0}, equals, fill);
         sh.edges.push_back({cand.parent_shard, cand.parent_local, cand.via, local});
         if (!inserted) {
@@ -829,7 +880,8 @@ state_space explore_unordered(const petri_net& net,
         }
         sh.enabled.emplace_back();
         detail::merge_enabled(net, *cand.parent_enabled, affected[cand.via.index()],
-                              sh.store.tokens(local).data(), sh.enabled.back());
+                              detail::row_access::row<std::int64_t>(sh.store, local),
+                              sh.enabled.back());
         sh.frontier.push_back(local);
         queues.add_work(1);
     };
@@ -839,7 +891,7 @@ state_space explore_unordered(const petri_net& net,
     // per-delta cap check, full scan off an over-cap root, stubborn subset).
     const auto expand = [&](ushard& sh, std::uint32_t me, state_id local,
                             std::uint64_t& cand_tally) {
-        const std::int64_t* row = sh.store.tokens(local).data();
+        const std::int64_t* row = detail::row_access::row<std::int64_t>(sh.store, local);
         const std::uint64_t row_hash = sh.store.stored_hash(local);
         const bool full_cap_scan = root_over_cap && me == root_shard && local == 0;
         const std::vector<transition_id>& enabled = sh.enabled[local];
@@ -1037,7 +1089,7 @@ state_space explore_unordered(const petri_net& net,
     marking_store& rstore = detail::space_access::store(result);
     std::vector<state_space_edge>& redges = detail::space_access::edges(result);
     std::vector<std::size_t>& roffsets = detail::space_access::edge_offsets(result);
-    rstore = marking_store(width, pager);
+    rstore = marking_store(width, pager, 8);
     // Renumber by adoption: the result store references the shard stores'
     // arena rows in place and takes ownership of the stores themselves, so
     // no marking bytes move (pn.unord.renumber_bytes_moved pins this at 0).
@@ -1054,7 +1106,7 @@ state_space explore_unordered(const petri_net& net,
                 const auto local = static_cast<state_id>(p - base[s]);
                 const marking_store& store = shards[s].store;
                 rstore.set_adopted(static_cast<state_id>(gid),
-                                   store.tokens(local).data(),
+                                   detail::row_access::row<std::int64_t>(store, local),
                                    store.stored_hash(local));
             }
         });

@@ -182,14 +182,17 @@ namespace {
 /// True when s has no recorded edges and genuinely enables nothing.  Zero
 /// recorded edges alone is inconclusive: a budget (over-cap, max_states) or
 /// a stubborn reduction whose successors were all dropped can leave a live
-/// state edgeless, so the span is re-checked against every transition.
-bool is_dead_state(const petri_net& net, const state_space& space, state_id s)
+/// state edgeless, so its tokens (decoded into `buffer`, length |P|) are
+/// re-checked against every transition.
+bool is_dead_state(const petri_net& net, const state_space& space, state_id s,
+                   std::vector<std::int64_t>& buffer)
 {
     if (!space.successors(s).empty()) {
         return false;
     }
+    space.load(s, buffer.data());
     for (transition_id t : net.transitions()) {
-        if (detail::enabled_in(net, space.tokens(s).data(), t)) {
+        if (detail::enabled_in(net, buffer.data(), t)) {
             return false;
         }
     }
@@ -200,8 +203,9 @@ bool is_dead_state(const petri_net& net, const state_space& space, state_id s)
 
 std::optional<state_id> find_deadlock(const petri_net& net, const state_space& space)
 {
+    std::vector<std::int64_t> buffer(space.store().width());
     for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        if (is_dead_state(net, space, s)) {
+        if (is_dead_state(net, space, s, buffer)) {
             return s;
         }
     }
@@ -211,8 +215,9 @@ std::optional<state_id> find_deadlock(const petri_net& net, const state_space& s
 std::vector<state_id> deadlock_states(const petri_net& net, const state_space& space)
 {
     std::vector<state_id> dead;
+    std::vector<std::int64_t> buffer(space.store().width());
     for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        if (is_dead_state(net, space, s)) {
+        if (is_dead_state(net, space, s, buffer)) {
             dead.push_back(s);
         }
     }
@@ -277,8 +282,9 @@ std::optional<firing_sequence> shortest_path_to(const petri_net& net,
 std::vector<std::int64_t> place_bounds(const state_space& space)
 {
     std::vector<std::int64_t> bounds(space.store().width(), 0);
+    std::vector<std::int64_t> tokens(space.store().width());
     for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        const std::span<const std::int64_t> tokens = space.tokens(s);
+        space.load(s, tokens.data());
         for (std::size_t i = 0; i < tokens.size(); ++i) {
             if (tokens[i] > bounds[i]) {
                 bounds[i] = tokens[i];

@@ -78,7 +78,7 @@ struct reachability_graph {
 
 /// The engine exploration behind explore(): dispatches on options.threads
 /// between explore_state_space() and explore_parallel() and returns the
-/// compact form directly.  Prefer this + the span-served queries below over
+/// compact form directly.  Prefer this + the compact-form queries below over
 /// explore() when the marking-object graph is not needed — it avoids the
 /// O(states x places) materialization copy entirely.
 [[nodiscard]] state_space explore_space(const petri_net& net,
@@ -108,11 +108,12 @@ shortest_path_to(const petri_net& net, const reachability_graph& graph,
 /// Max token count per place over the explored region (bounds witness).
 [[nodiscard]] std::vector<std::int64_t> place_bounds(const reachability_graph& graph);
 
-// -- Span-served queries ----------------------------------------------------
+// -- Compact-form queries ---------------------------------------------------
 //
 // The overloads below answer the same questions straight from the compact
-// state_space: tokens are read as arena spans and lookups go through the
-// store's hash table, so nothing is ever materialized into marking objects.
+// state_space: tokens are decoded one state at a time into a reused buffer
+// and lookups go through the store's hash table, so nothing is ever
+// materialized into marking objects.
 // Each is observationally identical to its reachability_graph counterpart
 // (pinned by tests/test_parallel_explore.cpp).
 

@@ -53,6 +53,8 @@ void flush_store_obs(const marking_store& store)
     static obs::counter& chunks = obs::get_counter("pn.store.chunks");
     static obs::counter& decode_hits = obs::get_counter("pn.mem.decode_hits");
     static obs::counter& decode_misses = obs::get_counter("pn.mem.decode_misses");
+    static obs::counter& widenings = obs::get_counter("pn.store.widenings");
+    static obs::gauge& count_bytes = obs::get_gauge("pn.store.count_bytes", "bytes");
     const marking_store_stats& s = store.stats();
     probes.add(s.probes);
     hits.add(s.dedup_hits);
@@ -63,6 +65,8 @@ void flush_store_obs(const marking_store& store)
     chunks.add(store.chunk_count());
     decode_hits.add(s.decode_hits);
     decode_misses.add(s.decode_misses);
+    widenings.add(s.widenings);
+    count_bytes.set_max(static_cast<double>(store.count_bytes()));
 }
 
 std::vector<delta_list> firing_deltas(const petri_net& net)
@@ -96,10 +100,11 @@ std::vector<delta_list> firing_deltas(const petri_net& net)
     return deltas;
 }
 
-bool enabled_in(const petri_net& net, const std::int64_t* tokens, transition_id t)
+template <typename Count>
+bool enabled_in(const petri_net& net, const Count* tokens, transition_id t)
 {
     for (const place_weight& in : net.inputs(t)) {
-        if (tokens[in.place.index()] < in.weight) {
+        if (static_cast<std::int64_t>(tokens[in.place.index()]) < in.weight) {
             return false;
         }
     }
@@ -127,10 +132,11 @@ std::vector<std::vector<transition_id>> affected_transitions(const petri_net& ne
     return affected;
 }
 
+template <typename Count>
 void merge_enabled(const petri_net& net,
                    const std::vector<transition_id>& parent_enabled,
-                   const std::vector<transition_id>& recheck,
-                   const std::int64_t* tokens, std::vector<transition_id>& out)
+                   const std::vector<transition_id>& recheck, const Count* tokens,
+                   std::vector<transition_id>& out)
 {
     out.clear();
     std::size_t i = 0;
@@ -150,6 +156,17 @@ void merge_enabled(const petri_net& net,
         }
     }
 }
+
+#define FCQSS_INSTANTIATE_COUNT(Count)                                                 \
+    template bool enabled_in(const petri_net&, const Count*, transition_id);           \
+    template void merge_enabled(const petri_net&, const std::vector<transition_id>&,    \
+                                const std::vector<transition_id>&, const Count*,        \
+                                std::vector<transition_id>&);
+FCQSS_INSTANTIATE_COUNT(std::uint8_t)
+FCQSS_INSTANTIATE_COUNT(std::uint16_t)
+FCQSS_INSTANTIATE_COUNT(std::uint32_t)
+FCQSS_INSTANTIATE_COUNT(std::int64_t)
+#undef FCQSS_INSTANTIATE_COUNT
 
 // The ltl_x ignoring fix-up.  The reduced graph built by D1/D2 (+V/I) sets
 // alone can starve a transition forever: a cycle of cheap closures keeps
@@ -200,9 +217,9 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
         [&](state_id s) -> const std::vector<transition_id>& {
         if (!enabled_known[s]) {
             enabled_known[s] = 1;
-            const std::int64_t* tokens = store.tokens(s).data();
+            const std::vector<std::int64_t> tokens = store.tokens(s);
             for (transition_id t : net.transitions()) {
-                if (enabled_in(net, tokens, t)) {
+                if (enabled_in(net, tokens.data(), t)) {
                     enabled_cache[s].push_back(t);
                 }
             }
@@ -231,8 +248,7 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
     const auto fire_from = [&](state_id s, transition_id t) {
         fire_candidate cand;
         cand.via = t;
-        const std::span<const std::int64_t> current = store.tokens(s);
-        cand.tokens.assign(current.begin(), current.end());
+        cand.tokens = store.tokens(s);
         for (const place_weight& in : net.inputs(t)) {
             cand.tokens[in.place.index()] -= in.weight;
         }
@@ -446,8 +462,7 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
 
 marking state_space::marking_of(state_id s) const
 {
-    const std::span<const std::int64_t> span = store_.tokens(s);
-    return marking(std::vector<std::int64_t>(span.begin(), span.end()));
+    return marking(store_.tokens(s));
 }
 
 state_space explore_state_space(const petri_net& net, const state_space_options& options)
@@ -465,7 +480,10 @@ state_space explore_state_space(const petri_net& net, const state_space_options&
         pager = std::make_shared<exec::chunk_pager>(
             exec::chunk_pager_options{.max_resident_bytes = options.max_bytes});
     }
-    result.store_ = marking_store(width, pager);
+    // Rows start at the narrowest count width that holds the root and widen
+    // inside intern() when a fresh marking outgrows it.
+    const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
+    result.store_ = marking_store(width, pager, row_count_bytes(m0.data(), width));
 
     // With a pager, every inserted state records its (parent, firing delta)
     // so equality probes against evicted rows can decode instead of fault.
@@ -494,7 +512,6 @@ state_space explore_state_space(const petri_net& net, const state_space_options&
     const std::vector<std::vector<transition_id>> affected =
         detail::affected_transitions(net);
 
-    const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
     const std::uint64_t root_hash = marking_store::hash_tokens(m0.data(), width);
     result.store_.intern(m0.data(), root_hash);
 
@@ -539,8 +556,7 @@ state_space explore_state_space(const petri_net& net, const state_space_options&
     // Discovery order is expansion order: states get ascending ids and are
     // expanded in id order, which is exactly the reference BFS.
     for (state_id s = 0; s < static_cast<state_id>(result.store_.size()); ++s) {
-        const std::span<const std::int64_t> current = result.store_.tokens(s);
-        std::copy(current.begin(), current.end(), scratch.begin());
+        result.store_.load(s, scratch.data());
         const std::uint64_t current_hash = result.store_.stored_hash(s);
         const std::vector<transition_id> enabled = std::move(enabled_of[s]);
         const bool full_cap_scan = root_over_cap && s == 0;

@@ -1,11 +1,14 @@
 // fcqss — pn/state_space.hpp
 // The shared explicit-state exploration engine behind reachability,
 // deadlock, executability and valid-schedule checking.  Markings live in an
-// arena-backed marking_store; successor generation keeps each state's
-// enabled set incrementally — after firing t only the consumers of the
-// places t touched are re-checked (via petri_net::consumers), instead of
-// re-scanning every transition — and successor hashes are updated
-// Zobrist-style from the parent's hash in O(|arcs of t|).
+// arena-backed marking_store as compact rows (1, 2, 4 or 8 bytes per count,
+// widened in place when a count outgrows the width); successor generation
+// keeps each state's enabled set incrementally — after firing t only the
+// consumers of the places t touched are re-checked (via
+// petri_net::consumers), instead of re-scanning every transition — and
+// successor hashes are updated Zobrist-style from the parent's hash in
+// O(|arcs of t|).  Row pointers stay valid until the next widening; public
+// accessors decode: tokens() returns a copy, load() fills a caller buffer.
 #ifndef FCQSS_PN_STATE_SPACE_HPP
 #define FCQSS_PN_STATE_SPACE_HPP
 
@@ -68,9 +71,11 @@ using delta_list = std::vector<std::pair<std::uint32_t, std::int64_t>>;
 /// rows can be decoded instead of faulted back in.
 [[nodiscard]] std::vector<delta_list> firing_deltas(const petri_net& net);
 
-/// True when `tokens` (length |P|) enables t.
-[[nodiscard]] bool enabled_in(const petri_net& net, const std::int64_t* tokens,
-                              transition_id t);
+/// True when `tokens` (length |P|) enables t.  Count is the storage type of
+/// the row (std::int64_t for a decoded vector, or an encoded marking_store
+/// row type); instantiated for the four with_count_type types.
+template <typename Count>
+[[nodiscard]] bool enabled_in(const petri_net& net, const Count* tokens, transition_id t);
 
 /// affected[t]: the transitions whose enabledness can change when t fires —
 /// the consumers of every place t consumes from or produces into.  Both
@@ -81,10 +86,12 @@ affected_transitions(const petri_net& net);
 /// The incremental enabled-set step shared by both engines: the successor's
 /// enabled set is the parent's (`parent_enabled`, ascending) with the
 /// members of `recheck` (ascending) re-tested against the successor tokens.
-/// The result is written to `out` (cleared first), ascending.
+/// The result is written to `out` (cleared first), ascending.  Count as in
+/// enabled_in.
+template <typename Count>
 void merge_enabled(const petri_net& net, const std::vector<transition_id>& parent_enabled,
-                   const std::vector<transition_id>& recheck,
-                   const std::int64_t* tokens, std::vector<transition_id>& out);
+                   const std::vector<transition_id>& recheck, const Count* tokens,
+                   std::vector<transition_id>& out);
 
 /// The ltl_x "no transition ignored forever" post-pass shared by both
 /// engines: over the finished reduced graph, every SCC that can sustain a
@@ -109,10 +116,11 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
                          exec::executor* pool = nullptr);
 
 /// Adds one store's dedup-work tallies (probes, dedup hits, inserts, budget
-/// rejects, table resizes, arena footprint, chunk count) to the global
-/// pn.store.* obs counters.  No-op when stats are off.  Both engines call
-/// this once per store at the end of a run — the stores themselves count
-/// with plain members so the hot probe loop never touches an atomic.
+/// rejects, table resizes, widenings, footprint, chunk count) to the global
+/// pn.store.* obs counters and raises the pn.store.count_bytes gauge to the
+/// store's count width.  No-op when stats are off.  Both engines call this
+/// once per store at the end of a run — the stores themselves count with
+/// plain members so the hot probe loop never touches an atomic.
 void flush_store_obs(const marking_store& store);
 
 /// Private-member access for the exploration engines in parallel_explore.cpp
@@ -156,11 +164,14 @@ public:
         return unordered_fallback_;
     }
 
-    /// Token counts of state s (a stable span into the arena).
-    [[nodiscard]] std::span<const std::int64_t> tokens(state_id s) const noexcept
+    /// Token counts of state s, decoded into a fresh vector.
+    [[nodiscard]] std::vector<std::int64_t> tokens(state_id s) const
     {
         return store_.tokens(s);
     }
+    /// Decodes the token counts of s into out[0, |P|): the allocation-free
+    /// form of tokens() for loops over every state.
+    void load(state_id s, std::int64_t* out) const noexcept { store_.load(s, out); }
     /// Outgoing edges of s, ascending by transition id.
     [[nodiscard]] std::span<const state_space_edge> successors(state_id s) const noexcept
     {

@@ -173,18 +173,19 @@ void session::handle_explore(const json& request)
     // Client knobs clamp against the server's ceilings — they can only make
     // the run cheaper.  threads and max_bytes come from the server policy
     // untouched: a remote client must not widen the worker pool or the
-    // resident-memory budget.
+    // resident-memory budget.  Each double is compared against its ceiling
+    // before it is converted: converting an out-of-range double (1e30) to an
+    // integer is undefined behaviour, and the ceiling is what applies there.
     pn::reachability_options explore = options_.explore;
     if (const json* max_states = request.find("max_states");
-        max_states != nullptr && max_states->as_number() >= 1) {
-        explore.max_markings = std::min(
-            explore.max_markings, static_cast<std::size_t>(max_states->as_number()));
+        max_states != nullptr && max_states->as_number() >= 1 &&
+        max_states->as_number() < static_cast<double>(explore.max_markings)) {
+        explore.max_markings = static_cast<std::size_t>(max_states->as_number());
     }
     if (const json* max_tokens = request.find("max_tokens");
-        max_tokens != nullptr && max_tokens->as_number() >= 1) {
-        explore.max_tokens_per_place =
-            std::min(explore.max_tokens_per_place,
-                     static_cast<std::int64_t>(max_tokens->as_number()));
+        max_tokens != nullptr && max_tokens->as_number() >= 1 &&
+        max_tokens->as_number() < static_cast<double>(explore.max_tokens_per_place)) {
+        explore.max_tokens_per_place = static_cast<std::int64_t>(max_tokens->as_number());
     }
     if (const json* order = request.find("order"); order != nullptr) {
         if (order->as_string() == "ordered") {

@@ -1,9 +1,10 @@
 // exec/chunk_pager.hpp unit surface: anonymous vs file-backed modes, the
 // address-stability invariant (data written before eviction reads back
 // bit-identically through the refault path), pin nesting, the clock-hand
-// eviction accounting, and the io_error contract when the spill file is
-// truncated behind the pager's back.  The ASan CI job runs this file too,
-// so every mmap/munmap/madvise path gets leak- and poison-checked.
+// eviction accounting, release() in both modes, and the io_error contract
+// when the spill file is truncated behind the pager's back.  The ASan CI
+// job runs this file too, so every mmap/munmap/madvise path gets leak- and
+// poison-checked.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -116,6 +117,68 @@ TEST(ChunkPager, PinnedChunksSurviveEvictionPressure)
         static_cast<void>(pager.allocate(chunk_bytes));
     }
     EXPECT_TRUE(check_pattern(pinned_data, chunk_bytes, 77));
+}
+
+TEST(ChunkPager, ReleaseFreesAnonymousChunksAndKeepsIdsStable)
+{
+    chunk_pager pager;
+    std::vector<void*> bases;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        bases.push_back(pager.allocate(chunk_bytes).second);
+        fill_pattern(bases.back(), chunk_bytes, i);
+    }
+    pager.release(1);
+    pager.release(1); // releasing twice is a no-op
+    chunk_pager_stats stats = pager.stats();
+    EXPECT_EQ(stats.chunks, 4u);
+    EXPECT_EQ(stats.released_chunks, 1u);
+    EXPECT_EQ(stats.resident_chunks, 3u);
+    EXPECT_EQ(stats.resident_bytes, 3 * chunk_bytes);
+    EXPECT_FALSE(pager.resident(1));
+    // Ids are never reused; the neighbours of the released chunk are intact.
+    EXPECT_EQ(pager.allocate(chunk_bytes).first, 4u);
+    EXPECT_TRUE(check_pattern(bases[0], chunk_bytes, 0));
+    EXPECT_TRUE(check_pattern(bases[2], chunk_bytes, 2));
+    EXPECT_TRUE(check_pattern(bases[3], chunk_bytes, 3));
+    stats = pager.stats();
+    EXPECT_EQ(stats.chunks, 5u);
+    EXPECT_EQ(stats.resident_chunks, 4u);
+}
+
+TEST(ChunkPager, ReleaseUnmapsSpilledChunksAndEvictionSkipsThem)
+{
+    chunk_pager pager({.max_resident_bytes = 2 * chunk_bytes});
+    std::vector<void*> bases;
+    for (std::uint32_t i = 0; i < 6; ++i) {
+        bases.push_back(pager.allocate(chunk_bytes).second);
+        fill_pattern(bases.back(), chunk_bytes, i);
+    }
+    const std::uint64_t extent = pager.stats().spill_file_bytes;
+    // Release one evicted and one resident, pinned chunk.
+    ASSERT_FALSE(pager.resident(0));
+    ASSERT_TRUE(pager.resident(5));
+    pager.pin(5);
+    pager.release(0);
+    pager.release(5);
+    chunk_pager_stats stats = pager.stats();
+    EXPECT_EQ(stats.released_chunks, 2u);
+    EXPECT_EQ(stats.resident_chunks + stats.spilled_chunks, 4u);
+    EXPECT_LE(stats.resident_bytes, 2 * chunk_bytes);
+    // The file keeps its extent, so later chunks keep their offsets, and
+    // the surviving chunks still read back through the refault path.
+    EXPECT_EQ(stats.spill_file_bytes, extent);
+    EXPECT_NO_THROW(pager.validate_backing());
+    for (std::uint32_t i = 1; i < 5; ++i) {
+        EXPECT_TRUE(check_pattern(bases[i], chunk_bytes, i)) << "chunk " << i;
+    }
+    // Eviction pressure after the release never touches released chunks.
+    for (int i = 0; i < 4; ++i) {
+        fill_pattern(pager.allocate(chunk_bytes).second, chunk_bytes, 50);
+    }
+    stats = pager.stats();
+    EXPECT_EQ(stats.released_chunks, 2u);
+    EXPECT_EQ(stats.chunks, 10u);
+    EXPECT_LE(stats.resident_bytes, 2 * chunk_bytes);
 }
 
 TEST(ChunkPager, ExternalTruncationSurfacesAsIoError)

@@ -45,7 +45,7 @@ std::vector<transition_id> scan_enabled(const petri_net& net,
     return enabled;
 }
 
-/// Bit-identical comparison: same ids, same token spans, same CSR rows,
+/// Bit-identical comparison: same ids, same decoded tokens, same CSR rows,
 /// same truncation verdict (as in test_stubborn.cpp).
 void expect_identical_spaces(const state_space& expected, const state_space& actual)
 {

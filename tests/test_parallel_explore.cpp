@@ -4,7 +4,7 @@
 // (and the same graph as the naive explore_reference()) on all three
 // generator families with defects and token load — including under tight
 // state and token budgets, where truncation behaviour must also agree —
-// plus equivalence tests pinning the span-served find_deadlock /
+// plus equivalence tests pinning the compact-form find_deadlock /
 // shortest_path_to / is_reachable / place_bounds against the old
 // materializing versions.  The whole file runs under the ThreadSanitizer CI
 // job, so the differential sweeps double as a data-race net.
@@ -25,7 +25,7 @@
 namespace fcqss::pn {
 namespace {
 
-/// Bit-identical comparison: same ids, same token spans, same CSR rows,
+/// Bit-identical comparison: same ids, same decoded tokens, same CSR rows,
 /// same truncation verdict.
 void expect_identical_spaces(const state_space& expected, const state_space& actual)
 {

@@ -1,6 +1,6 @@
 // External-memory differential net: exploration under a --max-bytes budget
 // must publish a state space bit-identical to the all-in-RAM run — same ids,
-// token spans, CSR rows and truncation verdict — across generator families,
+// decoded tokens, CSR rows and truncation verdict — across generator families,
 // thread counts, exploration orders and spill ratios (budgets derived from
 // the unlimited run's own arena size).  Also pins the operational surface:
 // evictions really happen under a tight budget, the decode cache actually
@@ -102,19 +102,23 @@ TEST(Spill, BitIdenticalAcrossFamiliesThreadsOrdersAndRatios)
 TEST(Spill, TightBudgetEvictsAndDecodesOnTheSequentialEngine)
 {
     // client_server without source credit is unbounded: truncation at
-    // max_markings guarantees a large arena, so a 64 KiB budget forces most
-    // chunks out and intern probes onto the delta-decode path.
+    // max_markings guarantees a large arena, so a budget ~32x smaller than
+    // the unlimited run's arena forces most chunks out and intern probes
+    // onto the delta-decode path.  With 1-byte rows the 7-place net needs
+    // 300k states to span several 256 KiB chunks (30k fit in one, and the
+    // bump chunk being filled is never evicted).
     pipeline::generator_options gen;
     gen.family = pipeline::net_family::client_server;
     const petri_net net = pipeline::net_generator(7, gen).next();
 
     reachability_options unlimited;
-    unlimited.max_markings = 30000;
+    unlimited.max_markings = 300000;
     const state_space baseline = explore_space(net, unlimited);
     ASSERT_TRUE(baseline.truncated());
+    ASSERT_GT(baseline.store().chunk_count(), 4u);
 
     reachability_options spilled = unlimited;
-    spilled.max_bytes = 64 * 1024;
+    spilled.max_bytes = baseline.store().arena_bytes() / 32;
     const state_space space = explore_space(net, spilled);
     expect_identical_spaces(baseline, space);
 

@@ -52,14 +52,14 @@ TEST(marking_store, interns_and_deduplicates)
     EXPECT_EQ(store.stored_hash(id_b), hash_b);
 }
 
-TEST(marking_store, spans_stay_valid_across_growth)
+TEST(marking_store, rows_survive_growth_and_widening)
 {
     marking_store store(4);
+    EXPECT_EQ(store.count_bytes(), 1u);
     std::vector<std::int64_t> tokens(4, 0);
-    const auto first = store.intern(
-        tokens.data(), marking_store::hash_tokens(tokens.data(), tokens.size()));
-    const auto* first_data = store.tokens(first.first).data();
-    // Intern enough distinct markings to force table growth and new chunks.
+    store.intern(tokens.data(), marking_store::hash_tokens(tokens.data(), tokens.size()));
+    // Intern enough distinct markings to force table growth, new chunks and
+    // one widening (counts pass 255 at i = 256).
     for (std::int64_t i = 1; i <= 50000; ++i) {
         tokens[0] = i;
         tokens[3] = i % 7;
@@ -69,11 +69,14 @@ TEST(marking_store, spans_stay_valid_across_growth)
         ASSERT_EQ(id, static_cast<state_id>(i));
     }
     EXPECT_EQ(store.size(), 50001u);
-    // The span handed out before all the growth still points at state 0.
-    EXPECT_EQ(store.tokens(0).data(), first_data);
-    EXPECT_EQ(store.tokens(0)[0], 0);
-    EXPECT_EQ(store.tokens(50000)[0], 50000);
-    EXPECT_GT(store.memory_bytes(), 50000u * 4 * sizeof(std::int64_t));
+    EXPECT_EQ(store.count_bytes(), 2u);
+    EXPECT_EQ(store.stats().widenings, 1u);
+    // Rows interned before the widening decode to what was interned.
+    EXPECT_EQ(store.tokens(0), (std::vector<std::int64_t>{0, 0, 0, 0}));
+    EXPECT_EQ(store.tokens(200), (std::vector<std::int64_t>{200, 0, 0, 200 % 7}));
+    EXPECT_EQ(store.tokens(50000), (std::vector<std::int64_t>{50000, 0, 0, 50000 % 7}));
+    EXPECT_GT(store.memory_bytes(), 50000u * 4 * 2);
+    EXPECT_LT(store.arena_bytes(), 50000u * 4 * sizeof(std::int64_t));
 }
 
 TEST(marking_store, respects_max_states)

@@ -42,7 +42,7 @@ std::set<tokens_vec> deadlock_markings(const petri_net& net, const state_space& 
     return dead;
 }
 
-/// Bit-identical comparison: same ids, same token spans, same CSR rows,
+/// Bit-identical comparison: same ids, same decoded tokens, same CSR rows,
 /// same truncation verdict (as in test_parallel_explore.cpp).
 void expect_identical_spaces(const state_space& expected, const state_space& actual)
 {

@@ -13,6 +13,7 @@
 
 #include "nets/paper_nets.hpp"
 #include "pipeline/service.hpp"
+#include "pn/builder.hpp"
 #include "pnio/writer.hpp"
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
@@ -311,6 +312,63 @@ TEST(session, duplicate_nets_are_flagged_on_the_wire)
 
 // End-to-end over real pipes: a JSONL batch with a duplicate net and a
 // malformed request, answered and drained through serve_stdio.
+/// Sends one explore request for an unbounded counter net (one source
+/// transition feeding one place) with the given budget fields and returns
+/// the single reply.
+json explore_counter(session_harness& h,
+                     const std::vector<std::pair<const char*, json>>& fields)
+{
+    pn::net_builder builder("counter");
+    const pn::place_id place = builder.add_place("p");
+    const pn::transition_id source = builder.add_transition("t");
+    builder.add_arc(source, place);
+    json request = json::object();
+    request.set("op", "explore");
+    request.set("net", pnio::write_net(std::move(builder).build()));
+    for (const auto& [key, value] : fields) {
+        request.set(key, value);
+    }
+    const std::size_t before = h.lines().size();
+    EXPECT_EQ(h.sess.handle_line(request.dump()), session_verdict::keep_open);
+    const std::vector<json> lines = h.lines();
+    EXPECT_EQ(lines.size(), before + 1);
+    return lines.back();
+}
+
+TEST(session, explore_budgets_beyond_the_ceiling_get_the_ceiling)
+{
+    // The server ceiling (100,000 states by default) applies to any larger
+    // request, including doubles far outside every integer type.
+    session_harness h;
+    for (const double huge : {1e19, 1e30, 1e300}) {
+        const json reply = explore_counter(h, {{"max_states", huge}});
+        ASSERT_EQ(reply.find("event")->as_string(), "explored") << huge;
+        EXPECT_EQ(reply.find("states")->as_number(), 100000) << huge;
+        EXPECT_TRUE(reply.find("truncated")->as_bool(false)) << huge;
+    }
+    // An out-of-range token cap clamps to the ceiling too, so the state
+    // budget is what stops the run.
+    const json reply = explore_counter(h, {{"max_states", 1000}, {"max_tokens", 1e30}});
+    ASSERT_EQ(reply.find("event")->as_string(), "explored");
+    EXPECT_EQ(reply.find("states")->as_number(), 1000);
+}
+
+TEST(session, explore_budgets_below_the_ceiling_tighten_the_run)
+{
+    session_harness h;
+    EXPECT_EQ(explore_counter(h, {{"max_states", 250}}).find("states")->as_number(), 250);
+    // A token cap of 40 keeps the counter at 0..40: 41 states, truncated by
+    // the cap rather than by the state budget.
+    const json capped = explore_counter(h, {{"max_tokens", 40}});
+    EXPECT_EQ(capped.find("states")->as_number(), 41);
+    EXPECT_TRUE(capped.find("truncated")->as_bool(false));
+    // Values below 1 are ignored, as before.
+    EXPECT_EQ(explore_counter(h, {{"max_states", 0.5}, {"max_tokens", 40}})
+                  .find("states")
+                  ->as_number(),
+              41);
+}
+
 TEST(serve_stdio, answers_a_jsonl_batch_and_drains_cleanly)
 {
     int to_server[2];

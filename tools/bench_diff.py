@@ -22,8 +22,9 @@ Rows present in only one artifact are reported informationally (added /
 removed) and never fail the run: benches grow and retire rows across PRs,
 and a diff spanning such a change must still compare what it can.  A second
 label class, --info-metric (engine-health rows like probe rate or the obs
-idle overhead), is displayed with deltas but exempt from --fail-below —
-those metrics legitimately move both ways, so a drop is not a regression.
+idle overhead, and the "row B/state" footprint rows, where lower is
+better), is displayed with deltas but exempt from --fail-below — those
+metrics legitimately move both ways, so a drop is not a regression.
 """
 
 from __future__ import annotations
@@ -83,11 +84,15 @@ def main() -> int:
     )
     parser.add_argument(
         "--info-metric",
-        default=r"(probe rate|shard imbalance|overhead pct|dedupe? hit rate|latency ms)",
+        default=(
+            r"(probe rate|shard imbalance|overhead pct|dedupe? hit rate|latency ms"
+            r"|row B/state)"
+        ),
         metavar="REGEX",
         help="regex selecting labels shown with deltas but exempt from "
         "--fail-below (default: the obs engine-health and service latency "
-        "rows); empty disables",
+        "rows, and the bytes-per-state rows, where lower is better); empty "
+        "disables",
     )
     parser.add_argument(
         "--fail-below",
