@@ -271,56 +271,6 @@ bool identical_spaces(const pn::state_space& a, const pn::state_space& b)
     return true;
 }
 
-// Unordered-mode rows (this PR's tentpole): the barrier-free engine (free-
-// running shards over work-stealing inboxes plus a deterministic BFS
-// renumber pass) at 4 threads against the level-synchronous engine at 4
-// threads on the same nets, plus a bit-identity column checking the
-// renumbered result against the sequential engine.  CI gates on the
-// choice-heavy "unord4 vs par4" row staying >= 1.0 — killing the level
-// barrier must not lose throughput where levels are shallow and wide — and
-// on every "unord identical" row staying 1.
-void report_unordered_engine()
-{
-    benchutil::heading("unordered exploration (barrier-free workers + BFS renumber "
-                       "vs level-synchronous engine, 4 threads)");
-    std::printf("  %8s %8s %8s %12s %12s %9s %10s\n", "family", "|T|", "states",
-                "par4 st/s", "unord4 st/s", "unord x", "identical");
-    pn::reachability_options options{.max_markings = 60000,
-                                     .max_tokens_per_place = 1 << 20};
-    for (const pipeline::net_family family :
-         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
-          pipeline::net_family::marked_graph}) {
-        const pn::petri_net net = generated_net(family, 500);
-        std::size_t states = 0;
-        options.threads = 4;
-        options.order = pn::exploration_order::ordered;
-        const double leveled = engine_states_per_second(net, options, 3, states);
-        options.order = pn::exploration_order::unordered;
-        const double unordered = engine_states_per_second(net, options, 3, states);
-
-        pn::reachability_options check = options;
-        check.threads = 1;
-        check.order = pn::exploration_order::ordered;
-        const pn::state_space sequential = pn::explore_space(net, check);
-        check.threads = 4;
-        check.order = pn::exploration_order::unordered;
-        const bool identical =
-            identical_spaces(sequential, pn::explore_space(net, check));
-
-        std::printf("  %8s %8zu %8zu %12.0f %12.0f %8.2fx %10s\n",
-                    pipeline::to_string(family), net.transition_count(), states,
-                    leveled, unordered, unordered / leveled,
-                    identical ? "yes" : "NO");
-        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
-        benchutil::row(prefix + "unord4 states/s",
-                       std::to_string(static_cast<long long>(unordered)));
-        char ratio[32];
-        std::snprintf(ratio, sizeof ratio, "%.2f", unordered / leveled);
-        benchutil::row(prefix + "unord4 vs par4", ratio);
-        benchutil::row(prefix + "unord identical", identical ? "1" : "0");
-    }
-}
-
 // External-memory rows (this PR's tentpole): the sequential engine on a
 // free-choice net at increasing spill pressure.  The budget is derived from
 // the unlimited run's own arena size B: @0 runs with 2B (pager engaged, no
@@ -607,7 +557,6 @@ void report()
 {
     report_state_space_engine();
     report_parallel_engine();
-    report_unordered_engine();
     report_spill();
     report_stubborn_reduction();
     report_ltlx_reduction();
@@ -668,10 +617,10 @@ BENCHMARK(bm_explore_reference)->Arg(1000);
 void bm_explore_parallel(benchmark::State& state)
 {
     const auto net = generated_net(pipeline::net_family::free_choice, 500);
-    const pn::parallel_explore_options options{
-        .threads = static_cast<std::size_t>(state.range(0)),
-        .max_states = 20000,
-        .max_tokens_per_place = 1 << 20};
+    const pn::reachability_options options{
+        .max_markings = 20000,
+        .max_tokens_per_place = 1 << 20,
+        .threads = static_cast<std::size_t>(state.range(0))};
     for (auto _ : state) {
         benchmark::DoNotOptimize(pn::explore_parallel(net, options));
     }
@@ -681,8 +630,8 @@ BENCHMARK(bm_explore_parallel)->Arg(1)->Arg(2)->Arg(4);
 void bm_explore_stubborn(benchmark::State& state)
 {
     const auto net = generated_net(pipeline::net_family::choice_heavy, 500, 2);
-    const pn::state_space_options options{
-        .max_states = static_cast<std::size_t>(state.range(0)),
+    const pn::reachability_options options{
+        .max_markings = static_cast<std::size_t>(state.range(0)),
         .max_tokens_per_place = 1 << 20,
         .reduction = pn::reduction_kind::stubborn};
     for (auto _ : state) {
@@ -694,8 +643,8 @@ BENCHMARK(bm_explore_stubborn)->Arg(20000);
 void bm_explore_stubborn_ltlx(benchmark::State& state)
 {
     const auto net = generated_net(pipeline::net_family::choice_heavy, 500, 2);
-    const pn::state_space_options options{
-        .max_states = static_cast<std::size_t>(state.range(0)),
+    const pn::reachability_options options{
+        .max_markings = static_cast<std::size_t>(state.range(0)),
         .max_tokens_per_place = 1 << 20,
         .reduction = pn::reduction_kind::stubborn,
         .strength = pn::reduction_strength::ltl_x};

@@ -8,7 +8,6 @@
 //   pn_tool explore  [--threads N] [--max-states S] [--max-tokens K]
 //                    [--max-bytes B[K|M|G]]
 //                    [--reduce none|stubborn|stubborn-ltlx]
-//                    [--order ordered|unordered]
 //                    [--stats[=FILE]] [--trace=FILE]
 //                    model.pn      explicit state-space exploration on the
 //                                  engine (N != 1 runs the sharded parallel
@@ -25,13 +24,6 @@
 //                                  temp file and cold ones are evicted; the
 //                                  graph is bit-identical to the unlimited
 //                                  run at any spill ratio.
-//                                  --order unordered with a binding
-//                                  --max-states cannot keep exact truncation
-//                                  semantics in a free-running schedule, so
-//                                  the engine re-runs level-synchronously;
-//                                  the run prints a one-line note on stderr
-//                                  and counts pn.unord.budget_fallbacks in
-//                                  --stats when that happens.
 //                                  --stats dumps the engine counters as
 //                                  metrics JSONL (stdout, or FILE); --trace
 //                                  writes a Chrome trace of the run's phase
@@ -248,13 +240,6 @@ constexpr cli::enum_choice<reduce_mode> reduce_choices[] = {
     {"stubborn-ltlx", reduce_mode::stubborn_ltlx},
 };
 
-/// The --order spellings: level-synchronous BFS vs barrier-free expansion
-/// with a BFS renumber pass.  Both produce bit-identical graphs.
-constexpr cli::enum_choice<pn::exploration_order> order_choices[] = {
-    {"ordered", pn::exploration_order::ordered},
-    {"unordered", pn::exploration_order::unordered},
-};
-
 constexpr cli::enum_choice<pipeline::net_family> family_choices[] = {
     {"fc", pipeline::net_family::free_choice},
     {"mg", pipeline::net_family::marked_graph},
@@ -289,8 +274,6 @@ int cmd_explore(int argc, char** argv)
             options.strength = mode == reduce_mode::stubborn_ltlx
                                    ? pn::reduction_strength::ltl_x
                                    : pn::reduction_strength::deadlock;
-        } else if (cli::enum_option(argc, argv, i, "--order", order_choices,
-                                    options.order)) {
         } else if (telemetry.parse(argv[i])) {
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown explore option '%s'\n", argv[i]);
@@ -314,11 +297,6 @@ int cmd_explore(int argc, char** argv)
     const bool reduced = options.reduction == pn::reduction_kind::stubborn;
     const bool ltlx = reduced && options.strength == pn::reduction_strength::ltl_x;
     const pn::state_space space = pn::explore_space(net, options);
-    if (space.unordered_fallback()) {
-        std::fprintf(stderr,
-                     "note: unordered exploration hit the state budget; "
-                     "re-ran level-synchronous for exact truncation\n");
-    }
     std::printf("net '%s': explored %zu states, %zu edges%s%s\n", net.name().c_str(),
                 space.state_count(), space.edge_count(),
                 !reduced ? ""
@@ -629,7 +607,6 @@ constexpr cli::command commands[] = {
     {"explore",
      "[--threads N] [--max-states S] [--max-tokens K] [--max-bytes B]\n"
      "                  [--reduce none|stubborn|stubborn-ltlx]\n"
-     "                  [--order ordered|unordered]\n"
      "                  [--stats[=FILE]] [--trace=FILE] model.pn",
      cmd_explore},
     {"batch",

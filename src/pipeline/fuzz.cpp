@@ -42,8 +42,8 @@ const char* strength_name(pn::reduction_kind kind, pn::reduction_strength streng
 }
 
 /// Bit-identity check between the sequential cell and one parallel cell
-/// (`cell` names it, e.g. "par/ltlx" or "par-unord/deadlock"); any
-/// difference is a disagreement by itself.
+/// (`cell` names it, e.g. "par/ltlx"); any difference is a disagreement by
+/// itself.
 std::string compare_spaces(const pn::state_space& seq, const pn::state_space& par,
                            const std::string& cell)
 {
@@ -117,15 +117,6 @@ std::string check_verdict_matrix(const pn::petri_net& net, const fuzz_options& o
         const pn::state_space par = pn::explore_space(net, explore);
         const char* name = strength_name(configs[c].kind, configs[c].strength);
         if (std::string reason = compare_spaces(seq, par, std::string("par/") + name);
-            !reason.empty()) {
-            return reason;
-        }
-        // The unordered cell: barrier-free exploration plus the renumber
-        // pass must still be bit-identical to the sequential engine.
-        explore.order = pn::exploration_order::unordered;
-        const pn::state_space unord = pn::explore_space(net, explore);
-        if (std::string reason =
-                compare_spaces(seq, unord, std::string("par-unord/") + name);
             !reason.empty()) {
             return reason;
         }

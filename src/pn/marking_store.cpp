@@ -150,7 +150,7 @@ std::pair<state_id, bool> marking_store::intern(const std::int64_t* tokens,
     }
     const state_id id = insert_at(slot, hash);
     with_count_type(count_bytes_, [&]<typename T>(T) {
-        encode_row(tokens, reinterpret_cast<T*>(own_row(id)), width_);
+        encode_row(tokens, reinterpret_cast<T*>(row(id)), width_);
     });
     return {id, true};
 }
@@ -159,7 +159,7 @@ state_id marking_store::insert_at(std::size_t slot, std::uint64_t hash)
 {
     ++stats_.inserts;
     const state_id id = static_cast<state_id>(size());
-    if (((id - adopted_count_) & ((std::size_t{1} << chunk_shift_) - 1)) == 0) {
+    if ((id & ((std::size_t{1} << chunk_shift_) - 1)) == 0) {
         allocate_chunk();
     }
     hashes_.push_back(hash);
@@ -206,7 +206,6 @@ void marking_store::widen(unsigned count_bytes)
     if (count_bytes <= count_bytes_) {
         return;
     }
-    assert(adopted_count_ == 0 && "adopted rows are 8 bytes and never widen");
     ++stats_.widenings;
     const unsigned old_bytes = count_bytes_;
     const std::size_t old_row_bytes = row_bytes_;
@@ -239,7 +238,7 @@ void marking_store::widen(unsigned count_bytes)
         for (std::size_t id = begin; id < end; ++id) {
             const std::size_t old_index = id & ((std::size_t{1} << old_shift) - 1);
             const std::byte* from = old_rows[id >> old_shift] + old_index * old_row_bytes;
-            std::byte* to = own_row(static_cast<state_id>(id));
+            std::byte* to = row(static_cast<state_id>(id));
             with_count_type(old_bytes, [&]<typename S>(S) {
                 decode_row(reinterpret_cast<const S*>(from), row_buffer.data(), width_);
             });
@@ -296,9 +295,9 @@ void marking_store::record_parent(
 
 const std::byte* marking_store::cold_row(state_id id)
 {
-    const std::byte* direct = own_row(id);
+    const std::byte* direct = row(id);
     if (pager_chunk_ids_.empty() ||
-        pager_->resident(pager_chunk_ids_[(id - adopted_count_) >> chunk_shift_])) {
+        pager_->resident(pager_chunk_ids_[id >> chunk_shift_])) {
         return direct;
     }
     if (decode_cache_.empty()) {
@@ -318,8 +317,8 @@ const std::byte* marking_store::cold_row(state_id id)
     const std::byte* base = nullptr;
     bool faulted = false;
     for (;;) {
-        const std::byte* cur_direct = own_row(cur);
-        if (pager_->resident(pager_chunk_ids_[(cur - adopted_count_) >> chunk_shift_])) {
+        const std::byte* cur_direct = row(cur);
+        if (pager_->resident(pager_chunk_ids_[cur >> chunk_shift_])) {
             base = cur_direct;
             break;
         }
@@ -328,9 +327,8 @@ const std::byte* marking_store::cold_row(state_id id)
             base = cached.row.data();
             break;
         }
-        const bool has_parent = cur < delta_of_.size() &&
-                                delta_of_[cur].parent != invalid_state &&
-                                delta_of_[cur].parent >= adopted_count_;
+        const bool has_parent =
+            cur < delta_of_.size() && delta_of_[cur].parent != invalid_state;
         if (!has_parent || depth == decode_chain_limit) {
             base = cur_direct; // refaults the page: the decode miss
             faulted = true;
@@ -373,9 +371,8 @@ void marking_store::start_bulk_build(std::size_t count)
 void marking_store::grow_bulk_build(std::size_t count)
 {
     assert(count >= size());
-    const std::size_t own = count - adopted_count_;
     const std::size_t rows_per_chunk = std::size_t{1} << chunk_shift_;
-    const std::size_t chunk_count = (own + rows_per_chunk - 1) / rows_per_chunk;
+    const std::size_t chunk_count = (count + rows_per_chunk - 1) / rows_per_chunk;
     chunk_rows_.reserve(chunk_count);
     while (chunk_rows_.size() < chunk_count) {
         allocate_chunk();
@@ -390,21 +387,6 @@ void marking_store::finish_bulk_build()
         capacity *= 2;
     }
     rebuild_table(capacity);
-}
-
-void marking_store::start_adopt(std::size_t count)
-{
-    assert(size() == 0 && chunk_rows_.empty() && count_bytes_ == 8 &&
-           "adoption requires an empty 8-byte store");
-    adopted_count_ = count;
-    adopted_rows_.resize(count);
-    hashes_.resize(count);
-}
-
-void marking_store::finish_adopt(std::vector<std::unique_ptr<marking_store>> backing)
-{
-    adopted_backing_ = std::move(backing);
-    finish_bulk_build();
 }
 
 void marking_store::rebuild_table(std::size_t capacity)
@@ -423,26 +405,15 @@ void marking_store::rebuild_table(std::size_t capacity)
 
 std::size_t marking_store::arena_bytes() const noexcept
 {
-    std::size_t bytes =
-        chunk_rows_.size() * (std::size_t{1} << chunk_shift_) * row_bytes_;
-    for (const auto& store : adopted_backing_) {
-        bytes += store->arena_bytes();
-    }
-    return bytes;
+    return chunk_rows_.size() * (std::size_t{1} << chunk_shift_) * row_bytes_;
 }
 
 std::size_t marking_store::memory_bytes() const noexcept
 {
-    std::size_t bytes =
-        chunk_rows_.size() * (std::size_t{1} << chunk_shift_) * row_bytes_ +
-        hashes_.size() * sizeof(std::uint64_t) + table_.size() * sizeof(state_id) +
-        adopted_rows_.size() * sizeof(const std::byte*) +
-        delta_pool_.size() * sizeof(delta_pool_[0]) +
-        delta_of_.size() * sizeof(delta_of_[0]);
-    for (const auto& store : adopted_backing_) {
-        bytes += store->memory_bytes();
-    }
-    return bytes;
+    return arena_bytes() + hashes_.size() * sizeof(std::uint64_t) +
+           table_.size() * sizeof(state_id) +
+           delta_pool_.size() * sizeof(delta_pool_[0]) +
+           delta_of_.size() * sizeof(delta_of_[0]);
 }
 
 } // namespace fcqss::pn

@@ -31,15 +31,6 @@
 // against rows whose chunk is believed evicted then materialize the row by
 // replaying deltas down the parent chain into a small decode cache of
 // encoded rows (cleared on widening) instead of touching the cold page.
-//
-// Adoption: the unordered engine's renumber pass used to copy every marking
-// out of the per-shard stores into the result store.  start_adopt() /
-// set_adopted() / finish_adopt() instead let the result store reference the
-// shard stores' rows in place and take ownership of the stores themselves;
-// ids below adopted_count() resolve through the adopted row table, and the
-// store can still grow past them through intern() (enforce_nonignoring
-// appends merged markings after adoption).  Adoption is for 8-byte stores
-// only, which never widen, so adopted row pointers never go stale.
 #ifndef FCQSS_PN_MARKING_STORE_HPP
 #define FCQSS_PN_MARKING_STORE_HPP
 
@@ -131,7 +122,7 @@ public:
 
     /// Number of token counts per marking (|P| of the net).
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
-    /// Number of distinct markings interned so far (adopted included).
+    /// Number of distinct markings interned so far.
     [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
     /// Bytes per stored count: 1, 2, 4 or 8.
     [[nodiscard]] unsigned count_bytes() const noexcept { return count_bytes_; }
@@ -195,7 +186,7 @@ public:
             return {invalid_state, false};
         }
         const state_id id = insert_at(slot, hash);
-        fill(reinterpret_cast<T*>(own_row(id)));
+        fill(reinterpret_cast<T*>(row(id)));
         return {id, true};
     }
 
@@ -223,7 +214,7 @@ public:
     /// if that is wider than count_bytes(); a no-op otherwise.  Rows move
     /// to fresh chunks (the old ones go back to the heap or the pager), so
     /// every row pointer taken before the call is invalidated; ids, hashes
-    /// and lookups are unchanged.  Not valid on a store with adopted rows.
+    /// and lookups are unchanged.
     void widen(unsigned count_bytes);
 
     // -- External-memory support --------------------------------------------
@@ -276,38 +267,11 @@ public:
     /// Entries are trusted to be pairwise distinct (no equality checks).
     void finish_bulk_build();
 
-    // -- Adoption (the unordered engine's zero-copy renumber) ---------------
-    //
-    // Like a bulk build, but the rows stay where the per-shard stores
-    // interned them: set_adopted() records a row pointer per final id, and
-    // finish_adopt() takes ownership of the source stores so those pointers
-    // outlive the exploration.  Adopting and adopted stores hold 8-byte
-    // counts and never widen.  Distinct ids may be recorded from different
-    // threads.  After finish_adopt() the store behaves normally — lookups
-    // see adopted rows, and intern() appends past them.
-
-    /// Pre-sizes an empty 8-byte store to `count` adopted markings.
-    void start_adopt(std::size_t count);
-
-    /// Records the row and hash of adopted id `id`.
-    void set_adopted(state_id id, const std::int64_t* row, std::uint64_t hash) noexcept
-    {
-        adopted_rows_[id] = reinterpret_cast<const std::byte*>(row);
-        hashes_[id] = hash;
-    }
-
-    /// Takes ownership of the stores the adopted rows point into and
-    /// rebuilds the dedup table.  Hashes are trusted pairwise distinct.
-    void finish_adopt(std::vector<std::unique_ptr<marking_store>> backing);
-
-    /// Ids below this resolve through the adopted row table.
-    [[nodiscard]] std::size_t adopted_count() const noexcept { return adopted_count_; }
-
-    /// Arena, hashes, table, adopted-row table and delta chains: the
-    /// store's whole footprint, for telemetry and benches.
+    /// Arena, hashes, table and delta chains: the store's whole footprint,
+    /// for telemetry and benches.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-    /// Arena chunks held right now (own chunks; adopted backing excluded).
+    /// Arena chunks held right now.
     [[nodiscard]] std::size_t chunk_count() const noexcept { return chunk_rows_.size(); }
 
     /// Dedup-work tallies since construction (see marking_store_stats).
@@ -332,19 +296,10 @@ private:
     };
 
     /// The encoded row of `id`.  Valid until the next widening.
-    [[nodiscard]] const std::byte* row(state_id id) const noexcept
+    [[nodiscard]] std::byte* row(state_id id) const noexcept
     {
-        if (id < adopted_count_) {
-            return adopted_rows_[id];
-        }
-        return own_row(id);
-    }
-
-    [[nodiscard]] std::byte* own_row(state_id id) const noexcept
-    {
-        const std::size_t own = id - adopted_count_;
-        return chunk_rows_[own >> chunk_shift_] +
-               (own & ((std::size_t{1} << chunk_shift_) - 1)) * row_bytes_;
+        return chunk_rows_[id >> chunk_shift_] +
+               (id & ((std::size_t{1} << chunk_shift_) - 1)) * row_bytes_;
     }
 
     /// Appends `id` = size() with `hash` into empty table slot `slot`
@@ -360,7 +315,7 @@ private:
     /// through the cache when the row's chunk is believed evicted.
     [[nodiscard]] const std::byte* probe_row(state_id id)
     {
-        if (pager_ == nullptr || id < adopted_count_) {
+        if (pager_ == nullptr) {
             return row(id);
         }
         return cold_row(id);
@@ -374,14 +329,10 @@ private:
     /// log2 of the states per chunk: a power of two near 256 KiB of rows,
     /// so locating a row is a shift and a mask.
     unsigned chunk_shift_ = 0;
-    /// Adopted prefix: row pointers into adopted_backing_'s arenas.
-    std::size_t adopted_count_ = 0;
-    std::vector<const std::byte*> adopted_rows_;
-    std::vector<std::unique_ptr<marking_store>> adopted_backing_;
-    /// Bump arena for own (non-adopted) states: fixed-capacity chunks of
-    /// 2^chunk_shift_ rows, allocated whole so rows never move except by
-    /// widen().  Rows are addressed through chunk_rows_; the memory is
-    /// owned either by owned_chunks_ (heap mode) or by the pager.
+    /// Bump arena: fixed-capacity chunks of 2^chunk_shift_ rows, allocated
+    /// whole so rows never move except by widen().  Rows are addressed
+    /// through chunk_rows_; the memory is owned either by owned_chunks_
+    /// (heap mode) or by the pager.
     std::vector<std::byte*> chunk_rows_;
     std::vector<std::unique_ptr<std::byte[]>> owned_chunks_;
     std::shared_ptr<exec::chunk_pager> pager_;
@@ -412,12 +363,12 @@ struct row_access {
         return reinterpret_cast<const T*>(store.row(id));
     }
 
-    /// Writable row of a bulk-build slot (not valid for adopted ids).
+    /// Writable row of a bulk-build slot.
     template <typename T>
     [[nodiscard]] static T* bulk_row(marking_store& store, state_id id) noexcept
     {
         assert(sizeof(T) == store.count_bytes_);
-        return reinterpret_cast<T*>(store.own_row(id));
+        return reinterpret_cast<T*>(store.row(id));
     }
 };
 

@@ -1,10 +1,8 @@
 #include "pn/parallel_explore.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,7 +10,6 @@
 
 #include "exec/chunk_pager.hpp"
 #include "exec/executor.hpp"
-#include "exec/shard_queues.hpp"
 #include "obs/obs.hpp"
 
 // Determinism
@@ -195,10 +192,9 @@ void run_indexed(exec::executor& pool, std::size_t count, bool inline_run,
     }
 }
 
-/// The level-synchronous engine (exploration_order::ordered) — and the
-/// exact-truncation fallback for unordered runs whose state budget binds.
-state_space explore_leveled(const petri_net& net,
-                            const parallel_explore_options& options)
+} // namespace
+
+state_space explore_parallel(const petri_net& net, const reachability_options& options)
 {
     obs::span run_span("explore.parallel");
     const std::size_t width = net.place_count();
@@ -206,17 +202,18 @@ state_space explore_leveled(const petri_net& net,
     const std::size_t threads = exec::resolve_thread_count(options.threads);
     run_span.arg("threads", static_cast<std::int64_t>(threads));
 
-    std::size_t shard_count = options.shards ? options.shards : 2 * threads;
+    // 2 x threads shards, so work stays balanced when one shard's frontier
+    // slice runs hot, rounded up to a power of two.
+    std::size_t shard_count = 2 * threads;
     std::size_t shard_bits = 0;
     while ((std::size_t{1} << shard_bits) < shard_count) {
         ++shard_bits;
     }
     shard_count = std::size_t{1} << shard_bits;
-    // Top hash bits pick the shard; low bits index the shard's table, so the
-    // two never alias.
-    const auto shard_of = [shard_bits](std::uint64_t hash) -> std::uint32_t {
-        return shard_bits == 0 ? 0u
-                               : static_cast<std::uint32_t>(hash >> (64 - shard_bits));
+    // Top hash bits pick the shard (there are at least two); low bits index
+    // the shard's table, so the two never alias.
+    const auto shard_of = [shard_bits](std::uint64_t hash) {
+        return static_cast<std::uint32_t>(hash >> (64 - shard_bits));
     };
 
     exec::executor pool(threads);
@@ -346,7 +343,7 @@ state_space explore_leveled(const petri_net& net,
         // Budget remainder before this level's fresh markings are counted;
         // phases B and C both key off it.
         const std::size_t available =
-            state_count >= options.max_states ? 0 : options.max_states - state_count;
+            state_count >= options.max_markings ? 0 : options.max_markings - state_count;
 
         ++obs_levels;
         obs_inline_levels += inline_run ? 1 : 0;
@@ -643,14 +640,7 @@ state_space explore_leveled(const petri_net& net,
         // matter how its candidate batches are generated (see
         // enforce_nonignoring), so the thread-count-independence guarantee
         // carries through.
-        detail::enforce_nonignoring(net, *stubborn, result,
-                                    {.max_states = options.max_states,
-                                     .max_tokens_per_place =
-                                         options.max_tokens_per_place,
-                                     .reduction = options.reduction,
-                                     .strength = options.strength,
-                                     .observed_places = options.observed_places},
-                                    &pool);
+        detail::enforce_nonignoring(net, *stubborn, result, options, &pool);
     }
     flush_progress();
     detail::flush_store_obs(rstore);
@@ -659,557 +649,6 @@ state_space explore_leveled(const petri_net& net,
     }
     run_span.arg("states", static_cast<std::int64_t>(rstore.size()));
     return result;
-}
-
-// Unordered mode
-// --------------
-// No barriers: shards run free over per-shard inbox queues with work
-// stealing (exec/shard_queues.hpp).  A worker claims a shard, resolves the
-// candidate batches queued for it, expands the follow-on frontier states it
-// interned, flushes outgoing candidates to the destination shards, releases
-// the shard and claims the next one — expansion and dedup of different
-// regions overlap freely across BFS levels.
-//
-// Determinism still holds, in two steps:
-//
-//   set   The *set* of interned markings and the *multiset* of edges are
-//         schedule-independent: a candidate's tokens, hash, cap verdict and
-//         destination shard are pure functions of (parent tokens, firing),
-//         the expanded (reduced) edge set of a marking is a deterministic
-//         function of its tokens alone (stubborn_reduction::reduce), and
-//         the incremental enabled-set merge is path-independent — it
-//         computes exactly En(child) whichever discovering edge ran it.
-//         Every marking is expanded exactly once by whichever worker owns
-//         its shard when it comes off the frontier, so the run produces the
-//         same states and edges no matter the interleaving.
-//   ids   One renumber pass restores canonical ids: BFS over the *final*
-//         graph, children visited in ascending transition order, assigns
-//         each state the rank sequential BFS discovers it at — by induction
-//         over discovery order, since both walks expand the same
-//         deterministic per-state edge sets in the same order.
-//
-// Budgets: token-cap drops are per-candidate deterministic, so they commute
-// with scheduling.  The state budget does not — the sequential prefix of a
-// crossing level depends on discovery order a free run never sees — so the
-// run counts interned states globally, and the first intern past max_states
-// aborts the run (shard_queues::abort); the free result is discarded and
-// the leveled engine re-runs with exact truncation semantics.  A binding
-// budget caps the useful speedup anyway; correctness never degrades.
-//
-// Cross-shard candidates carry stable pointers instead of tokens: the
-// parent's arena row (unordered stores hold 8-byte counts and never widen,
-// so their rows never move) and its enabled set
-// (a deque element, address-stable under growth).  The shard_queues mutex
-// orders the producer's writes before any consumer's reads, and claims hand
-// each shard's state to exactly one worker at a time, so the hot paths stay
-// lock-free and TSan-clean.
-
-/// One successor travelling between shards in unordered mode.
-struct ucand {
-    std::uint64_t hash;
-    /// Parent's arena token row — stable for the life of the run, because
-    /// unordered stores hold 8-byte counts and never widen.
-    const std::int64_t* parent_row;
-    /// Parent's full enabled set — deque-resident, address-stable.
-    const std::vector<transition_id>* parent_enabled;
-    std::uint32_t parent_shard;
-    state_id parent_local;
-    transition_id via;
-};
-
-/// One discovered edge, recorded by the shard that owns the *child*.
-struct uedge {
-    std::uint32_t parent_shard;
-    state_id parent_local;
-    transition_id via;
-    state_id child_local;
-};
-
-/// One shard of the unordered run; every member is touched only under a
-/// shard_queues claim, except the stable rows/vectors candidates point at.
-struct ushard {
-    marking_store store;
-    /// Enabled set per local state; a deque, so elements referenced by
-    /// in-flight candidates never move as the shard grows.
-    std::deque<std::vector<transition_id>> enabled;
-    std::vector<state_id> frontier; ///< interned but not yet expanded
-    std::vector<uedge> edges;       ///< edges whose child lives here
-    std::vector<std::vector<ucand>> out; ///< per-destination outboxes
-    bool saw_over_cap = false;
-    stubborn_workspace ws;
-    std::vector<transition_id> reduced;
-
-    ushard(std::size_t width, std::shared_ptr<exec::chunk_pager> pager)
-        : store(width, std::move(pager), 8)
-    {
-    }
-};
-
-state_space explore_unordered(const petri_net& net,
-                              const parallel_explore_options& options)
-{
-    obs::span run_span("explore.unordered");
-    const std::size_t width = net.place_count();
-    const std::int64_t cap = options.max_tokens_per_place;
-    const std::size_t threads = exec::resolve_thread_count(options.threads);
-    run_span.arg("threads", static_cast<std::int64_t>(threads));
-
-    // A budget that cannot even hold the root: the leveled engine owns the
-    // truncation semantics of that corner.
-    if (options.max_states < 1) {
-        state_space fallback = explore_leveled(net, options);
-        detail::space_access::unordered_fallback(fallback) = true;
-        return fallback;
-    }
-
-    std::size_t shard_count = options.shards ? options.shards : 2 * threads;
-    std::size_t shard_bits = 0;
-    while ((std::size_t{1} << shard_bits) < shard_count) {
-        ++shard_bits;
-    }
-    shard_count = std::size_t{1} << shard_bits;
-    const auto shard_of = [shard_bits](std::uint64_t hash) -> std::uint32_t {
-        return shard_bits == 0 ? 0u
-                               : static_cast<std::uint32_t>(hash >> (64 - shard_bits));
-    };
-
-    const std::vector<std::vector<transition_id>> affected =
-        detail::affected_transitions(net);
-    const std::vector<delta_list> deltas = firing_deltas(net);
-
-    std::optional<stubborn_reduction> stubborn;
-    if (options.reduction == reduction_kind::stubborn) {
-        stubborn.emplace(net, stubborn_options{.strength = options.strength,
-                                               .observed_places = options.observed_places});
-    }
-
-    // A deque: ushard is neither copyable nor nothrow-movable (the store's
-    // arena, the enabled deque), and elements must never relocate anyway —
-    // in-flight candidates point into them.
-    const std::shared_ptr<exec::chunk_pager> pager =
-        make_run_pager(options.max_bytes);
-    std::deque<ushard> shards;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-        shards.emplace_back(width, pager);
-        shards.back().out.resize(shard_count);
-    }
-
-    exec::executor pool(threads);
-    exec::shard_queues<ucand> queues(shard_count);
-    std::atomic<std::size_t> interned_total{1}; // the root
-    std::atomic<bool> budget_exceeded{false};
-
-    const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
-    const std::uint64_t root_hash = marking_store::hash_tokens(m0.data(), width);
-    const std::uint32_t root_shard = shard_of(root_hash);
-    {
-        ushard& sh = shards[root_shard];
-        const auto [local, inserted] = sh.store.intern(m0.data(), root_hash);
-        assert(inserted && local == 0);
-        static_cast<void>(local);
-        static_cast<void>(inserted);
-        sh.enabled.emplace_back();
-        for (transition_id t : net.transitions()) {
-            if (detail::enabled_in(net, m0.data(), t)) {
-                sh.enabled.back().push_back(t);
-            }
-        }
-        sh.frontier.push_back(0);
-    }
-    // See explore_state_space: the root is taken as given; when it already
-    // exceeds the token cap somewhere, its successors get a full-vector scan.
-    bool root_over_cap = false;
-    for (std::int64_t count : m0) {
-        if (count > cap) {
-            root_over_cap = true;
-            break;
-        }
-    }
-    queues.seed(root_shard, 1);
-
-    // Remote outboxes flush to the destination's inbox at this size; the
-    // final flush at release time sends the remainder.
-    constexpr std::size_t flush_at = 256;
-
-    // Per-worker telemetry tallies, folded into obs after the run so the
-    // hot loops never touch an atomic.
-    std::vector<std::uint64_t> obs_claims(threads, 0);
-    std::vector<std::uint64_t> obs_steals(threads, 0);
-    std::vector<std::uint64_t> obs_cands(threads, 0);
-
-    // Resolves one candidate against the claimed shard: intern (delta-aware
-    // equality and fill, as in the leveled engine's phase B), record the
-    // edge, and on a fresh marking build its enabled set and queue it for
-    // expansion.  The first intern past max_states aborts the whole run.
-    const auto resolve = [&](ushard& sh, const ucand& cand) {
-        const std::int64_t* row = cand.parent_row;
-        const delta_list& delta = deltas[cand.via.index()];
-        const auto equals = [&](const std::int64_t* stored) {
-            std::size_t prev = 0;
-            for (const auto& [place, d] : delta) {
-                if (std::memcmp(stored + prev, row + prev,
-                                (place - prev) * sizeof(std::int64_t)) != 0) {
-                    return false;
-                }
-                if (stored[place] != row[place] + d) {
-                    return false;
-                }
-                prev = place + 1;
-            }
-            return std::memcmp(stored + prev, row + prev,
-                               (width - prev) * sizeof(std::int64_t)) == 0;
-        };
-        const auto fill = [&](std::int64_t* slot) {
-            std::memcpy(slot, row, width * sizeof(std::int64_t));
-            for (const auto& [place, d] : delta) {
-                slot[place] += d;
-            }
-        };
-        const auto [local, inserted] = sh.store.intern_with<std::int64_t>(
-            cand.hash, ~std::size_t{0}, equals, fill);
-        sh.edges.push_back({cand.parent_shard, cand.parent_local, cand.via, local});
-        if (!inserted) {
-            return;
-        }
-        const std::size_t total =
-            interned_total.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (total > options.max_states) {
-            budget_exceeded.store(true, std::memory_order_relaxed);
-            queues.abort();
-            return;
-        }
-        sh.enabled.emplace_back();
-        detail::merge_enabled(net, *cand.parent_enabled, affected[cand.via.index()],
-                              detail::row_access::row<std::int64_t>(sh.store, local),
-                              sh.enabled.back());
-        sh.frontier.push_back(local);
-        queues.add_work(1);
-    };
-
-    // Expands one owned state into per-destination candidates, exactly the
-    // leveled engine's phase A per-state step (incremental Zobrist hash,
-    // per-delta cap check, full scan off an over-cap root, stubborn subset).
-    const auto expand = [&](ushard& sh, std::uint32_t me, state_id local,
-                            std::uint64_t& cand_tally) {
-        const std::int64_t* row = detail::row_access::row<std::int64_t>(sh.store, local);
-        const std::uint64_t row_hash = sh.store.stored_hash(local);
-        const bool full_cap_scan = root_over_cap && me == root_shard && local == 0;
-        const std::vector<transition_id>& enabled = sh.enabled[local];
-        const std::vector<transition_id>* fire = &enabled;
-        if (stubborn) {
-            stubborn->reduce(row, enabled, sh.ws, sh.reduced);
-            fire = &sh.reduced;
-        }
-        for (transition_id t : *fire) {
-            std::uint64_t next_hash = row_hash;
-            bool over_cap = false;
-            const delta_list& delta = deltas[t.index()];
-            for (const auto& [place, d] : delta) {
-                const std::int64_t now = row[place];
-                const std::int64_t then = now + d;
-                next_hash ^= marking_store::component_mix(place, now) ^
-                             marking_store::component_mix(place, then);
-                over_cap |= d > 0 && then > cap;
-            }
-            if (full_cap_scan && !over_cap) {
-                std::size_t at = 0;
-                for (std::size_t place = 0; place < width; ++place) {
-                    std::int64_t then = row[place];
-                    if (at < delta.size() && delta[at].first == place) {
-                        then += delta[at++].second;
-                    }
-                    if (then > cap) {
-                        over_cap = true;
-                        break;
-                    }
-                }
-            }
-            if (over_cap) {
-                sh.saw_over_cap = true;
-                continue;
-            }
-            ++cand_tally;
-            const std::uint32_t dest = shard_of(next_hash);
-            sh.out[dest].push_back(
-                {next_hash, row, &enabled, me, local, t});
-            if (dest != me && sh.out[dest].size() >= flush_at) {
-                queues.push(dest, std::move(sh.out[dest]));
-                sh.out[dest].clear();
-            }
-        }
-    };
-
-    const auto worker = [&](std::size_t w) {
-        const std::size_t home = shard_count * w / threads;
-        const std::size_t home_end = shard_count * (w + 1) / threads;
-        std::vector<ucand> self;
-        while (auto claimed = queues.claim_work(home)) {
-            const auto me = static_cast<std::uint32_t>(claimed->shard);
-            ushard& sh = shards[me];
-            ++obs_claims[w];
-            obs_steals[w] += (me < home || me >= home_end) ? 1 : 0;
-            std::size_t retired = 0;
-            for (std::vector<ucand>& batch : claimed->batches) {
-                for (const ucand& cand : batch) {
-                    if (budget_exceeded.load(std::memory_order_relaxed)) {
-                        break;
-                    }
-                    resolve(sh, cand);
-                }
-                retired += batch.size();
-            }
-            // Drain follow-on work while we own the shard: self-routed
-            // candidates first (they may dedup against states about to be
-            // expanded), then the frontier.
-            for (;;) {
-                if (budget_exceeded.load(std::memory_order_relaxed)) {
-                    break;
-                }
-                if (!sh.out[me].empty()) {
-                    self.clear();
-                    self.swap(sh.out[me]);
-                    for (const ucand& cand : self) {
-                        if (budget_exceeded.load(std::memory_order_relaxed)) {
-                            break;
-                        }
-                        resolve(sh, cand);
-                    }
-                    continue;
-                }
-                if (sh.frontier.empty()) {
-                    break;
-                }
-                const state_id local = sh.frontier.back();
-                sh.frontier.pop_back();
-                expand(sh, me, local, obs_cands[w]);
-                ++retired;
-            }
-            for (std::uint32_t dest = 0; dest < shard_count; ++dest) {
-                if (dest != me && !sh.out[dest].empty()) {
-                    queues.push(dest, std::move(sh.out[dest]));
-                    sh.out[dest].clear();
-                }
-            }
-            queues.release(me);
-            queues.finish_work(retired);
-        }
-    };
-    pool.for_each_index(threads, worker);
-
-    if (budget_exceeded.load(std::memory_order_relaxed)) {
-        // The reachable set outgrew max_states: only a discovery-ordered
-        // run knows which prefix survives, so the free run's result is
-        // unusable.  Discard it and pay for the exact answer.
-        if (obs::stats_enabled()) {
-            obs::get_counter("pn.unord.budget_fallbacks").add(1);
-        }
-        run_span.arg("budget_fallback", 1);
-        state_space fallback = explore_leveled(net, options);
-        detail::space_access::unordered_fallback(fallback) = true;
-        return fallback;
-    }
-
-    // Assembly.  Temporary ids concatenate the shard stores; a counting
-    // sort lays the edges out as a CSR over temp ids, each row sorted by
-    // transition; the BFS renumber pass then rewrites both to canonical
-    // sequential ids.
-    obs::span assembly_span("explore.unordered.assembly");
-    std::vector<std::size_t> base(shard_count + 1, 0);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-        base[s + 1] = base[s] + shards[s].store.size();
-    }
-    const std::size_t total = base[shard_count];
-
-    std::vector<std::size_t> row_begin(total + 1, 0);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-        for (const uedge& e : shards[s].edges) {
-            ++row_begin[base[e.parent_shard] + e.parent_local + 1];
-        }
-    }
-    for (std::size_t i = 0; i < total; ++i) {
-        row_begin[i + 1] += row_begin[i];
-    }
-    struct temp_edge {
-        transition_id via{0};
-        std::size_t child = 0;
-    };
-    std::vector<temp_edge> temp_edges(row_begin[total]);
-    {
-        std::vector<std::size_t> cursor(row_begin.begin(), row_begin.end() - 1);
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            for (const uedge& e : shards[s].edges) {
-                const std::size_t p = base[e.parent_shard] + e.parent_local;
-                temp_edges[cursor[p]++] = {e.via, base[s] + e.child_local};
-            }
-        }
-    }
-    // Rows are disjoint slices: sort them in parallel.  Each row holds at
-    // most one edge per transition (states expand exactly once), so the
-    // order is total.
-    if (total != 0) {
-        const std::size_t sort_chunks = std::min<std::size_t>(total, threads * 4);
-        pool.for_each_index(sort_chunks, [&](std::size_t c) {
-            const std::size_t begin = total * c / sort_chunks;
-            const std::size_t end = total * (c + 1) / sort_chunks;
-            for (std::size_t p = begin; p < end; ++p) {
-                std::sort(temp_edges.begin() +
-                              static_cast<std::ptrdiff_t>(row_begin[p]),
-                          temp_edges.begin() +
-                              static_cast<std::ptrdiff_t>(row_begin[p + 1]),
-                          [](const temp_edge& a, const temp_edge& b) {
-                              return a.via < b.via;
-                          });
-            }
-        });
-    }
-
-    // BFS renumber over the final graph (children in ascending transition
-    // order) == sequential discovery order; see "Determinism still holds"
-    // above.  Every interned state was interned off a recorded edge, so the
-    // walk covers all of them.
-    const std::size_t unseen = total;
-    std::vector<std::size_t> new_of_temp(total, unseen);
-    std::vector<std::size_t> temp_of_new;
-    temp_of_new.reserve(total);
-    new_of_temp[base[root_shard]] = 0;
-    temp_of_new.push_back(base[root_shard]);
-    for (std::size_t i = 0; i < temp_of_new.size(); ++i) {
-        const std::size_t p = temp_of_new[i];
-        for (std::size_t e = row_begin[p]; e < row_begin[p + 1]; ++e) {
-            const std::size_t child = temp_edges[e].child;
-            if (new_of_temp[child] == unseen) {
-                new_of_temp[child] = temp_of_new.size();
-                temp_of_new.push_back(child);
-            }
-        }
-    }
-    assert(temp_of_new.size() == total);
-
-    state_space result;
-    marking_store& rstore = detail::space_access::store(result);
-    std::vector<state_space_edge>& redges = detail::space_access::edges(result);
-    std::vector<std::size_t>& roffsets = detail::space_access::edge_offsets(result);
-    rstore = marking_store(width, pager, 8);
-    // Renumber by adoption: the result store references the shard stores'
-    // arena rows in place and takes ownership of the stores themselves, so
-    // no marking bytes move (pn.unord.renumber_bytes_moved pins this at 0).
-    rstore.start_adopt(total);
-    {
-        const std::size_t fill_chunks = std::min<std::size_t>(total, threads * 4);
-        pool.for_each_index(fill_chunks, [&](std::size_t c) {
-            const std::size_t begin = total * c / fill_chunks;
-            const std::size_t end = total * (c + 1) / fill_chunks;
-            for (std::size_t gid = begin; gid < end; ++gid) {
-                const std::size_t p = temp_of_new[gid];
-                const std::size_t s = static_cast<std::size_t>(
-                    std::upper_bound(base.begin(), base.end(), p) - base.begin() - 1);
-                const auto local = static_cast<state_id>(p - base[s]);
-                const marking_store& store = shards[s].store;
-                rstore.set_adopted(static_cast<state_id>(gid),
-                                   detail::row_access::row<std::int64_t>(store, local),
-                                   store.stored_hash(local));
-            }
-        });
-    }
-    // Shard-store tallies flush now — the stores are about to be moved into
-    // the result as adoption backing.
-    std::size_t shard_states_total = 0;
-    std::size_t shard_states_max = 0;
-    if (obs::stats_enabled()) {
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            const std::size_t interned = shards[s].store.size();
-            shard_states_total += interned;
-            shard_states_max = std::max(shard_states_max, interned);
-            obs::get_counter("pn.par.shard." + std::to_string(s) + ".states")
-                .add(interned);
-            detail::flush_store_obs(shards[s].store);
-        }
-    }
-    {
-        std::vector<std::unique_ptr<marking_store>> backing;
-        backing.reserve(shard_count);
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            backing.push_back(
-                std::make_unique<marking_store>(std::move(shards[s].store)));
-        }
-        rstore.finish_adopt(std::move(backing));
-    }
-
-    roffsets.reserve(total + 1);
-    roffsets.push_back(0);
-    redges.reserve(row_begin[total]);
-    for (std::size_t gid = 0; gid < total; ++gid) {
-        const std::size_t p = temp_of_new[gid];
-        for (std::size_t e = row_begin[p]; e < row_begin[p + 1]; ++e) {
-            redges.push_back(
-                {temp_edges[e].via,
-                 static_cast<state_id>(new_of_temp[temp_edges[e].child])});
-        }
-        roffsets.push_back(redges.size());
-    }
-    bool truncated = false;
-    for (const ushard& sh : shards) {
-        truncated |= sh.saw_over_cap;
-    }
-    detail::space_access::truncated(result) = truncated;
-    assembly_span.arg("states", static_cast<std::int64_t>(total));
-
-    if (stubborn && options.strength == reduction_strength::ltl_x) {
-        // The renumbered graph equals the sequential engine's, and the
-        // fix-up interns in a deterministic sequential order however its
-        // candidate batches are generated, so unordered ltl_x results stay
-        // bit-identical too.
-        detail::enforce_nonignoring(net, *stubborn, result,
-                                    {.max_states = options.max_states,
-                                     .max_tokens_per_place =
-                                         options.max_tokens_per_place,
-                                     .reduction = options.reduction,
-                                     .strength = options.strength,
-                                     .observed_places = options.observed_places},
-                                    &pool);
-    }
-
-    if (obs::stats_enabled()) {
-        std::uint64_t claims = 0;
-        std::uint64_t steals = 0;
-        std::uint64_t cands = 0;
-        for (std::size_t w = 0; w < threads; ++w) {
-            claims += obs_claims[w];
-            steals += obs_steals[w];
-            cands += obs_cands[w];
-        }
-        obs::get_counter("pn.unord.claims").add(claims);
-        obs::get_counter("pn.unord.steals").add(steals);
-        obs::get_counter("pn.par.candidates").add(cands);
-        obs::get_counter("pn.explore.states").add(rstore.size());
-        obs::get_counter("pn.explore.edges").add(redges.size());
-        // Proves the renumber pass stopped copying markings: adoption moves
-        // store ownership, not bytes.
-        obs::get_counter("pn.unord.renumber_bytes_moved", "bytes").add(0);
-        const double mean = static_cast<double>(shard_states_total) /
-                            static_cast<double>(shard_count);
-        obs::get_gauge("pn.par.shard_imbalance", "ratio")
-            .set(mean == 0.0 ? 0.0 : static_cast<double>(shard_states_max) / mean);
-        if (truncated) {
-            obs::get_counter("pn.explore.truncations").add(1);
-        }
-    }
-    detail::flush_store_obs(rstore);
-    if (pager != nullptr) {
-        pager->flush_obs();
-    }
-    run_span.arg("states", static_cast<std::int64_t>(rstore.size()));
-    return result;
-}
-
-} // namespace
-
-state_space explore_parallel(const petri_net& net,
-                             const parallel_explore_options& options)
-{
-    return options.order == exploration_order::unordered
-               ? explore_unordered(net, options)
-               : explore_leveled(net, options);
 }
 
 } // namespace fcqss::pn

@@ -1,88 +1,34 @@
 // fcqss — pn/parallel_explore.hpp
 // Sharded parallel BFS over the arena-interned state-space engine.  The
-// marking universe is partitioned into hash-prefix shards, each owning a
-// private marking_store (arena + open-addressing table) that only one
-// worker thread ever mutates; successors that hash to another shard travel
-// through per-(chunk, shard) handoff outboxes between barriers, so the hot
-// paths need no locks at all.  Exploration is level-synchronous, and ids
-// are (re)assigned after every level in sequential discovery order, which
-// makes the result *bit-identical* to explore_state_space() — same state
-// ids, same CSR edge layout, same truncation behaviour — for every thread
-// and shard count.  See the "Determinism" note in parallel_explore.cpp.
+// marking universe is partitioned into hash-prefix shards (2 x threads,
+// rounded up to a power of two), each owning a private marking_store (arena
+// + open-addressing table) that only one worker thread ever mutates;
+// successors that hash to another shard travel through per-(chunk, shard)
+// handoff outboxes between barriers, so the hot paths need no locks at all.
+// Exploration is level-synchronous, and ids are (re)assigned after every
+// level in sequential discovery order, which makes the result
+// *bit-identical* to explore_state_space() — same state ids, same CSR edge
+// layout, same truncation behaviour — for every thread count.  See the
+// "Determinism" note in parallel_explore.cpp.
 #ifndef FCQSS_PN_PARALLEL_EXPLORE_HPP
 #define FCQSS_PN_PARALLEL_EXPLORE_HPP
-
-#include <cstddef>
-#include <cstdint>
 
 #include "pn/petri_net.hpp"
 #include "pn/state_space.hpp"
 
 namespace fcqss::pn {
 
-/// How the parallel engine schedules exploration.
-enum class exploration_order {
-    /// Level-synchronous: barrier-separated phases per BFS level, ids
-    /// assigned as the levels complete.  Scaling is capped by the slowest
-    /// shard of each level, but every intermediate structure is already in
-    /// canonical order.
-    ordered,
-    /// Barrier-free: shards run free over per-shard inbox queues with work
-    /// stealing (exec/shard_queues.hpp), overlapping expansion and dedup
-    /// across levels.  The run produces a stable state *set*; one
-    /// deterministic renumber pass (BFS discovery order over the final
-    /// graph) then restores canonical ids, so the published result is still
-    /// bit-identical to explore_state_space() at any thread/shard count.
-    /// When the state budget actually binds (the reachable set minus
-    /// token-cap drops exceeds max_states), a free run cannot know which
-    /// states the sequential prefix keeps, so the engine detects the budget
-    /// crossing, discards the free run and re-runs level-synchronously —
-    /// truncation semantics stay exact at the cost of the speedup, which a
-    /// binding budget caps anyway.
-    unordered,
-};
-
-struct parallel_explore_options {
-    /// Worker threads; 0 picks the hardware concurrency.  1 still runs the
-    /// sharded engine on a single worker (the differential tests rely on
-    /// exercising the same code path at every thread count).
-    std::size_t threads = 0;
-    /// Hash-prefix shard count; rounded up to a power of two.  0 derives
-    /// one from the resolved thread count (2x threads, so work stays
-    /// balanced when one shard's frontier slice runs hot).
-    std::size_t shards = 0;
-    /// Budgets, mirroring state_space_options.
-    std::size_t max_states = 100000;
-    std::int64_t max_tokens_per_place = 1 << 20;
-    /// Soft ceiling on resident arena bytes shared by the result and every
-    /// per-shard store; 0 = unlimited.  See state_space_options::max_bytes —
-    /// the published graph is bit-identical at any spill ratio.
-    std::size_t max_bytes = 0;
-    /// Per-state partial-order reduction (pn/stubborn.hpp).  The stubborn
-    /// subset is a deterministic function of each marking alone, so the
-    /// bit-identical-at-any-thread-count guarantee holds for reduced
-    /// exploration too: explore_parallel with reduction equals
-    /// explore_state_space with the same reduction.
-    reduction_kind reduction = reduction_kind::none;
-    /// Reduction strength (pn/stubborn.hpp).  Under ltl_x the ignoring
-    /// fix-up runs as the same deterministic sequential post-pass both
-    /// engines share (detail::enforce_nonignoring), on the already
-    /// bit-identical leveled graph — so the guarantee above survives.
-    reduction_strength strength = reduction_strength::deadlock;
-    /// Places the query observes (the ltl_x visibility set).
-    std::vector<place_id> observed_places{};
-    /// Scheduling discipline (see exploration_order).  Both orders publish
-    /// the same bit-identical result; `unordered` trades the level barrier
-    /// for a renumber pass and wins on wide, skewed frontiers.
-    exploration_order order = exploration_order::ordered;
-};
-
 /// Breadth-first exploration from the net's initial marking on the sharded
-/// parallel engine.  Returns the same states, ids, edges and truncation
-/// verdict as explore_state_space() regardless of options.threads /
-/// options.shards.
+/// parallel engine, with options.threads workers taken literally: 0 picks
+/// the hardware concurrency, and 1 still runs the sharded engine on a
+/// single worker (the differential tests rely on exercising the same code
+/// path at every thread count).  Returns the same states, ids, edges and
+/// truncation verdict as explore_state_space() with the same budgets and
+/// reduction, at any thread count.  Under ltl_x the ignoring fix-up runs as
+/// the same deterministic sequential post-pass both engines share
+/// (detail::enforce_nonignoring), so the guarantee covers it too.
 [[nodiscard]] state_space explore_parallel(const petri_net& net,
-                                           const parallel_explore_options& options = {});
+                                           const reachability_options& options = {});
 
 } // namespace fcqss::pn
 

@@ -10,24 +10,8 @@ namespace fcqss::pn {
 
 state_space explore_space(const petri_net& net, const reachability_options& options)
 {
-    if (options.threads == 1) {
-        return explore_state_space(
-            net, {.max_states = options.max_markings,
-                  .max_tokens_per_place = options.max_tokens_per_place,
-                  .max_bytes = options.max_bytes,
-                  .reduction = options.reduction,
-                  .strength = options.strength,
-                  .observed_places = options.observed_places});
-    }
-    return explore_parallel(net,
-                            {.threads = options.threads,
-                             .max_states = options.max_markings,
-                             .max_tokens_per_place = options.max_tokens_per_place,
-                             .max_bytes = options.max_bytes,
-                             .reduction = options.reduction,
-                             .strength = options.strength,
-                             .observed_places = options.observed_places,
-                             .order = options.order});
+    return options.threads == 1 ? explore_state_space(net, options)
+                                : explore_parallel(net, options);
 }
 
 reachability_graph explore(const petri_net& net, const reachability_options& options)

@@ -1,7 +1,8 @@
 // fcqss — pn/reachability.hpp
 // Explicit-state reachability graph with an exploration budget.  Used for
 // deadlock checks, liveness of bounded nets and for cross-validating the
-// structural analyses in tests.
+// structural analyses in tests.  Every entry point takes the one option
+// struct, reachability_options (pn/state_space.hpp).
 #ifndef FCQSS_PN_REACHABILITY_HPP
 #define FCQSS_PN_REACHABILITY_HPP
 
@@ -13,43 +14,9 @@
 #include "pn/firing.hpp"
 #include "pn/marking.hpp"
 #include "pn/petri_net.hpp"
-#include "pn/parallel_explore.hpp"
 #include "pn/state_space.hpp"
 
 namespace fcqss::pn {
-
-/// Limits for explicit exploration.  `max_markings` bounds the state count;
-/// `max_tokens_per_place` aborts exploration of (necessarily unbounded) runs
-/// where some place exceeds the cap.
-struct reachability_options {
-    std::size_t max_markings = 100000;
-    std::int64_t max_tokens_per_place = 1 << 20;
-    /// Soft ceiling on resident arena bytes; 0 = unlimited.  Non-zero backs
-    /// the marking arenas with an mmap'd spill file (exec::chunk_pager) and
-    /// evicts cold chunks, so exploration can outgrow RAM; the explored
-    /// graph is bit-identical at any spill ratio.
-    std::size_t max_bytes = 0;
-    /// Worker threads for exploration: 1 runs the sequential engine, any
-    /// other value the sharded parallel engine (0 = hardware concurrency).
-    /// Results are bit-identical either way.
-    std::size_t threads = 1;
-    /// Per-state partial-order reduction (pn/stubborn.hpp).  `stubborn`
-    /// explores a property-preserving fragment: with `strength = deadlock`
-    /// has-deadlock and the set of reachable dead markings match the full
-    /// graph (exactly, when neither run is truncated); with `strength =
-    /// ltl_x` transition liveness and stutter-invariant queries over
-    /// `observed_places` are preserved too.  The reachability *set* is
-    /// never preserved — keep `none` for is_reachable / shortest_path /
-    /// place_bounds-style queries.
-    reduction_kind reduction = reduction_kind::none;
-    /// Reduction strength (pn/stubborn.hpp); meaningful with `stubborn`.
-    reduction_strength strength = reduction_strength::deadlock;
-    /// Places the query observes (the ltl_x visibility set).
-    std::vector<place_id> observed_places{};
-    /// Parallel scheduling discipline (pn/parallel_explore.hpp); ignored by
-    /// the sequential engine.  Both orders publish bit-identical results.
-    exploration_order order = exploration_order::ordered;
-};
 
 /// One explored marking and its outgoing firings.
 struct reachability_node {

@@ -34,11 +34,6 @@ bool& space_access::truncated(state_space& space)
     return space.truncated_;
 }
 
-bool& space_access::unordered_fallback(state_space& space)
-{
-    return space.unordered_fallback_;
-}
-
 void flush_store_obs(const marking_store& store)
 {
     if (!obs::stats_enabled()) {
@@ -182,7 +177,7 @@ FCQSS_INSTANTIATE_COUNT(std::int64_t)
 // state per offending SCC per round and re-explores only the freshly
 // discovered states, never restarting from scratch.
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const state_space_options& options,
+                         state_space& space, const reachability_options& options,
                          exec::executor* pool)
 {
     obs::span pass_span("explore.nonignoring");
@@ -286,7 +281,7 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
             return;
         }
         const auto [to, inserted] =
-            store.intern(cand.tokens.data(), cand.hash, options.max_states);
+            store.intern(cand.tokens.data(), cand.hash, options.max_markings);
         if (to == invalid_state) {
             space.truncated_ = true;
             return;
@@ -465,7 +460,7 @@ marking state_space::marking_of(state_id s) const
     return marking(store_.tokens(s));
 }
 
-state_space explore_state_space(const petri_net& net, const state_space_options& options)
+state_space explore_state_space(const petri_net& net, const reachability_options& options)
 {
     obs::span run_span("explore.seq");
     const std::size_t width = net.place_count();
@@ -596,7 +591,7 @@ state_space explore_state_space(const petri_net& net, const state_space_options&
                 result.truncated_ = true;
             } else {
                 const auto [to, inserted] =
-                    result.store_.intern(scratch.data(), next_hash, options.max_states);
+                    result.store_.intern(scratch.data(), next_hash, options.max_markings);
                 if (to == invalid_state) {
                     result.truncated_ = true;
                 } else {

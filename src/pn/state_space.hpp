@@ -9,6 +9,9 @@
 // successor hashes are updated Zobrist-style from the parent's hash in
 // O(|arcs of t|).  Row pointers stay valid until the next widening; public
 // accessors decode: tokens() returns a copy, load() fills a caller buffer.
+// One option struct, reachability_options, configures this engine, the
+// sharded parallel one (pn/parallel_explore.hpp) and every entry point in
+// pn/reachability.hpp.
 #ifndef FCQSS_PN_STATE_SPACE_HPP
 #define FCQSS_PN_STATE_SPACE_HPP
 
@@ -29,28 +32,45 @@ class executor;
 
 namespace fcqss::pn {
 
-struct parallel_explore_options;
 struct state_space_edge;
 class state_space;
 
-/// Budgets for explicit exploration, mirroring reachability_options.
-struct state_space_options {
-    std::size_t max_states = 100000;
+/// The one option struct of explicit exploration: budgets, threading and
+/// partial-order reduction for explore_state_space, explore_parallel and
+/// the reachability entry points built on them (pn/reachability.hpp).
+struct reachability_options {
+    /// State budget: the first max_markings states in BFS discovery order
+    /// are kept; dropping a successor past it marks the space truncated.
+    std::size_t max_markings = 100000;
+    /// Token cap: a successor with a count above it in some place is
+    /// dropped (the net is unbounded there) and marks the space truncated.
     std::int64_t max_tokens_per_place = 1 << 20;
     /// Soft ceiling on resident arena bytes; 0 = unlimited (heap arena).
-    /// Non-zero routes arena chunks through an exec::chunk_pager backed by
-    /// an mmap'd spill file, evicting cold chunks past the budget.  The
+    /// Non-zero routes every arena chunk of the run (result and parallel
+    /// shard stores alike) through one exec::chunk_pager backed by an
+    /// mmap'd spill file, evicting cold chunks past the budget.  The
     /// explored graph is bit-identical either way — only residency changes.
     std::size_t max_bytes = 0;
+    /// Worker threads.  explore_space() and explore() run the sequential
+    /// engine at 1 and the sharded parallel engine otherwise;
+    /// explore_parallel() takes the value literally (0 = hardware
+    /// concurrency, 1 = the sharded engine on one worker);
+    /// explore_state_space() ignores it.  Results are bit-identical at any
+    /// value.
+    std::size_t threads = 1;
     /// Per-state partial-order reduction (pn/stubborn.hpp).  `stubborn`
-    /// preserves deadlock verdicts and the set of reachable dead markings,
-    /// not the full reachability set.
+    /// explores a property-preserving fragment: with `strength = deadlock`
+    /// has-deadlock and the set of reachable dead markings match the full
+    /// graph (exactly, when neither run is truncated); with `strength =
+    /// ltl_x` transition liveness and stutter-invariant queries over
+    /// `observed_places` are preserved too.  The reachability *set* is
+    /// never preserved — keep `none` for is_reachable / shortest_path /
+    /// place_bounds-style queries.
     reduction_kind reduction = reduction_kind::none;
     /// How much the stubborn reduction preserves (pn/stubborn.hpp):
     /// `deadlock` applies D1/D2 only; `ltl_x` adds the visibility
     /// conditions over `observed_places` and the SCC-local "no transition
-    /// ignored forever" post-pass, so transition liveness and
-    /// stutter-invariant queries stay exact on the reduced graph.
+    /// ignored forever" post-pass.
     reduction_strength strength = reduction_strength::deadlock;
     /// Places the query observes (the ltl_x visibility set — see
     /// stubborn_options::observed_places).  Empty is right for deadlock and
@@ -112,7 +132,7 @@ void merge_enabled(const petri_net& net, const std::vector<transition_id>& paren
 /// the exact order the inline path interns in — so the result is
 /// bit-identical with or without the pool at any thread count.
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const state_space_options& options,
+                         state_space& space, const reachability_options& options,
                          exec::executor* pool = nullptr);
 
 /// Adds one store's dedup-work tallies (probes, dedup hits, inserts, budget
@@ -130,7 +150,6 @@ struct space_access {
     [[nodiscard]] static std::vector<state_space_edge>& edges(state_space& space);
     [[nodiscard]] static std::vector<std::size_t>& edge_offsets(state_space& space);
     [[nodiscard]] static bool& truncated(state_space& space);
-    [[nodiscard]] static bool& unordered_fallback(state_space& space);
 };
 
 } // namespace detail
@@ -154,15 +173,6 @@ public:
     /// True when a budget stopped exploration; "for all reachable markings"
     /// verdicts then only hold for the explored region.
     [[nodiscard]] bool truncated() const noexcept { return truncated_; }
-    /// True when an unordered run hit a binding state budget and re-ran
-    /// level-synchronously (the kept prefix of a free run is
-    /// order-dependent, so truncation semantics belong to the leveled
-    /// engine).  The result is still exact-truncation correct; this flag
-    /// only records that the requested exploration order was not used.
-    [[nodiscard]] bool unordered_fallback() const noexcept
-    {
-        return unordered_fallback_;
-    }
 
     /// Token counts of state s, decoded into a fresh vector.
     [[nodiscard]] std::vector<std::int64_t> tokens(state_id s) const
@@ -184,13 +194,11 @@ public:
 
 private:
     friend state_space explore_state_space(const petri_net& net,
-                                           const state_space_options& options);
-    friend state_space explore_parallel(const petri_net& net,
-                                        const parallel_explore_options& options);
+                                           const reachability_options& options);
     friend void detail::enforce_nonignoring(const petri_net& net,
                                             const stubborn_reduction& reduction,
                                             state_space& space,
-                                            const state_space_options& options,
+                                            const reachability_options& options,
                                             exec::executor* pool);
     friend struct detail::space_access;
 
@@ -199,14 +207,13 @@ private:
     /// size state_count()+1; successors of s are edges_[offsets[s]..offsets[s+1]).
     std::vector<std::size_t> edge_offsets_;
     bool truncated_ = false;
-    bool unordered_fallback_ = false;
 };
 
 /// Breadth-first exploration from the net's initial marking.  Visits exactly
 /// the states and edges of the naive reference exploration (reachability.cpp
-/// explore_reference), in the same order.
+/// explore_reference), in the same order.  options.threads is ignored.
 [[nodiscard]] state_space explore_state_space(const petri_net& net,
-                                              const state_space_options& options = {});
+                                              const reachability_options& options = {});
 
 /// A reusable token-game runner over a dense token vector: one allocation
 /// per game, checked enabling, unchecked firing (pn::fire_unchecked).  The

@@ -187,16 +187,6 @@ void session::handle_explore(const json& request)
         max_tokens->as_number() < static_cast<double>(explore.max_tokens_per_place)) {
         explore.max_tokens_per_place = static_cast<std::int64_t>(max_tokens->as_number());
     }
-    if (const json* order = request.find("order"); order != nullptr) {
-        if (order->as_string() == "ordered") {
-            explore.order = pn::exploration_order::ordered;
-        } else if (order->as_string() == "unordered") {
-            explore.order = pn::exploration_order::unordered;
-        } else {
-            send_error("explore \"order\" must be \"ordered\" or \"unordered\"");
-            return;
-        }
-    }
     if (const json* reduce = request.find("reduce"); reduce != nullptr) {
         if (reduce->as_string() == "none") {
             explore.reduction = pn::reduction_kind::none;
@@ -226,7 +216,6 @@ void session::handle_explore(const json& request)
         event.set("edges", space.edge_count());
         event.set("truncated", space.truncated());
         event.set("deadlock", pn::find_deadlock(net, space).has_value());
-        event.set("fallback", space.unordered_fallback());
         sink_(event.dump());
     } catch (const std::exception& error) {
         send_error(error.what());

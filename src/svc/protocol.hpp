@@ -11,7 +11,7 @@
 //   {"op":"synthesize","id":"r1","net":"<.pn text>","stream":true}
 //   {"op":"synthesize","id":"r2","path":"examples/nets/choice.pn"}
 //   {"op":"explore","id":"x1","net":"<.pn text>","max_states":5000,
-//    "max_tokens":64,"order":"unordered","reduce":"stubborn"}
+//    "max_tokens":64,"reduce":"stubborn"}
 //   {"op":"ping","id":"p"}
 //   {"op":"stats"}
 //   {"op":"shutdown"}
@@ -24,10 +24,11 @@
 //   `explore` runs state-space exploration synchronously on the session
 //   thread and replies with one `explored` event.  The client may tighten
 //   `max_states` / `max_tokens` (clamped to the server's ceilings, never
-//   widened) and pick `order` (ordered|unordered) and `reduce`
-//   (none|stubborn|stubborn-ltlx); thread count and the resident-memory
-//   budget (--max-bytes) are server policy and not negotiable over the
-//   wire.
+//   widened) and pick `reduce` (none|stubborn|stubborn-ltlx); thread count
+//   and the resident-memory budget (--max-bytes) are server policy and not
+//   negotiable over the wire.  Wire change: an `order` field is ignored
+//   like any unknown field (there is one exploration order), and
+//   `explored` has no `fallback` member.
 //
 // Events (`event` discriminates; `id` echoes the client id when given):
 //
@@ -36,7 +37,7 @@
 //   {"event":"done","id":"r1","request":7,"status":"ok","code":0,
 //    "deduplicated":false,"cached":false,...,"c":"<generated C>"}
 //   {"event":"explored","id":"x1","states":412,"edges":988,
-//    "truncated":false,"deadlock":false,"fallback":false}
+//    "truncated":false,"deadlock":false}
 //   {"event":"rejected","id":"r9","reason":"overloaded"}   // backpressure
 //   {"event":"error","message":"..."}                      // malformed line
 //   {"event":"pong","id":"p"}

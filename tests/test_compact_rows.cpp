@@ -273,17 +273,17 @@ struct widening_case {
     unsigned final_bytes;        ///< count width at the end of the full run
     std::uint64_t seq_widenings; ///< pinned pn.store.widenings, sequential
 
-    state_space_options seq(std::size_t max_states, std::size_t max_bytes = 0) const
+    reachability_options seq(std::size_t max_states, std::size_t max_bytes = 0) const
     {
-        return {.max_states = max_states, .max_tokens_per_place = cap,
+        return {.max_markings = max_states, .max_tokens_per_place = cap,
                 .max_bytes = max_bytes};
     }
 
-    parallel_explore_options par(std::size_t threads, std::size_t max_states,
-                                 std::size_t max_bytes = 0) const
+    reachability_options par(std::size_t threads, std::size_t max_states,
+                             std::size_t max_bytes = 0) const
     {
-        return {.threads = threads, .max_states = max_states,
-                .max_tokens_per_place = cap, .max_bytes = max_bytes};
+        return {.max_markings = max_states, .max_tokens_per_place = cap,
+                .max_bytes = max_bytes, .threads = threads};
     }
 };
 
@@ -470,13 +470,13 @@ TEST(compact_engines, widening_under_stubborn_reduction_matches_the_sequential_e
                 c.name + std::string(strength == reduction_strength::deadlock
                                          ? " deadlock"
                                          : " ltl_x");
-            state_space_options seq_options = c.seq(all_states);
+            reachability_options seq_options = c.seq(all_states);
             seq_options.reduction = reduction_kind::stubborn;
             seq_options.strength = strength;
             const state_space seq = explore_state_space(c.net, seq_options);
             for (const std::size_t budget : {std::size_t{0}, std::size_t{4096}}) {
                 for (const std::size_t threads : thread_counts) {
-                    parallel_explore_options options = c.par(threads, all_states, budget);
+                    reachability_options options = c.par(threads, all_states, budget);
                     options.reduction = reduction_kind::stubborn;
                     options.strength = strength;
                     expect_identical_spaces(seq, explore_parallel(c.net, options),

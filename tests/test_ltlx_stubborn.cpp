@@ -351,14 +351,15 @@ void expect_ltlx_verdicts_match(const petri_net& net)
     }
 
     const state_space sequential = explore_state_space(
-        net, {.max_states = full.max_markings,
+        net, {.max_markings = full.max_markings,
               .reduction = reduction_kind::stubborn,
               .strength = reduction_strength::ltl_x});
     EXPECT_LE(sequential.state_count(), 300000u);
     for (const std::size_t threads : thread_counts) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         const state_space parallel = explore_parallel(
-            net, {.threads = threads, .max_states = full.max_markings,
+            net, {.max_markings = full.max_markings,
+                  .threads = threads,
                   .reduction = reduction_kind::stubborn,
                   .strength = reduction_strength::ltl_x});
         expect_identical_spaces(sequential, parallel);
@@ -440,14 +441,15 @@ TEST(ltlx_stubborn, verdicts_under_tight_budgets)
     for (const std::size_t max_states : {std::size_t{7}, std::size_t{120}}) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
-            net, {.max_states = max_states, .max_tokens_per_place = 64,
+            net, {.max_markings = max_states, .max_tokens_per_place = 64,
                   .reduction = reduction_kind::stubborn,
                   .strength = reduction_strength::ltl_x});
         for (const std::size_t threads : thread_counts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const state_space parallel = explore_parallel(
-                net, {.threads = threads, .max_states = max_states,
+                net, {.max_markings = max_states,
                       .max_tokens_per_place = 64,
+                      .threads = threads,
                       .reduction = reduction_kind::stubborn,
                       .strength = reduction_strength::ltl_x});
             expect_identical_spaces(sequential, parallel);
@@ -482,7 +484,7 @@ TEST(ltlx_stubborn, proviso_holds_in_every_cyclic_scc)
                              " credit " + std::to_string(credit) + " net " +
                              std::to_string(i));
                 const state_space reduced = explore_state_space(
-                    net, {.max_states = 300000,
+                    net, {.max_markings = 300000,
                           .reduction = reduction_kind::stubborn,
                           .strength = reduction_strength::ltl_x});
                 expect_proviso_holds(net, reduced);

@@ -104,21 +104,17 @@ TEST(parallel_explore, differential_on_generated_nets_all_families)
             const petri_net net = generator.next();
             SCOPED_TRACE(std::string("family ") + pipeline::to_string(family) +
                          " net " + std::to_string(i));
-            const state_space_options budget{.max_states = 1500,
-                                             .max_tokens_per_place = 64};
+            reachability_options budget{.max_markings = 1500,
+                                        .max_tokens_per_place = 64};
             const state_space sequential = explore_state_space(net, budget);
             for (const std::size_t threads : thread_counts) {
                 SCOPED_TRACE("threads " + std::to_string(threads));
-                const state_space parallel = explore_parallel(
-                    net, {.threads = threads, .max_states = budget.max_states,
-                          .max_tokens_per_place = budget.max_tokens_per_place});
-                expect_identical_spaces(sequential, parallel);
+                budget.threads = threads;
+                expect_identical_spaces(sequential, explore_parallel(net, budget));
             }
             // Anchor the chain all the way down to the naive reference BFS.
-            const reachability_options graph_budget{.max_markings = 1500,
-                                                    .max_tokens_per_place = 64};
-            expect_same_graph(explore(net, graph_budget),
-                              explore_reference(net, graph_budget));
+            budget.threads = 1;
+            expect_same_graph(explore(net, budget), explore_reference(net, budget));
         }
     }
 }
@@ -139,12 +135,13 @@ TEST(parallel_explore, differential_under_tight_state_budget)
                                          std::size_t{25}, std::size_t{200}}) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
-            net, {.max_states = max_states, .max_tokens_per_place = 64});
+            net, {.max_markings = max_states, .max_tokens_per_place = 64});
         for (const std::size_t threads : thread_counts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const state_space parallel =
-                explore_parallel(net, {.threads = threads, .max_states = max_states,
-                                       .max_tokens_per_place = 64});
+                explore_parallel(net, {.max_markings = max_states,
+                                       .max_tokens_per_place = 64,
+                                       .threads = threads});
             expect_identical_spaces(sequential, parallel);
         }
     }
@@ -161,28 +158,32 @@ TEST(parallel_explore, differential_under_tight_token_cap)
     const petri_net net = generator.next();
 
     const state_space sequential =
-        explore_state_space(net, {.max_states = 5000, .max_tokens_per_place = 2});
+        explore_state_space(net, {.max_markings = 5000, .max_tokens_per_place = 2});
     EXPECT_TRUE(sequential.truncated()); // sources pump past any cap
     for (const std::size_t threads : thread_counts) {
         const state_space parallel = explore_parallel(
-            net, {.threads = threads, .max_states = 5000, .max_tokens_per_place = 2});
+            net, {.max_markings = 5000, .max_tokens_per_place = 2, .threads = threads});
         expect_identical_spaces(sequential, parallel);
     }
 }
 
-TEST(parallel_explore, shard_count_does_not_change_the_result)
+TEST(parallel_explore, thread_count_does_not_change_the_result)
 {
+    // The engine runs 2 x threads shards rounded up to a power of two, so
+    // odd thread counts exercise the rounding (3 threads: 6 -> 8 shards,
+    // 5: 10 -> 16) and 32 threads a 64-way split of a small space.
     pipeline::generator_options options;
     options.family = pipeline::net_family::free_choice;
     options.token_load = 2;
     pipeline::net_generator generator(31, options);
     const petri_net net = generator.next();
 
-    const state_space sequential = explore_state_space(net, {.max_states = 2000});
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
+    const state_space sequential = explore_state_space(net, {.max_markings = 2000});
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{3}, std::size_t{5}, std::size_t{32}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
         const state_space parallel =
-            explore_parallel(net, {.threads = 4, .shards = shards, .max_states = 2000});
+            explore_parallel(net, {.max_markings = 2000, .threads = threads});
         expect_identical_spaces(sequential, parallel);
         expect_same_sets(sequential, parallel);
     }
@@ -193,122 +194,15 @@ TEST(parallel_explore, differential_on_paper_nets)
     for (const auto& build : {nets::figure_1a, nets::figure_2, nets::figure_4}) {
         const petri_net net = build();
         const state_space sequential =
-            explore_state_space(net, {.max_states = 5000,
+            explore_state_space(net, {.max_markings = 5000,
                                       .max_tokens_per_place = 1 << 10});
         for (const std::size_t threads : thread_counts) {
             const state_space parallel = explore_parallel(
-                net, {.threads = threads, .max_states = 5000,
-                      .max_tokens_per_place = 1 << 10});
+                net, {.max_markings = 5000,
+                      .max_tokens_per_place = 1 << 10,
+                      .threads = threads});
             expect_identical_spaces(sequential, parallel);
         }
-    }
-}
-
-TEST(parallel_explore, unordered_differential_on_generated_nets)
-{
-    for (const pipeline::net_family family :
-         {pipeline::net_family::marked_graph, pipeline::net_family::free_choice,
-          pipeline::net_family::choice_heavy}) {
-        pipeline::generator_options options;
-        options.family = family;
-        options.sources = 3;
-        options.depth = 5;
-        options.token_load = 2;
-        options.defect_percent = 50;
-        pipeline::net_generator generator(17, options);
-        for (int i = 0; i < 4; ++i) {
-            const petri_net net = generator.next();
-            SCOPED_TRACE(std::string("family ") + pipeline::to_string(family) +
-                         " net " + std::to_string(i));
-            const state_space_options budget{.max_states = 1500,
-                                             .max_tokens_per_place = 64};
-            const state_space sequential = explore_state_space(net, budget);
-            for (const std::size_t threads : thread_counts) {
-                SCOPED_TRACE("threads " + std::to_string(threads));
-                const state_space unordered = explore_parallel(
-                    net, {.threads = threads, .max_states = budget.max_states,
-                          .max_tokens_per_place = budget.max_tokens_per_place,
-                          .order = exploration_order::unordered});
-                expect_identical_spaces(sequential, unordered);
-            }
-        }
-    }
-}
-
-TEST(parallel_explore, unordered_differential_under_reduction)
-{
-    // Both strengths: deadlock exercises the plain stubborn subset in the
-    // free run, ltl_x additionally routes enforce_nonignoring (with the
-    // executor doing candidate generation) over the renumbered graph.
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::choice_heavy;
-    options.sources = 3;
-    options.depth = 5;
-    options.token_load = 2;
-    pipeline::net_generator generator(41, options);
-    for (int i = 0; i < 3; ++i) {
-        const petri_net net = generator.next();
-        SCOPED_TRACE("net " + std::to_string(i));
-        for (const reduction_strength strength :
-             {reduction_strength::deadlock, reduction_strength::ltl_x}) {
-            SCOPED_TRACE(strength == reduction_strength::ltl_x ? "ltl_x"
-                                                               : "deadlock");
-            const state_space sequential = explore_state_space(
-                net, {.max_states = 2000, .max_tokens_per_place = 64,
-                      .reduction = reduction_kind::stubborn, .strength = strength});
-            for (const std::size_t threads : thread_counts) {
-                SCOPED_TRACE("threads " + std::to_string(threads));
-                const state_space unordered = explore_parallel(
-                    net, {.threads = threads, .max_states = 2000,
-                          .max_tokens_per_place = 64,
-                          .reduction = reduction_kind::stubborn,
-                          .strength = strength,
-                          .order = exploration_order::unordered});
-                expect_identical_spaces(sequential, unordered);
-            }
-        }
-    }
-}
-
-TEST(parallel_explore, unordered_shard_count_does_not_change_the_result)
-{
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::free_choice;
-    options.token_load = 2;
-    pipeline::net_generator generator(31, options);
-    const petri_net net = generator.next();
-
-    const state_space sequential = explore_state_space(net, {.max_states = 2000});
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-        SCOPED_TRACE("shards " + std::to_string(shards));
-        const state_space unordered = explore_parallel(
-            net, {.threads = 4, .shards = shards, .max_states = 2000,
-                  .order = exploration_order::unordered});
-        expect_identical_spaces(sequential, unordered);
-        expect_same_sets(sequential, unordered);
-    }
-}
-
-TEST(parallel_explore, unordered_differential_under_tight_token_cap)
-{
-    // Token-cap drops are per-candidate deterministic, so the unordered run
-    // must keep them without falling back to the leveled engine.
-    pipeline::generator_options options;
-    options.family = pipeline::net_family::choice_heavy;
-    options.sources = 2;
-    options.depth = 4;
-    options.token_load = 1;
-    pipeline::net_generator generator(29, options);
-    const petri_net net = generator.next();
-
-    const state_space sequential =
-        explore_state_space(net, {.max_states = 5000, .max_tokens_per_place = 2});
-    EXPECT_TRUE(sequential.truncated());
-    for (const std::size_t threads : thread_counts) {
-        const state_space unordered = explore_parallel(
-            net, {.threads = threads, .max_states = 5000, .max_tokens_per_place = 2,
-                  .order = exploration_order::unordered});
-        expect_identical_spaces(sequential, unordered);
     }
 }
 
@@ -317,7 +211,7 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
     // The budget-crossing regression pin: sweep the state budget through
     // every value up to past the full reachable size, so many sweeps land
     // mid-level — where the kept set must still be exactly the sequential
-    // prefix whatever the thread/shard count, in both scheduling orders.
+    // prefix whatever the thread (and so shard) count.
     pipeline::generator_options options;
     options.family = pipeline::net_family::choice_heavy;
     options.sources = 2;
@@ -328,7 +222,7 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
     const petri_net net = generator.next();
 
     const state_space full =
-        explore_state_space(net, {.max_states = 4000, .max_tokens_per_place = 4});
+        explore_state_space(net, {.max_markings = 4000, .max_tokens_per_place = 4});
     const std::size_t reachable = full.state_count();
     ASSERT_LT(reachable, std::size_t{4000});
     ASSERT_GT(reachable, std::size_t{20});
@@ -336,42 +230,19 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
     for (std::size_t max_states = 1; max_states <= reachable + 2; ++max_states) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
-            net, {.max_states = max_states, .max_tokens_per_place = 4});
+            net, {.max_markings = max_states, .max_tokens_per_place = 4});
         // Kept set == sequential prefix of the full run, by construction of
         // the sequential engine; pin it explicitly so the differential
         // checks below inherit the meaning.
         ASSERT_EQ(sequential.state_count(), std::min(max_states, reachable));
-        for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-            for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-                SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
-                             std::to_string(shards));
-                const state_space ordered = explore_parallel(
-                    net, {.threads = threads, .shards = shards,
-                          .max_states = max_states, .max_tokens_per_place = 4});
-                expect_identical_spaces(sequential, ordered);
-                const state_space unordered = explore_parallel(
-                    net, {.threads = threads, .shards = shards,
-                          .max_states = max_states, .max_tokens_per_place = 4,
-                          .order = exploration_order::unordered});
-                expect_identical_spaces(sequential, unordered);
-            }
-        }
-    }
-}
-
-TEST(parallel_explore, unordered_differential_on_paper_nets)
-{
-    for (const auto& build : {nets::figure_1a, nets::figure_2, nets::figure_4}) {
-        const petri_net net = build();
-        const state_space sequential =
-            explore_state_space(net, {.max_states = 5000,
-                                      .max_tokens_per_place = 1 << 10});
-        for (const std::size_t threads : thread_counts) {
-            const state_space unordered = explore_parallel(
-                net, {.threads = threads, .max_states = 5000,
-                      .max_tokens_per_place = 1 << 10,
-                      .order = exploration_order::unordered});
-            expect_identical_spaces(sequential, unordered);
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            const state_space parallel =
+                explore_parallel(net, {.max_markings = max_states,
+                                       .max_tokens_per_place = 4,
+                                       .threads = threads});
+            expect_identical_spaces(sequential, parallel);
         }
     }
 }

@@ -1,14 +1,12 @@
 // External-memory differential net: exploration under a --max-bytes budget
 // must publish a state space bit-identical to the all-in-RAM run — same ids,
 // decoded tokens, CSR rows and truncation verdict — across generator families,
-// thread counts, exploration orders and spill ratios (budgets derived from
-// the unlimited run's own arena size).  Also pins the operational surface:
-// evictions really happen under a tight budget, the decode cache actually
-// serves intern probes on the sequential engine, the unordered renumber
-// pass moves zero bytes (adoption, not copying), the unordered->leveled
-// budget fallback is visible on the state_space, and a truncated spill file
-// surfaces as fcqss::io_error at the store layer, not UB.  The ASan CI job
-// runs this file, covering the whole mmap/madvise/refault path.
+// thread counts and spill ratios (budgets derived from the unlimited run's
+// own arena size).  Also pins the operational surface: evictions really
+// happen under a tight budget, the decode cache actually serves intern
+// probes on the sequential engine, and a truncated spill file surfaces as
+// fcqss::io_error at the store layer, not UB.  The ASan CI job runs this
+// file, covering the whole mmap/madvise/refault path.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,7 +18,6 @@
 
 #include "base/error.hpp"
 #include "exec/chunk_pager.hpp"
-#include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
 #include "pn/marking_store.hpp"
 #include "pn/reachability.hpp"
@@ -56,13 +53,12 @@ petri_net family_net(pipeline::net_family family, std::uint64_t seed)
     options.sources = 2;
     options.depth = 4;
     options.token_load = 2;
-    // Credit-bounded sources keep the spaces finite, so untruncated runs
-    // exist for the fallback-free assertions below.
+    // Credit-bounded sources keep the spaces finite.
     options.source_credit = 4;
     return pipeline::net_generator(seed, options).next();
 }
 
-TEST(Spill, BitIdenticalAcrossFamiliesThreadsOrdersAndRatios)
+TEST(Spill, BitIdenticalAcrossFamiliesThreadsAndRatios)
 {
     const pipeline::net_family families[] = {
         pipeline::net_family::free_choice,
@@ -85,15 +81,11 @@ TEST(Spill, BitIdenticalAcrossFamiliesThreadsOrdersAndRatios)
                                        std::max<std::size_t>(arena / 10, 4096)};
         for (const std::size_t budget : budgets) {
             for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                for (const exploration_order order :
-                     {exploration_order::ordered, exploration_order::unordered}) {
-                    reachability_options opts = base;
-                    opts.max_bytes = budget;
-                    opts.threads = threads;
-                    opts.order = order;
-                    const state_space spilled = explore_space(net, opts);
-                    expect_identical_spaces(baseline, spilled);
-                }
+                reachability_options opts = base;
+                opts.max_bytes = budget;
+                opts.threads = threads;
+                const state_space spilled = explore_space(net, opts);
+                expect_identical_spaces(baseline, spilled);
             }
         }
     }
@@ -133,62 +125,6 @@ TEST(Spill, TightBudgetEvictsAndDecodesOnTheSequentialEngine)
     // reading through the mapping.
     const marking_store_stats& store_stats = space.store().stats();
     EXPECT_GT(store_stats.decode_hits + store_stats.decode_misses, 0u);
-}
-
-TEST(Spill, UnorderedRenumberAdoptsInsteadOfCopying)
-{
-    // A finite space well under max_markings: the unordered engine must
-    // finish free-running (no budget fallback) for the renumber pass to run.
-    pipeline::generator_options gen;
-    gen.family = pipeline::net_family::free_choice;
-    gen.sources = 2;
-    gen.depth = 4;
-    gen.source_credit = 3;
-    const petri_net net = pipeline::net_generator(11, gen).next();
-    obs::reset();
-    obs::set_stats_enabled(true);
-
-    reachability_options opts;
-    opts.max_markings = 20000;
-    opts.max_tokens_per_place = 64;
-    opts.threads = 4;
-    opts.order = exploration_order::unordered;
-    opts.max_bytes = 256 * 1024;
-    const state_space space = explore_space(net, opts);
-    obs::set_stats_enabled(false);
-
-    EXPECT_FALSE(space.unordered_fallback());
-    // The renumber pass references shard rows in place; the counter exists
-    // (so dashboards can see it) and stays at zero bytes moved.
-    EXPECT_EQ(obs::get_counter("pn.unord.renumber_bytes_moved", "bytes").value(),
-              0u);
-    EXPECT_GT(space.store().adopted_count(), 0u);
-
-    reachability_options sequential = opts;
-    sequential.threads = 1;
-    sequential.max_bytes = 0;
-    expect_identical_spaces(explore_space(net, sequential), space);
-}
-
-TEST(Spill, UnorderedBudgetFallbackIsVisible)
-{
-    pipeline::generator_options gen;
-    gen.family = pipeline::net_family::client_server;
-    const petri_net net = pipeline::net_generator(7, gen).next();
-
-    reachability_options opts;
-    opts.max_markings = 500; // binding: the family is unbounded
-    opts.threads = 4;
-    opts.order = exploration_order::unordered;
-    const state_space truncated = explore_space(net, opts);
-    EXPECT_TRUE(truncated.truncated());
-    EXPECT_TRUE(truncated.unordered_fallback());
-
-    // Same run without a binding budget keeps the flag off, as does the
-    // leveled order even when its budget binds.
-    reachability_options ordered = opts;
-    ordered.order = exploration_order::ordered;
-    EXPECT_FALSE(explore_space(net, ordered).unordered_fallback());
 }
 
 TEST(Spill, TruncatedSpillFileSurfacesAsIoErrorNotUB)

@@ -180,7 +180,7 @@ TEST(state_space, differential_on_paper_nets)
 TEST(state_space, compact_result_matches_materialized_graph)
 {
     const petri_net net = nets::figure_2();
-    const state_space space = explore_state_space(net, {.max_states = 1000});
+    const state_space space = explore_state_space(net, {.max_markings = 1000});
     const reachability_graph graph = explore(net, {.max_markings = 1000});
     ASSERT_EQ(space.state_count(), graph.size());
     std::size_t edges = 0;

@@ -167,12 +167,12 @@ TEST(stubborn, reduce_is_a_subset_with_at_least_one_member)
 /// visiting more states.
 void expect_deadlocks_preserved(const petri_net& net, bool expect_strictly_fewer)
 {
-    const state_space_options full_budget{.max_states = 300000,
-                                          .max_tokens_per_place = 1 << 20};
+    const reachability_options full_budget{.max_markings = 300000,
+                                           .max_tokens_per_place = 1 << 20};
     const state_space full = explore_state_space(net, full_budget);
     ASSERT_FALSE(full.truncated()) << "test net too large: grow the budget";
 
-    state_space_options reduced_budget = full_budget;
+    reachability_options reduced_budget = full_budget;
     reduced_budget.reduction = reduction_kind::stubborn;
     const state_space reduced = explore_state_space(net, reduced_budget);
     ASSERT_FALSE(reduced.truncated());
@@ -187,11 +187,8 @@ void expect_deadlocks_preserved(const petri_net& net, bool expect_strictly_fewer
 
     for (const std::size_t threads : thread_counts) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        const state_space parallel = explore_parallel(
-            net, {.threads = threads, .max_states = reduced_budget.max_states,
-                  .max_tokens_per_place = reduced_budget.max_tokens_per_place,
-                  .reduction = reduction_kind::stubborn});
-        expect_identical_spaces(reduced, parallel);
+        reduced_budget.threads = threads;
+        expect_identical_spaces(reduced, explore_parallel(net, reduced_budget));
     }
 }
 
@@ -255,13 +252,14 @@ TEST(stubborn, reduced_parallel_identical_under_tight_budgets)
                                          std::size_t{25}, std::size_t{200}}) {
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
-            net, {.max_states = max_states, .max_tokens_per_place = 64,
+            net, {.max_markings = max_states, .max_tokens_per_place = 64,
                   .reduction = reduction_kind::stubborn});
         for (const std::size_t threads : thread_counts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const state_space parallel = explore_parallel(
-                net, {.threads = threads, .max_states = max_states,
+                net, {.max_markings = max_states,
                       .max_tokens_per_place = 64,
+                      .threads = threads,
                       .reduction = reduction_kind::stubborn});
             expect_identical_spaces(sequential, parallel);
         }

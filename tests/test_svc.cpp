@@ -369,6 +369,25 @@ TEST(session, explore_budgets_below_the_ceiling_tighten_the_run)
               41);
 }
 
+TEST(session, explore_ignores_an_order_field)
+{
+    // The explore op reads no "order" field: like any unknown field it is
+    // ignored, so a request naming "unordered" — at a binding state budget,
+    // on the parallel engine — gets exactly the reply of the same request
+    // without it, and no "fallback" member.
+    session_options opts;
+    opts.explore.threads = 4;
+    session_harness h(session_harness::make_options(), opts);
+    const json plain = explore_counter(h, {{"max_states", 500}});
+    const json with_order =
+        explore_counter(h, {{"max_states", 500}, {"order", "unordered"}});
+    ASSERT_EQ(plain.find("event")->as_string(), "explored");
+    EXPECT_EQ(plain.find("states")->as_number(), 500);
+    EXPECT_TRUE(plain.find("truncated")->as_bool(false));
+    EXPECT_EQ(with_order.dump(), plain.dump());
+    EXPECT_EQ(with_order.find("fallback"), nullptr);
+}
+
 TEST(serve_stdio, answers_a_jsonl_batch_and_drains_cleanly)
 {
     int to_server[2];

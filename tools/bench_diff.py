@@ -75,12 +75,12 @@ def main() -> int:
         default=(
             r"(states/s|nets/s|nodes/s|st/s|requests/s|mutants/s|nets/second"
             r"|/second|speedup|throughput|reduction ratio|ltlx ratio"
-            r"|unord4 vs par4|unord identical|spill identical)"
+            r"|spill identical)"
         ),
         help="regex selecting the labels to track (default: throughput-ish rows "
         "— which includes the external-memory 'spill states/s @…' series — "
-        "the stubborn-reduction and ltl_x ratios, and the unordered-engine "
-        "and spill bit-identity rows)",
+        "the stubborn-reduction and ltl_x ratios, and the spill bit-identity "
+        "row)",
     )
     parser.add_argument(
         "--info-metric",
