@@ -139,8 +139,8 @@ std::vector<int_vector> minimal_semiflows(const int_matrix& a,
                 normalize_row(merged);
                 next.push_back(std::move(merged));
                 if (next.size() > options.max_rows) {
-                    throw error("minimal_semiflows: row limit exceeded "
-                                "(net too large for Farkas enumeration)");
+                    throw resource_limit_error("minimal_semiflows: row limit exceeded "
+                                               "(net too large for Farkas enumeration)");
                 }
             }
         }

@@ -15,7 +15,7 @@ namespace fcqss::linalg {
 
 /// Options bounding the Farkas iteration.  The intermediate row count can
 /// grow exponentially on adversarial inputs; `max_rows` turns that into a
-/// clean error instead of memory exhaustion.
+/// resource_limit_error instead of memory exhaustion.
 struct farkas_options {
     std::size_t max_rows = 1u << 20;
 };
@@ -23,7 +23,8 @@ struct farkas_options {
 /// All minimal-support semiflows of `a`: the set of minimal y >= 0, y != 0,
 /// with y^T a = 0 (y indexed by the rows of `a`).  Every returned vector is
 /// primitive (entry gcd 1); the result is sorted lexicographically so callers
-/// see a deterministic order.  Throws fcqss::error when `max_rows` is hit.
+/// see a deterministic order.  Throws resource_limit_error when `max_rows` is
+/// hit: the input may be fine, the enumeration declined to grow further.
 [[nodiscard]] std::vector<int_vector>
 minimal_semiflows(const int_matrix& a, const farkas_options& options = {});
 

@@ -140,9 +140,7 @@ void service::run_request(request_id id, net_source source, reply_callback on_re
     if (!source.prebuilt) {
         const auto start = clock::now();
         try {
-            parsed = source.is_path
-                         ? pnio::load_net(source.text, options_.pipeline.limits)
-                         : pnio::parse_net(source.text, options_.pipeline.limits);
+            parsed = source.parse(options_.pipeline.limits);
             parse_micros = micros_since(start);
         } catch (...) {
             auto failure = std::make_shared<pipeline_result>();

@@ -12,7 +12,6 @@
 #include "codegen/c_emitter.hpp"
 #include "exec/executor.hpp"
 #include "obs/obs.hpp"
-#include "pn/invariants.hpp"
 #include "pn/structure.hpp"
 #include "pnio/parser.hpp"
 #include "qss/task_partition.hpp"
@@ -143,7 +142,7 @@ net_source net_source::from_text(std::string name, std::string text)
 {
     net_source source;
     source.name = std::move(name);
-    source.text = std::move(text);
+    source.text = std::make_shared<const std::string>(std::move(text));
     return source;
 }
 
@@ -151,7 +150,7 @@ net_source net_source::from_file(std::string path)
 {
     net_source source;
     source.name = path;
-    source.text = std::move(path);
+    source.text = std::make_shared<const std::string>(std::move(path));
     source.is_path = true;
     return source;
 }
@@ -162,6 +161,13 @@ net_source net_source::from_net(pn::petri_net net)
     source.name = net.name();
     source.prebuilt = std::make_shared<const pn::petri_net>(std::move(net));
     return source;
+}
+
+pn::petri_net net_source::parse(const pnio::parse_limits& limits) const
+{
+    static const std::string empty;
+    const std::string& content = text ? *text : empty;
+    return is_path ? pnio::load_net(content, limits) : pnio::parse_net(content, limits);
 }
 
 double stage_timings::total() const
@@ -333,10 +339,8 @@ pipeline_result synthesis_pipeline::run_one(const net_source& source,
         // -- parse ----------------------------------------------------------
         std::optional<pn::petri_net> parsed;
         if (!source.prebuilt) {
-            parsed = timed(result, pipeline_stage::parse, [&] {
-                return source.is_path ? pnio::load_net(source.text, options_.limits)
-                                      : pnio::parse_net(source.text, options_.limits);
-            });
+            parsed = timed(result, pipeline_stage::parse,
+                           [&] { return source.parse(options_.limits); });
             report(pipeline_stage::parse);
         }
         const pn::petri_net& net = source.prebuilt ? *source.prebuilt : *parsed;
@@ -370,16 +374,16 @@ pipeline_result synthesis_pipeline::run_one(const net_source& source,
         report(pipeline_stage::classify);
 
         // -- structural -----------------------------------------------------
-        if (options_.structural_analysis) {
-            timed(result, pipeline_stage::structural, [&] {
-                result.consistent = pn::is_consistent(net);
-            });
-            report(pipeline_stage::structural);
-        }
+        const qss::net_analysis analysis = timed(result, pipeline_stage::structural, [&] {
+            qss::net_analysis computed = qss::analyze_net(net);
+            result.consistent = computed.consistent();
+            return computed;
+        });
+        report(pipeline_stage::structural);
 
         // -- schedule -------------------------------------------------------
         const qss::qss_result schedule = timed(result, pipeline_stage::schedule, [&] {
-            return qss::quasi_static_schedule(net, options_.scheduler);
+            return qss::quasi_static_schedule(net, analysis, options_.scheduler);
         });
         result.allocations = schedule.allocations_enumerated;
         result.cycles = schedule.entries.size();

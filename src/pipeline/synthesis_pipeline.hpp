@@ -2,7 +2,7 @@
 // Batch orchestration of the whole synthesis flow.  One net runs through the
 // staged pipeline
 //
-//   parse -> classify (net_class) -> structural (invariants / rank)
+//   parse -> classify (net_class) -> structural (qss::analyze_net)
 //         -> schedule (qss) -> partition (tasks) -> codegen (C)
 //
 // and produces a pipeline_result: final status, per-stage wall times, the
@@ -13,7 +13,10 @@
 // vector of sources through a fixed-size thread pool (exec::executor);
 // every net is processed independently and failures are confined to their
 // own result, so one bad net never poisons the batch and per-net statuses
-// are identical no matter how many worker threads ran.
+// are identical no matter how many worker threads ran.  The structural stage
+// runs the net's one Farkas enumeration (qss::analyze_net); its analysis
+// gives the consistency flag and is handed to the schedule stage, which
+// checks every T-reduction against it.
 #ifndef FCQSS_PIPELINE_SYNTHESIS_PIPELINE_HPP
 #define FCQSS_PIPELINE_SYNTHESIS_PIPELINE_HPP
 
@@ -79,16 +82,23 @@ inline constexpr std::size_t stage_count = 6;
 [[nodiscard]] const char* to_string(pipeline_stage stage);
 
 /// One unit of batch input: a named `.pn` text, a file path, or an already
-/// built net (the generator path — no parsing involved).
+/// built net (the generator path — no parsing involved).  Copies share the
+/// text and the net, so fanning one source out to many requests costs a
+/// reference count each, not a copy of the text.
 struct net_source {
     std::string name;
-    std::string text;
+    /// The `.pn` text, or the file path when is_path.
+    std::shared_ptr<const std::string> text;
     bool is_path = false;
     std::shared_ptr<const pn::petri_net> prebuilt;
 
     [[nodiscard]] static net_source from_text(std::string name, std::string text);
     [[nodiscard]] static net_source from_file(std::string path);
     [[nodiscard]] static net_source from_net(pn::petri_net net);
+
+    /// Parses the text, or loads the file when is_path (not for prebuilt
+    /// sources).  Throws what pnio::parse_net / pnio::load_net throw.
+    [[nodiscard]] pn::petri_net parse(const pnio::parse_limits& limits) const;
 };
 
 /// Per-stage wall-clock times; a stage that never ran stays at 0.
@@ -157,9 +167,6 @@ struct pipeline_options {
     std::size_t jobs = 0;
     /// Stop after the schedule/partition stages instead of emitting C.
     bool generate_code = true;
-    /// Run the structural stage (invariant consistency).  Off saves the
-    /// Farkas enumeration when only schedulability matters.
-    bool structural_analysis = true;
     /// Retain the emitted C text in each result (memory-heavy on batches).
     bool keep_code = false;
     /// Bounds on parsed text inputs; trips become status resource_limit.

@@ -2,12 +2,17 @@
 
 #include "base/error.hpp"
 #include "linalg/farkas.hpp"
+#include "obs/obs.hpp"
 #include "pn/incidence.hpp"
 
 namespace fcqss::pn {
 
 std::vector<linalg::int_vector> t_invariants(const petri_net& net)
 {
+    if (obs::stats_enabled()) {
+        static obs::counter& runs = obs::get_counter("pn.invariants.t_runs");
+        runs.add(1);
+    }
     // x with C x = 0  <=>  x^T C^T = 0: semiflows of C^T (rows = transitions).
     return linalg::minimal_semiflows(incidence_matrix(net).transposed());
 }

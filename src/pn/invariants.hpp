@@ -13,7 +13,9 @@ namespace fcqss::pn {
 
 /// All minimal-support T-invariants: minimal x >= 0, x != 0 with C x = 0,
 /// indexed by transition.  A firing sequence whose count vector is a
-/// T-invariant returns the net to the marking it started from.
+/// T-invariant returns the net to the marking it started from.  Each call
+/// is one Farkas enumeration, counted by `pn.invariants.t_runs` when stats
+/// are on.
 [[nodiscard]] std::vector<linalg::int_vector> t_invariants(const petri_net& net);
 
 /// All minimal-support P-invariants: minimal y >= 0, y != 0 with y^T C = 0,

@@ -39,13 +39,15 @@ std::vector<choice_cluster> choice_clusters(const pn::petri_net& net)
     return clusters;
 }
 
-std::vector<std::int32_t> conflict_priority_keys(const pn::petri_net& net)
+std::vector<std::int32_t>
+conflict_priority_keys(const pn::petri_net& net,
+                       const std::vector<choice_cluster>& clusters)
 {
     std::vector<std::int32_t> keys(net.transition_count());
     for (pn::transition_id t : net.transitions()) {
         keys[t.index()] = t.value();
     }
-    for (const choice_cluster& cluster : choice_clusters(net)) {
+    for (const choice_cluster& cluster : clusters) {
         const std::int32_t key = cluster.alternatives.front().value();
         for (pn::transition_id t : cluster.alternatives) {
             keys[t.index()] = key;

@@ -26,13 +26,15 @@ struct choice_cluster {
 /// alternative enables all).
 [[nodiscard]] std::vector<choice_cluster> choice_clusters(const pn::petri_net& net);
 
-/// Deterministic firing priority keys used by the cycle simulator.  All
-/// members of a cluster share the key (the minimum transition id in the
-/// cluster), so the reductions of different allocations fire their chosen
-/// alternatives at the same sequence positions — the prefix-agreement that
-/// validity Definition 3.1 requires.  Non-conflict transitions use their own
-/// id.
-[[nodiscard]] std::vector<std::int32_t> conflict_priority_keys(const pn::petri_net& net);
+/// Deterministic firing priority keys used by the cycle simulator, from the
+/// net's `clusters` (choice_clusters).  All members of a cluster share the
+/// key (the minimum transition id in the cluster), so the reductions of
+/// different allocations fire their chosen alternatives at the same sequence
+/// positions — the prefix-agreement that validity Definition 3.1 requires.
+/// Non-conflict transitions use their own id.
+[[nodiscard]] std::vector<std::int32_t>
+conflict_priority_keys(const pn::petri_net& net,
+                       const std::vector<choice_cluster>& clusters);
 
 /// True when t belongs to some choice cluster.
 [[nodiscard]] bool in_any_cluster(const std::vector<choice_cluster>& clusters,

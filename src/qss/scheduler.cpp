@@ -99,20 +99,37 @@ private:
     std::vector<schedule_entry> entries_;
 };
 
+// Throws resource_limit_error when the allocation space of `clusters` is
+// above the cap; returns its size otherwise.
+std::size_t enforce_allocation_cap(const std::vector<choice_cluster>& clusters,
+                                   const scheduler_options& options)
+{
+    const std::size_t allocations = allocation_count(clusters);
+    if (allocations > options.max_allocations) {
+        throw resource_limit_error("enumerate_allocations: " +
+                                   std::to_string(allocations) +
+                                   " allocations exceed the configured limit of " +
+                                   std::to_string(options.max_allocations));
+    }
+    return allocations;
+}
+
 } // namespace
 
 qss_result quasi_static_schedule(const pn::petri_net& net,
                                  const scheduler_options& options)
 {
+    // The cap comes first, so a capped net never pays for the analysis.
+    static_cast<void>(enforce_allocation_cap(choice_clusters(net), options));
+    return quasi_static_schedule(net, analyze_net(net), options);
+}
+
+qss_result quasi_static_schedule(const pn::petri_net& net, const net_analysis& analysis,
+                                 const scheduler_options& options)
+{
     qss_result result;
-    result.clusters = choice_clusters(net); // validates free choice
-    result.allocations_enumerated = allocation_count(result.clusters);
-    if (result.allocations_enumerated > options.max_allocations) {
-        throw resource_limit_error("enumerate_allocations: " +
-                                   std::to_string(result.allocations_enumerated) +
-                                   " allocations exceed the configured limit of " +
-                                   std::to_string(options.max_allocations));
-    }
+    result.clusters = analysis.clusters;
+    result.allocations_enumerated = enforce_allocation_cap(result.clusters, options);
 
     const bool stats = obs::stats_enabled();
     const std::uint64_t start_ns = stats ? obs::now_ns() : 0;
@@ -131,7 +148,7 @@ qss_result quasi_static_schedule(const pn::petri_net& net,
         const obs::span span("qss.check", "reductions",
                              static_cast<std::int64_t>(result.entries.size()));
         for (schedule_entry& entry : result.entries) {
-            entry.analysis = schedule_reduction(net, result.clusters, entry.reduction);
+            entry.analysis = schedule_reduction(net, analysis, entry.reduction);
             if (!entry.analysis.ok()) {
                 all_ok = false;
                 if (result.failure == reduction_failure::none) {

@@ -16,6 +16,18 @@
 // once, in order of its first allocation in odometer order, represented by
 // that (lowest-index) allocation — the same entries, in the same order, as
 // reducing every allocation and keeping first occurrences.
+//
+// Every reduction is checked against one net_analysis of the net (see
+// qss/schedulability.hpp for why this is exact): its minimal T-invariants
+// are the net's minimal T-invariants whose support lies inside its kept
+// transitions, and its cycle is simulated on the net.  So a schedule costs
+// one Farkas enumeration, for the whole net, and builds no subnet.  The
+// pipeline's structural stage computes the analysis and hands it to the
+// schedule stage; called on its own, the scheduler computes it itself.  The
+// reduction-local schedule_reduction(net, clusters, reduction), which
+// materializes each reduction and runs Farkas on it, is the reference the
+// tests (testutil::brute_force_schedule) and perfbench's check_staged call;
+// the scheduler does not.
 #ifndef FCQSS_QSS_SCHEDULER_HPP
 #define FCQSS_QSS_SCHEDULER_HPP
 
@@ -76,10 +88,17 @@ struct qss_result {
     [[nodiscard]] std::vector<pn::firing_sequence> cycles() const;
 };
 
-/// Runs the full QSS algorithm on an (equal-conflict) free-choice net.
-/// Throws domain_error when the net is outside that class; returns a result
-/// with schedulable == false and a diagnosis when the net is in class but
-/// not quasi-statically schedulable.
+/// Runs the full QSS algorithm on an (equal-conflict) free-choice net, with
+/// `analysis` = analyze_net(net) computed beforehand.  Throws
+/// resource_limit_error when the allocation space exceeds
+/// options.max_allocations; returns a result with schedulable == false and a
+/// diagnosis when the net is not quasi-statically schedulable.
+[[nodiscard]] qss_result quasi_static_schedule(const pn::petri_net& net,
+                                               const net_analysis& analysis,
+                                               const scheduler_options& options = {});
+
+/// The same, computing the analysis itself once the allocation cap has
+/// passed.  Throws domain_error when the net is outside the class.
 [[nodiscard]] qss_result quasi_static_schedule(const pn::petri_net& net,
                                                const scheduler_options& options = {});
 

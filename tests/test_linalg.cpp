@@ -279,7 +279,7 @@ TEST(farkas, row_limit_guards_blowup)
     a.at(1, 0) = -1;
     farkas_options options;
     options.max_rows = 0;
-    EXPECT_THROW((void)minimal_semiflows(a, options), error);
+    EXPECT_THROW((void)minimal_semiflows(a, options), resource_limit_error);
 }
 
 // Property sweep: for random small matrices every reported semiflow really

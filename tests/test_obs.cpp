@@ -340,7 +340,8 @@ TEST_F(obs_snapshot, qss_counters_pin_the_atm_enumeration)
 {
     // The ATM net: 11 choice clusters, 4608 allocations, 120 distinct
     // T-reductions.  The enumeration reduces 109 decided prefixes and one
-    // allocation per distinct reduction — no leaf is a duplicate.
+    // allocation per distinct reduction — no leaf is a duplicate.  All 120
+    // checks share the net's one T-invariant enumeration.
     const pn::petri_net net = atm::build_atm_net();
     set_stats_enabled(true);
     const qss::qss_result result = qss::quasi_static_schedule(net);
@@ -355,11 +356,19 @@ TEST_F(obs_snapshot, qss_counters_pin_the_atm_enumeration)
     EXPECT_EQ(metric_value(rows, "qss.distinct_reductions"), 120.0);
     EXPECT_GT(metric_value(rows, "qss.enumerate_ns"), 0.0);
     EXPECT_GT(metric_value(rows, "qss.check_ns"), 0.0);
+    EXPECT_EQ(metric_value(rows, "pn.invariants.t_runs"), 1.0);
+    // The check's two parts are timed inside its interval.
+    EXPECT_GT(metric_value(rows, "qss.invariant_ns"), 0.0);
+    EXPECT_GT(metric_value(rows, "qss.simulate_ns"), 0.0);
+    EXPECT_LE(metric_value(rows, "qss.invariant_ns") +
+                  metric_value(rows, "qss.simulate_ns"),
+              metric_value(rows, "qss.check_ns"));
 
     // Stats off: a second schedule leaves every total where it was.
     (void)qss::quasi_static_schedule(net);
     EXPECT_EQ(get_counter("qss.schedules").value(), 1u);
     EXPECT_EQ(get_counter("qss.leaf_reductions").value(), 120u);
+    EXPECT_EQ(get_counter("pn.invariants.t_runs").value(), 1u);
 }
 
 TEST_F(obs_snapshot, sequential_explore_flushes_matching_totals)

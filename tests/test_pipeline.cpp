@@ -368,14 +368,36 @@ TEST(synthesis_pipeline, text_sources_and_options)
         "dup", "net dup { places { p; p; } }");
     pipeline_options options;
     options.generate_code = false;
-    options.structural_analysis = false;
     const synthesis_pipeline pipe(options);
     EXPECT_EQ(pipe.run_one(bad_model).status, pipeline_status::invalid_model);
 
     const pipeline_result r = pipe.run_one(net_source::from_net(nets::figure_4()));
     EXPECT_EQ(r.status, pipeline_status::ok);
     EXPECT_EQ(r.code_bytes, 0u); // codegen disabled
-    EXPECT_EQ(r.timings[pipeline_stage::structural], 0.0);
+}
+
+TEST(synthesis_pipeline, copied_sources_share_their_text)
+{
+    const net_source source =
+        net_source::from_text("fig3a", pnio::write_net(nets::figure_3a()));
+    const std::vector<net_source> copies(3, source);
+    for (const net_source& copy : copies) {
+        EXPECT_EQ(copy.text.get(), source.text.get());
+    }
+
+    pipeline_options options;
+    options.jobs = 3;
+    options.keep_code = true;
+    const batch_report report = synthesis_pipeline(options).run(copies);
+    ASSERT_EQ(report.results.size(), 3u);
+    for (const pipeline_result& r : report.results) {
+        EXPECT_EQ(r.status, pipeline_status::ok) << r.diagnosis;
+        EXPECT_EQ(r.name, "fig3a");
+        EXPECT_EQ(r.cycles, report.results[0].cycles);
+        EXPECT_EQ(r.tasks, report.results[0].tasks);
+        EXPECT_EQ(r.code, report.results[0].code);
+    }
+    EXPECT_FALSE(report.results[0].code.empty());
 }
 
 } // namespace

@@ -29,7 +29,7 @@ TEST(clusters, extraction_and_keys)
     EXPECT_TRUE(in_any_cluster(clusters, net.find_transition("t2")));
     EXPECT_FALSE(in_any_cluster(clusters, net.find_transition("t4")));
 
-    const auto keys = conflict_priority_keys(net);
+    const auto keys = conflict_priority_keys(net, clusters);
     // t2 and t3 share the cluster key (t2's id); others keep their own.
     EXPECT_EQ(keys[net.find_transition("t2").index()],
               keys[net.find_transition("t3").index()]);

@@ -8,13 +8,18 @@
 // failure class and diagnosis, and for schedulable nets the same cycles and
 // the same emitted C.  Property tests pin the premises the pruning rests
 // on: the reduction is monotone in the removed set, and a choice whose place
-// the decided prefix already removed cannot change the reduction.
+// the decided prefix already removed cannot change the reduction.  The
+// oracle checks each reduction on its own (materialize + Farkas), while the
+// scheduler filters the net's own invariants and simulates on the net, so
+// the premises of that shortcut are pinned here too, and a mutant sweep
+// holds both to the same verdict in every failure class.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,6 +32,8 @@
 #include "nets/paper_nets.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
+#include "pn/invariants.hpp"
+#include "pn/mutator.hpp"
 #include "pnio/parser.hpp"
 #include "qss/reduction.hpp"
 #include "qss/scheduler.hpp"
@@ -63,9 +70,10 @@ std::optional<qss::qss_result> run_capturing(Fn&& schedule, std::string& error)
 
 /// The first way the scheduler's result differs from the oracle's on `net`,
 /// or "" when they agree.  Sets `compared` to false (and returns "") when the
-/// allocation space is too large for the oracle.
+/// allocation space is too large for the oracle.  When the net is compared
+/// and scheduled, `scheduled` (if given) receives the scheduler's result.
 std::string first_difference(const pn::petri_net& net, bool record_traces,
-                             bool& compared)
+                             bool& compared, qss::qss_result* scheduled = nullptr)
 {
     compared = false;
     try {
@@ -90,6 +98,9 @@ std::string first_difference(const pn::petri_net& net, bool record_traces,
     }
     if (!oracle) {
         return "";
+    }
+    if (scheduled != nullptr) {
+        *scheduled = *fast;
     }
 
     if (fast->allocations_enumerated != oracle->allocations_enumerated) {
@@ -371,6 +382,149 @@ TEST(qss_enumeration, reduce_excluding_matches_reduce)
             qss::excluded_transitions(clusters, allocation);
         std::reverse(excluded.begin(), excluded.end()); // order must not matter
         ASSERT_TRUE(qss::reduce_excluding(net, excluded).same_subnet(expected));
+    }
+}
+
+// --------------------------------------------- shared analysis premises --
+
+/// Checks every distinct reduction the scheduler finds on `net` against the
+/// reduction on its own: (a) every input and output place of a kept
+/// transition is kept; (b) the invariants filtered from the net's equal the
+/// materialized reduction's own, lifted, in the same order; (c) each cycle,
+/// mapped to the materialized reduction's ids, is a finite complete cycle of
+/// it.  Returns the first violation or ""; counts reductions and cycles.
+std::string analysis_premise_violation(const pn::petri_net& net, std::size_t& reductions,
+                                       std::size_t& cycles)
+{
+    qss::scheduler_options options;
+    options.max_allocations = SIZE_MAX;
+    qss::qss_result result;
+    try {
+        result = qss::quasi_static_schedule(net, options);
+    } catch (const domain_error&) {
+        return ""; // outside the class: no reductions
+    }
+    for (std::size_t i = 0; i < result.entries.size(); ++i) {
+        const qss::t_reduction& reduction = result.entries[i].reduction;
+        const qss::reduction_schedule& analysis = result.entries[i].analysis;
+        const std::string where = "entry " + std::to_string(i) + ": ";
+        for (const pn::transition_id t : net.transitions()) {
+            if (!reduction.keep_transition[t.index()]) {
+                continue;
+            }
+            for (const auto& arcs : {net.inputs(t), net.outputs(t)}) {
+                for (const pn::place_weight& arc : arcs) {
+                    if (!reduction.keep_place[arc.place.index()]) {
+                        return where + "kept " + net.transition_name(t) +
+                               " touches removed place " + net.place_name(arc.place);
+                    }
+                }
+            }
+        }
+
+        const qss::reduced_net sub = qss::materialize(net, reduction);
+        std::vector<linalg::int_vector> lifted;
+        for (const linalg::int_vector& x : pn::t_invariants(sub.net)) {
+            linalg::int_vector y(net.transition_count(), 0);
+            for (std::size_t k = 0; k < x.size(); ++k) {
+                y[sub.to_original_transition[k].index()] = x[k];
+            }
+            lifted.push_back(std::move(y));
+        }
+        if (analysis.invariants != lifted) {
+            return where + "filtered invariants differ from the reduction's own";
+        }
+
+        if (analysis.ok()) {
+            std::vector<pn::transition_id> local(net.transition_count());
+            for (std::size_t k = 0; k < sub.to_original_transition.size(); ++k) {
+                local[sub.to_original_transition[k].index()] =
+                    pn::transition_id{static_cast<std::int32_t>(k)};
+            }
+            pn::firing_sequence mapped;
+            for (const pn::transition_id t : analysis.cycle) {
+                mapped.push_back(local[t.index()]);
+            }
+            if (!pn::is_finite_complete_cycle(sub.net, mapped)) {
+                return where + "cycle is not a finite complete cycle of the reduction";
+            }
+            ++cycles;
+        }
+        ++reductions;
+    }
+    return "";
+}
+
+TEST(qss_enumeration, net_invariants_filter_to_each_reductions_own)
+{
+    std::vector<pn::petri_net> nets = paper_nets();
+    nets.push_back(atm::build_atm_net());
+    for (pn::petri_net& net : corpus_nets()) {
+        nets.push_back(std::move(net));
+    }
+    for (const pipeline::net_family family : free_choice_families) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            for (const int token_load : {0, 2}) {
+                for (pn::petri_net& net :
+                     generated_nets(family, seed, token_load, 4, 12)) {
+                    nets.push_back(std::move(net));
+                }
+            }
+        }
+    }
+    std::size_t reductions = 0;
+    std::size_t cycles = 0;
+    for (const pn::petri_net& net : nets) {
+        EXPECT_EQ(analysis_premise_violation(net, reductions, cycles), "") << net.name();
+    }
+    EXPECT_GT(reductions, 20000u);
+    EXPECT_GT(cycles, 20000u);
+}
+
+TEST(qss_enumeration, mutants_match_the_oracle_in_every_verdict_class)
+{
+    // The generators emit only schedulable free-choice nets, so mutants of
+    // the paper nets, the ATM net and the corpus supply the failing classes:
+    // random pn::mutate plans, plus one mutant per marked place that empties
+    // it, which starves the cycles through that place (deadlock).
+    std::vector<pn::petri_net> bases = paper_nets();
+    bases.push_back(atm::build_atm_net());
+    for (pn::petri_net& net : corpus_nets()) {
+        bases.push_back(std::move(net));
+    }
+    std::vector<pn::petri_net> mutants;
+    for (const pn::petri_net& base : bases) {
+        for (std::uint64_t seed = 0; seed < 12; ++seed) {
+            mutants.push_back(pn::mutate(base, seed, {.count = 2}).net);
+        }
+        for (const pn::place_id p : base.places()) {
+            if (base.initial_tokens(p) > 0) {
+                const pn::mutation empty{.kind = pn::mutation_kind::perturb_marking,
+                                         .a = static_cast<std::uint32_t>(p.index()),
+                                         .value = 0};
+                mutants.push_back(pn::apply_mutations(base, {empty}).net);
+            }
+        }
+    }
+
+    std::map<qss::reduction_failure, std::size_t> verdicts;
+    std::size_t compared_count = 0;
+    for (std::size_t i = 0; i < mutants.size(); ++i) {
+        bool compared = false;
+        qss::qss_result scheduled;
+        EXPECT_EQ(first_difference(mutants[i], false, compared, &scheduled), "")
+            << "mutant " << i << " of " << mutants[i].name();
+        compared_count += compared ? 1 : 0;
+        for (const qss::schedule_entry& entry : scheduled.entries) {
+            ++verdicts[entry.analysis.failure];
+        }
+    }
+    // Every class occurs, so the sweep cannot pass vacuously.
+    EXPECT_GT(compared_count, 300u);
+    for (const qss::reduction_failure failure :
+         {qss::reduction_failure::none, qss::reduction_failure::inconsistent,
+          qss::reduction_failure::source_uncovered, qss::reduction_failure::deadlock}) {
+        EXPECT_GT(verdicts[failure], 100u) << qss::to_string(failure);
     }
 }
 
