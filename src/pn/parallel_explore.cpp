@@ -1,10 +1,12 @@
 #include "pn/parallel_explore.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -15,14 +17,17 @@
 // Determinism
 // -----------
 // The explorer is level-synchronous: every BFS level runs as a fixed phase
-// sequence with barriers (the executor's for_each_index) in between.
+// sequence with barriers (the executor's for_each_index) in between, and
+// every phase runs on the pool.
 //
 //   A  expand    parallel over contiguous frontier chunks: compute each
 //                successor's Zobrist hash read-only from the parent's token
 //                row and the firing's sparse delta list, and route a
-//                16-byte candidate (hash, parent, transition) to the shard
-//                owning the hash prefix through per-(chunk, shard) outboxes
-//                — no shared mutable state and no token copies at all.
+//                candidate (hash, parent, transition) to the shard owning
+//                the hash prefix through per-(chunk, shard) outboxes — no
+//                shared mutable state and no token copies at all.  The
+//                chunk also lists its candidates in (parent id, expansion
+//                order) in `refs`: the sequential engine's discovery order.
 //                Every successor count the delta raises is at hand for the
 //                hash anyway, so each chunk also records the largest one.
 //   W  widen     only when some candidate's count does not fit the run's
@@ -37,34 +42,49 @@
 //                stored vector is a delta-aware compare of (parent row +
 //                firing delta), and an accepted insertion reconstructs the
 //                tokens straight into the arena slot, so a candidate's
-//                counts are never materialized anywhere else.  Doomed
-//                fresh candidates (the flood at a budget-crossing level)
-//                cost one table probe each, exactly like the sequential
-//                engine's failed interns: each shard stops interning after
-//                `available` fresh markings, because a candidate whose
-//                shard-local discovery rank is past the global budget
-//                remainder cannot win globally either.  Chunks are drained
-//                in ascending order, and chunk ranges / per-parent
-//                successor lists are themselves ascending, so each shard
-//                meets candidates in ascending (parent id, transition id)
-//                order — the first occurrence of a fresh marking is its
-//                sequential discovery edge, and the shard's fresh list ends
-//                up sorted by that key.
-//   C  renumber  sequential, cheap: k-way-merge the shards' fresh lists by
-//                (parent id, transition id) and hand out global ids in that
-//                order.  This is sequential BFS discovery order, so ids are
-//                independent of the thread/shard count and equal to the
-//                sequential engine's.  Fresh markings beyond the budget
-//                keep an invalid global id forever, exactly like a failed
-//                intern in the sequential engine.
-//   D  edges     sequential append of this level's CSR rows in parent id
-//                order; candidates resolving to an invalid global id are
-//                dropped and flagged as truncation.
+//                counts are never materialized anywhere else.  The
+//                candidate that interns a fresh marking is flagged, and
+//                each outbox counts its flags.  Doomed fresh candidates
+//                (the flood at a budget-crossing level) cost one table
+//                probe each, exactly like the sequential engine's failed
+//                interns: each shard stops interning after `available`
+//                fresh markings, because a candidate whose shard-local
+//                discovery rank is past the global budget remainder cannot
+//                win globally either.
+//   C  renumber  parallel over expansion chunks.  A prefix sum over the
+//                per-chunk fresh counts gives each chunk a rank base; the
+//                chunk then walks `refs` and hands its flagged candidates
+//                ranks base, base + 1, ...  That rank is the sequential
+//                discovery rank: expansion chunks are ascending parent-id
+//                ranges and `refs` is in discovery order, all candidates of
+//                one marking share a hash and so a shard, and every shard
+//                drains its outboxes in ascending chunk order — so the flag
+//                sits on the first candidate, in discovery order, that
+//                reaches the marking, and the flagged candidates ahead of
+//                it are exactly the fresh markings discovered before it.
+//                A marking the budget stopped a shard from interning is
+//                preceded by `available` flagged ones from that shard, so
+//                every rank below `available` is exact.  Global id = level
+//                end + rank; ranks at or past `available` keep an invalid
+//                global id forever, exactly like a failed intern in the
+//                sequential engine.  Ids are therefore the sequential
+//                engine's at any thread count.
+//   D  edges     two passes, parallel over expansion chunks.  The first
+//                resolves each candidate to its global id and counts the
+//                chunk's kept edges; after a prefix sum over chunks, the
+//                second writes each chunk's CSR rows and offsets into its
+//                own slice of the edge array, in parent id order.
+//                Candidates resolving to an invalid global id are dropped
+//                and flagged as truncation.
 //   E  publish   parallel over the next frontier: each kept state's token
 //                row and hash are written into the *result* store (grown by
 //                whole levels, so ids are final and earlier rows never
 //                move), and its enabled set is merged incrementally from
-//                its discovering parent's set (detail::merge_enabled).
+//                its discovering parent's set (detail::merge_enabled) onto
+//                the end of its publish chunk's flat buffer; each state
+//                keeps a span into that buffer.  Two buffer sets alternate
+//                between levels, so the parents' spans stay valid while the
+//                children's sets are built.
 //                Phases A and B of the next level read parent rows straight
 //                from the result store — safe because the only writes to it
 //                happen here, behind barriers, to slots no other phase
@@ -73,10 +93,10 @@
 //                global id order and only the lookup table remains to be
 //                built (finish_bulk_build).
 //
-// Small frontiers skip the thread pool entirely (run_indexed): a deep,
-// narrow graph — a 10k-level pipeline chain, say — degenerates to the
-// sequential engine plus bookkeeping instead of paying three barriers per
-// level.
+// Small frontiers skip the thread pool entirely (run_indexed): the same
+// phases run inline with one chunk, so a deep, narrow graph — a 10k-level
+// pipeline chain, say — degenerates to the sequential engine plus
+// bookkeeping instead of paying six barriers per level.
 //
 // Because every cross-thread effect is separated by a barrier and every
 // order-sensitive step runs on deterministic keys, the result is
@@ -97,12 +117,19 @@ struct candidate {
     std::uint64_t hash;
     state_id parent; ///< global id of the discovering state
     transition_id via;
-    state_id resolved = invalid_state; ///< local id in the destination shard
+    /// Local id in the destination shard after phase B (invalid when the
+    /// shard's budget refused the marking), global id after phase D's
+    /// first pass (invalid when the marking was not kept).
+    state_id target = invalid_state;
+    /// Set in phase B on the candidate that interned a fresh marking.
+    bool fresh = false;
 };
+static_assert(sizeof(candidate) == 24, "the fresh flag rides in the padding");
 
 /// Handoff buffer for one (expansion chunk, destination shard) pair.
 struct outbox {
     std::vector<candidate> cands;
+    std::uint32_t fresh = 0; ///< candidates flagged fresh in phase B
 };
 
 /// Reference from a parent's ordered successor list into an outbox.
@@ -116,10 +143,18 @@ struct chunk_state {
     std::vector<outbox> to_shard;
     std::vector<edge_ref> refs;           ///< per-parent refs, concatenated
     std::vector<std::uint32_t> ref_count; ///< candidates per parent
-    bool saw_over_cap = false;
+    /// An over-cap successor (phase A) or a dropped edge (phase D).
+    bool truncated = false;
     /// Largest count any routed candidate has in a place its firing
     /// touches; phase W widens the stores when it does not fit.
     std::int64_t raised = 0;
+    /// This level's fresh ranks [fresh_begin, fresh_end) (phase C).
+    std::size_t fresh_begin = 0;
+    std::size_t fresh_end = 0;
+    /// Kept edges (phase D's first pass) and where they start in the edge
+    /// array (the prefix sum before its second pass).
+    std::size_t edge_count = 0;
+    std::size_t edge_begin = 0;
     /// Decoded parent row for the stubborn closure, which reads int64s.
     std::vector<std::int64_t> decoded;
     /// Stubborn-set scratch; chunks are single-owner per barrier phase, so
@@ -128,31 +163,31 @@ struct chunk_state {
     std::vector<transition_id> reduced;
 };
 
-/// A marking first seen this level, keyed by its discovering edge.
-struct fresh_entry {
+/// A fresh marking kept this level, at its global rank: the edge that
+/// discovered it and where phase E copies its row from.
+struct kept_entry {
     state_id parent;
     transition_id via;
+    std::uint32_t shard;
     state_id local;
+};
+
+/// One publish chunk's enabled sets, packed back to back in state order.
+struct enabled_buffer {
+    std::vector<transition_id> sets;
+    std::vector<std::size_t> ends; ///< where each state's set ends in `sets`
 };
 
 /// One hash-prefix shard: a private store plus the local -> global id map.
 struct shard_state {
     marking_store store;
     std::vector<state_id> global_of_local;
-    std::vector<fresh_entry> fresh; ///< this level, ascending (parent, via)
 
     shard_state(std::size_t width, std::shared_ptr<exec::chunk_pager> pager,
                 unsigned count_bytes)
         : store(width, std::move(pager), count_bytes)
     {
     }
-};
-
-/// Where a kept global id lives in the shard stores (the copy source for
-/// phase E's publish step).
-struct locator {
-    std::uint32_t shard;
-    state_id local;
 };
 
 /// (place, token delta) lists now live in detail:: (state_space.cpp) so the
@@ -172,9 +207,16 @@ std::shared_ptr<exec::chunk_pager> make_run_pager(std::size_t max_bytes)
         exec::chunk_pager_options{.max_resident_bytes = max_bytes});
 }
 
-bool key_less(const fresh_entry& a, const fresh_entry& b)
+/// Resizes `v` to `size` elements.  Capacity grows from the capacity
+/// (doubling, as push_back would), not from the size as resize() alone
+/// does, so a run of per-level resizes reallocates as rarely as appends.
+template <typename T>
+void resize_geometric(std::vector<T>& v, std::size_t size)
 {
-    return a.parent != b.parent ? a.parent < b.parent : a.via < b.via;
+    if (size > v.capacity()) {
+        v.reserve(std::max(size, 2 * v.capacity()));
+    }
+    v.resize(size);
 }
 
 /// Runs fn(0..count-1) on the pool, or inline when the work is too small to
@@ -218,7 +260,7 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
 
     exec::executor pool(threads);
     const std::size_t max_chunks = threads * 4;
-    // Frontiers smaller than this run inline: three barriers per level are
+    // Frontiers smaller than this run inline: six barriers per level are
     // only worth paying when a level carries real work.
     const std::size_t inline_below = std::max<std::size_t>(64, 2 * threads);
 
@@ -273,14 +315,12 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         }
     });
     rstore.set_bulk_hash(0, root_hash);
-    std::vector<locator> locators;
     {
         const std::uint32_t s = shard_of(root_hash);
-        const auto [local, inserted] = shards[s].store.intern(m0.data(), root_hash);
+        const auto inserted = shards[s].store.intern(m0.data(), root_hash).second;
         assert(inserted);
         static_cast<void>(inserted);
         shards[s].global_of_local.push_back(0);
-        locators.push_back({s, local});
     }
     std::size_t state_count = 1;
 
@@ -294,23 +334,33 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         }
     }
 
-    // Enabled sets of the current frontier, then of the next one; the
-    // root's is the one full scan.
-    std::vector<std::vector<transition_id>> cur_enabled(1);
+    // Enabled sets of the current frontier, then of the next one: one span
+    // per state into flat per-publish-chunk buffers.  Each level fills the
+    // buffer set its parents' spans do not point into.  The root's set is
+    // the one full scan.
+    std::array<std::vector<enabled_buffer>, 2> enabled_buffers;
+    for (std::vector<enabled_buffer>& buffers : enabled_buffers) {
+        buffers.resize(max_chunks);
+    }
+    std::size_t next_buffers = 1;
     for (transition_id t : net.transitions()) {
         if (detail::enabled_in(net, m0.data(), t)) {
-            cur_enabled[0].push_back(t);
+            enabled_buffers[0][0].sets.push_back(t);
         }
     }
-    std::vector<std::vector<transition_id>> next_enabled;
-    std::vector<fresh_entry> kept; ///< this level's renumbered fresh states
+    std::vector<std::span<const transition_id>> cur_enabled{enabled_buffers[0][0].sets};
+    std::vector<std::span<const transition_id>> next_enabled;
+    std::vector<kept_entry> kept; ///< this level's kept fresh states, by rank
 
     // Telemetry tallies, accumulated in locals and flushed at level / run
     // boundaries so the phase loops never touch an atomic (obs/obs.hpp).
     // States and edges flush per level: a concurrent snapshot() sees them
     // grow monotonically while the run is in flight.
     std::uint64_t obs_phase_a_ns = 0;
+    std::uint64_t obs_phase_w_ns = 0;
     std::uint64_t obs_phase_b_ns = 0;
+    std::uint64_t obs_phase_c_ns = 0;
+    std::uint64_t obs_phase_d_ns = 0;
     std::uint64_t obs_phase_e_ns = 0;
     std::uint64_t obs_levels = 0;
     std::uint64_t obs_inline_levels = 0;
@@ -361,7 +411,7 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                 }
                 chunk.refs.clear();
                 chunk.ref_count.clear();
-                chunk.saw_over_cap = false;
+                chunk.truncated = false;
                 chunk.raised = 0;
 
                 const auto [begin, end] = chunk_range(c);
@@ -372,17 +422,15 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                         rstore.stored_hash(static_cast<state_id>(p));
                     const bool full_cap_scan = root_over_cap && p == 0;
 
-                    const std::vector<transition_id>& enabled =
-                        cur_enabled[p - level_begin];
-                    const std::vector<transition_id>* expand = &enabled;
+                    std::span<const transition_id> expand = cur_enabled[p - level_begin];
                     if (stubborn) {
                         chunk.decoded.assign(row, row + width);
-                        stubborn->reduce(chunk.decoded.data(), enabled,
+                        stubborn->reduce(chunk.decoded.data(), expand,
                                          chunk.stubborn_ws, chunk.reduced);
-                        expand = &chunk.reduced;
+                        expand = chunk.reduced;
                     }
                     std::uint32_t emitted = 0;
-                    for (transition_id t : *expand) {
+                    for (transition_id t : expand) {
                         std::uint64_t next_hash = row_hash;
                         bool over_cap = false;
                         std::int64_t raised = 0;
@@ -411,12 +459,11 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                         }
 
                         if (over_cap) {
-                            chunk.saw_over_cap = true;
+                            chunk.truncated = true;
                         } else {
                             const std::uint32_t dest = shard_of(next_hash);
                             outbox& ob = chunk.to_shard[dest];
-                            ob.cands.push_back({next_hash, static_cast<state_id>(p), t,
-                                                invalid_state});
+                            ob.cands.push_back({next_hash, static_cast<state_id>(p), t});
                             chunk.refs.push_back(
                                 {dest, static_cast<std::uint32_t>(ob.cands.size() - 1)});
                             chunk.raised = std::max(chunk.raised, raised);
@@ -442,27 +489,34 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
             raised = std::max(raised, chunks[c].raised);
         }
         if (const unsigned needed = count_bytes_for(raised); needed > count_bytes) {
+            const std::uint64_t obs_w_begin = obs_timing ? obs::now_ns() : 0;
             count_bytes = needed;
             run_indexed(pool, shard_count + 1, inline_run, [&](std::size_t s) {
                 (s == shard_count ? rstore : shards[s].store).widen(count_bytes);
             });
+            if (obs_timing) {
+                obs_phase_w_ns += obs::now_ns() - obs_w_begin;
+            }
         }
 
-        // Phase B: every shard drains its inboxes and resolves candidates.
+        // Phase B: every shard drains its inboxes, in ascending chunk order,
+        // and resolves candidates, flagging the ones that intern.
         const std::uint64_t obs_b_begin = obs_timing ? obs::now_ns() : 0;
         with_count_type(count_bytes, [&]<typename T>(T) {
             run_indexed(pool, shard_count, inline_run, [&](std::size_t s) {
                 obs::span phase_span("phase.dedup", "shard",
                                      static_cast<std::int64_t>(s));
                 shard_state& shard = shards[s];
-                shard.fresh.clear();
                 // Fresh markings past the budget remainder cannot be kept
                 // (the shard-local discovery rank is a lower bound on the
                 // global one), so stop interning there and let them resolve
                 // invalid.
-                const std::size_t intern_limit = shard.store.size() + available;
+                const std::size_t stored_before = shard.store.size();
+                const std::size_t intern_limit = stored_before + available;
                 for (std::size_t c = 0; c < chunk_count; ++c) {
-                    for (candidate& cand : chunks[c].to_shard[s].cands) {
+                    outbox& ob = chunks[c].to_shard[s];
+                    ob.fresh = 0;
+                    for (candidate& cand : ob.cands) {
                         const T* row = detail::row_access::row<T>(rstore, cand.parent);
                         const delta_list& delta = deltas[cand.via.index()];
                         // stored == row + delta, compared as memcmp runs
@@ -493,77 +547,104 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                         };
                         const auto [local, inserted] = shard.store.intern_with<T>(
                             cand.hash, intern_limit, equals, fill);
-                        cand.resolved = local;
+                        cand.target = local;
                         if (inserted) {
-                            assert(shard.fresh.empty() ||
-                                   key_less(shard.fresh.back(),
-                                            {cand.parent, cand.via, local}));
-                            shard.fresh.push_back({cand.parent, cand.via, local});
+                            cand.fresh = true;
+                            ++ob.fresh;
                             shard.global_of_local.push_back(invalid_state);
                         }
                     }
                 }
-                phase_span.arg("fresh", static_cast<std::int64_t>(shard.fresh.size()));
+                phase_span.arg("fresh", static_cast<std::int64_t>(shard.store.size() -
+                                                                  stored_before));
             });
         });
         if (obs_timing) {
             obs_phase_b_ns += obs::now_ns() - obs_b_begin;
         }
 
-        // Phase C: renumber this level's fresh markings in sequential
-        // discovery order — a k-way merge of the shards' sorted fresh lists
-        // — and apply the state budget.
+        // Phase C: rank each chunk's flagged candidates from its prefix-sum
+        // base and apply the state budget.
+        const std::uint64_t obs_c_begin = obs_timing ? obs::now_ns() : 0;
         std::size_t total_fresh = 0;
-        for (const shard_state& shard : shards) {
-            total_fresh += shard.fresh.size();
+        for (std::size_t c = 0; c < chunk_count; ++c) {
+            chunks[c].fresh_begin = total_fresh;
+            for (const outbox& ob : chunks[c].to_shard) {
+                total_fresh += ob.fresh;
+            }
+            chunks[c].fresh_end = total_fresh;
         }
         const std::size_t keep = std::min(total_fresh, available);
-
-        kept.clear();
-        std::vector<std::size_t> head(shard_count, 0);
-        for (std::size_t i = 0; i < keep; ++i) {
-            std::size_t best = shard_count;
-            for (std::size_t s = 0; s < shard_count; ++s) {
-                if (head[s] < shards[s].fresh.size() &&
-                    (best == shard_count ||
-                     key_less(shards[s].fresh[head[s]],
-                              shards[best].fresh[head[best]]))) {
-                    best = s;
+        kept.resize(keep);
+        run_indexed(pool, chunk_count, inline_run, [&](std::size_t c) {
+            obs::span phase_span("phase.renumber", "chunk", static_cast<std::int64_t>(c));
+            const chunk_state& chunk = chunks[c];
+            std::size_t rank = chunk.fresh_begin;
+            const std::size_t rank_end = std::min(chunk.fresh_end, keep);
+            for (auto ref = chunk.refs.begin(); rank < rank_end; ++ref) {
+                const candidate& cand = chunk.to_shard[ref->shard].cands[ref->index];
+                if (cand.fresh) {
+                    shards[ref->shard].global_of_local[cand.target] =
+                        static_cast<state_id>(level_end + rank);
+                    kept[rank++] = {cand.parent, cand.via, ref->shard, cand.target};
                 }
             }
-            const fresh_entry entry = shards[best].fresh[head[best]++];
-            const state_id gid = static_cast<state_id>(state_count++);
-            shards[best].global_of_local[entry.local] = gid;
-            locators.push_back({static_cast<std::uint32_t>(best), entry.local});
-            kept.push_back(entry);
+        });
+        state_count += keep;
+        if (obs_timing) {
+            obs_phase_c_ns += obs::now_ns() - obs_c_begin;
         }
 
-        // Phase D: append this level's CSR rows in parent id order.
+        // Phase D: resolve and count each chunk's edges, then write every
+        // chunk's CSR rows into its own slice, in parent id order.
+        const std::uint64_t obs_d_begin = obs_timing ? obs::now_ns() : 0;
+        run_indexed(pool, chunk_count, inline_run, [&](std::size_t c) {
+            obs::span phase_span("phase.edges", "chunk", static_cast<std::int64_t>(c));
+            chunk_state& chunk = chunks[c];
+            chunk.edge_count = 0;
+            for (const edge_ref ref : chunk.refs) {
+                candidate& cand = chunk.to_shard[ref.shard].cands[ref.index];
+                if (cand.target != invalid_state) {
+                    cand.target = shards[ref.shard].global_of_local[cand.target];
+                }
+                if (cand.target == invalid_state) {
+                    chunk.truncated = true;
+                } else {
+                    ++chunk.edge_count;
+                }
+            }
+        });
+        std::size_t edge_total = redges.size();
         for (std::size_t c = 0; c < chunk_count; ++c) {
+            truncated |= chunks[c].truncated;
+            chunks[c].edge_begin = edge_total;
+            edge_total += chunks[c].edge_count;
+        }
+        resize_geometric(redges, edge_total);
+        resize_geometric(roffsets, level_end + 1);
+        run_indexed(pool, chunk_count, inline_run, [&](std::size_t c) {
+            obs::span phase_span("phase.edges", "chunk", static_cast<std::int64_t>(c));
             const chunk_state& chunk = chunks[c];
-            truncated |= chunk.saw_over_cap;
-            std::size_t at = 0;
-            for (const std::uint32_t count : chunk.ref_count) {
-                for (std::uint32_t r = 0; r < count; ++r) {
-                    const edge_ref ref = chunk.refs[at++];
-                    const candidate& cand = chunk.to_shard[ref.shard].cands[ref.index];
-                    const state_id to =
-                        cand.resolved == invalid_state
-                            ? invalid_state
-                            : shards[ref.shard].global_of_local[cand.resolved];
-                    if (to == invalid_state) {
-                        truncated = true;
-                    } else {
-                        redges.push_back({cand.via, to});
+            const auto [begin, end] = chunk_range(c);
+            std::size_t at = chunk.edge_begin;
+            auto ref = chunk.refs.begin();
+            for (std::size_t p = begin; p < end; ++p) {
+                for (std::uint32_t r = 0; r < chunk.ref_count[p - begin]; ++r, ++ref) {
+                    const candidate& cand = chunk.to_shard[ref->shard].cands[ref->index];
+                    if (cand.target != invalid_state) {
+                        redges[at++] = {cand.via, cand.target};
                     }
                 }
-                roffsets.push_back(redges.size());
+                roffsets[p + 1] = at;
             }
+        });
+        if (obs_timing) {
+            obs_phase_d_ns += obs::now_ns() - obs_d_begin;
         }
 
         // Phase E: publish the kept states into the result store and build
         // their enabled sets.
-        next_enabled.assign(keep, {});
+        next_enabled.resize(keep);
         rstore.grow_bulk_build(state_count);
         const std::uint64_t obs_e_begin = obs_timing ? obs::now_ns() : 0;
         if (keep != 0) {
@@ -575,19 +656,30 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                                          static_cast<std::int64_t>(c));
                     const std::size_t begin = keep * c / publish_chunks;
                     const std::size_t end = keep * (c + 1) / publish_chunks;
+                    enabled_buffer& buffer = enabled_buffers[next_buffers][c];
+                    buffer.sets.clear();
+                    buffer.ends.clear();
                     for (std::size_t i = begin; i < end; ++i) {
-                        const fresh_entry& entry = kept[i];
+                        const kept_entry& entry = kept[i];
                         const state_id gid = static_cast<state_id>(level_end + i);
-                        const locator loc = locators[gid];
-                        const marking_store& store = shards[loc.shard].store;
+                        const marking_store& store = shards[entry.shard].store;
                         T* row = detail::row_access::bulk_row<T>(rstore, gid);
-                        std::memcpy(row, detail::row_access::row<T>(store, loc.local),
+                        std::memcpy(row, detail::row_access::row<T>(store, entry.local),
                                     width * sizeof(T));
-                        rstore.set_bulk_hash(gid, store.stored_hash(loc.local));
+                        rstore.set_bulk_hash(gid, store.stored_hash(entry.local));
                         detail::merge_enabled(net,
                                               cur_enabled[entry.parent - level_begin],
                                               affected[entry.via.index()], row,
-                                              next_enabled[i]);
+                                              buffer.sets);
+                        buffer.ends.push_back(buffer.sets.size());
+                    }
+                    // Spans are taken once `sets` has stopped growing.
+                    const std::span<const transition_id> sets(buffer.sets);
+                    std::size_t from = 0;
+                    for (std::size_t i = begin; i < end; ++i) {
+                        const std::size_t to = buffer.ends[i - begin];
+                        next_enabled[i] = sets.subspan(from, to - from);
+                        from = to;
                     }
                 });
             });
@@ -597,19 +689,28 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         }
         flush_progress();
         cur_enabled.swap(next_enabled);
+        next_buffers ^= 1;
         level_begin = level_end;
         level_end = state_count;
     }
 
     // The arena already holds every state in global id order; only the
     // lookup table is left to build.
+    const bool obs_table_timing = obs::stats_enabled();
+    const std::uint64_t obs_table_begin = obs_table_timing ? obs::now_ns() : 0;
     rstore.finish_bulk_build();
+    const std::uint64_t obs_table_ns =
+        obs_table_timing ? obs::now_ns() - obs_table_begin : 0;
     detail::space_access::truncated(result) = truncated;
 
     if (obs::stats_enabled()) {
         obs::get_counter("pn.par.phase_a_ns", "ns").add(obs_phase_a_ns);
+        obs::get_counter("pn.par.phase_w_ns", "ns").add(obs_phase_w_ns);
         obs::get_counter("pn.par.phase_b_ns", "ns").add(obs_phase_b_ns);
+        obs::get_counter("pn.par.phase_c_ns", "ns").add(obs_phase_c_ns);
+        obs::get_counter("pn.par.phase_d_ns", "ns").add(obs_phase_d_ns);
         obs::get_counter("pn.par.phase_e_ns", "ns").add(obs_phase_e_ns);
+        obs::get_counter("pn.par.table_ns", "ns").add(obs_table_ns);
         obs::get_counter("pn.explore.levels").add(obs_levels);
         obs::get_counter("pn.explore.inline_levels").add(obs_inline_levels);
         obs::get_counter("pn.par.candidates").add(obs_candidates);

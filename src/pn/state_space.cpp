@@ -128,12 +128,10 @@ std::vector<std::vector<transition_id>> affected_transitions(const petri_net& ne
 }
 
 template <typename Count>
-void merge_enabled(const petri_net& net,
-                   const std::vector<transition_id>& parent_enabled,
-                   const std::vector<transition_id>& recheck, const Count* tokens,
+void merge_enabled(const petri_net& net, std::span<const transition_id> parent_enabled,
+                   std::span<const transition_id> recheck, const Count* tokens,
                    std::vector<transition_id>& out)
 {
-    out.clear();
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < parent_enabled.size() || j < recheck.size()) {
@@ -154,8 +152,8 @@ void merge_enabled(const petri_net& net,
 
 #define FCQSS_INSTANTIATE_COUNT(Count)                                                 \
     template bool enabled_in(const petri_net&, const Count*, transition_id);           \
-    template void merge_enabled(const petri_net&, const std::vector<transition_id>&,    \
-                                const std::vector<transition_id>&, const Count*,        \
+    template void merge_enabled(const petri_net&, std::span<const transition_id>,       \
+                                std::span<const transition_id>, const Count*,           \
                                 std::vector<transition_id>&);
 FCQSS_INSTANTIATE_COUNT(std::uint8_t)
 FCQSS_INSTANTIATE_COUNT(std::uint16_t)
@@ -603,6 +601,7 @@ state_space explore_state_space(const petri_net& net, const reachability_options
                         // Incremental enabled set of the successor: statuses
                         // carry over except for the consumers of touched
                         // places, which are re-checked against scratch.
+                        merged.clear();
                         detail::merge_enabled(net, enabled, affected[t.index()],
                                               scratch.data(), merged);
                         enabled_of.push_back(merged);

@@ -106,11 +106,11 @@ affected_transitions(const petri_net& net);
 /// The incremental enabled-set step shared by both engines: the successor's
 /// enabled set is the parent's (`parent_enabled`, ascending) with the
 /// members of `recheck` (ascending) re-tested against the successor tokens.
-/// The result is written to `out` (cleared first), ascending.  Count as in
-/// enabled_in.
+/// The result is appended to `out`, ascending, so a caller can pack many
+/// sets into one flat buffer.  Count as in enabled_in.
 template <typename Count>
-void merge_enabled(const petri_net& net, const std::vector<transition_id>& parent_enabled,
-                   const std::vector<transition_id>& recheck, const Count* tokens,
+void merge_enabled(const petri_net& net, std::span<const transition_id> parent_enabled,
+                   std::span<const transition_id> recheck, const Count* tokens,
                    std::vector<transition_id>& out);
 
 /// The ltl_x "no transition ignored forever" post-pass shared by both

@@ -182,13 +182,12 @@ std::size_t stubborn_reduction::closure(const std::int64_t* tokens, transition_i
 }
 
 void stubborn_reduction::reduce(const std::int64_t* tokens,
-                                const std::vector<transition_id>& enabled,
+                                std::span<const transition_id> enabled,
                                 stubborn_workspace& ws,
                                 std::vector<transition_id>& out) const
 {
-    out.clear();
     if (enabled.size() <= 1) {
-        out = enabled;
+        out.assign(enabled.begin(), enabled.end());
         if (obs::stats_enabled()) {
             flush_reduce_obs(enabled.size(), out.size(), 0);
         }
@@ -256,7 +255,8 @@ void stubborn_reduction::reduce(const std::int64_t* tokens,
     }
 
     if (ws.best.empty()) {
-        out = enabled; // no seed improved on the full set
+        // No seed improved on the full set.
+        out.assign(enabled.begin(), enabled.end());
     } else {
         out = ws.best;
     }

@@ -57,6 +57,7 @@
 #define FCQSS_PN_STUBBORN_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pn/petri_net.hpp"
@@ -143,7 +144,7 @@ public:
     /// `out`, ascending; `out` always contains at least one transition when
     /// `enabled` is non-empty, and equals `enabled` when no reduction
     /// applies.  Deterministic in (tokens, enabled) only.
-    void reduce(const std::int64_t* tokens, const std::vector<transition_id>& enabled,
+    void reduce(const std::int64_t* tokens, std::span<const transition_id> enabled,
                 stubborn_workspace& ws, std::vector<transition_id>& out) const;
 
 private:

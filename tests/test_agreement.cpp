@@ -2,8 +2,12 @@
 // same question must agree — Karp–Miller vs explicit reachability for
 // boundedness, P-invariant structural bounds vs observed peaks, Commoner's
 // siphon condition vs behavioural liveness on free-choice nets, and QSS
-// schedules staying bounded under their own cycles.  The QSS verdict itself
-// is held to the brute-force allocation oracle in test_qss_enumeration.cpp.
+// schedules staying bounded under their own cycles.  The QSS verdict has no
+// independent oracle yet: the brute-force allocation oracle in
+// test_qss_enumeration.cpp (testutil::brute_force_schedule) enumerates the
+// T-allocations on its own but calls qss::schedule_reduction for each
+// reduction's Def. 3.5 check, so it checks the enumeration, not the verdict
+// logic.
 #include <gtest/gtest.h>
 
 #include "nets/paper_nets.hpp"

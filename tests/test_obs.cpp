@@ -323,6 +323,10 @@ TEST_F(obs_snapshot, mid_exploration_snapshot_is_monotone_and_final_totals_match
     EXPECT_GT(metric_value(rows, "pn.store.inserts"), 0.0);
     EXPECT_GE(metric_value(rows, "pn.explore.states"),
               metric_value(rows, "pn.explore.levels"));
+    // Renumbering, the CSR edge build and the final table build are timed.
+    EXPECT_GT(metric_value(rows, "pn.par.phase_c_ns"), 0.0);
+    EXPECT_GT(metric_value(rows, "pn.par.phase_d_ns"), 0.0);
+    EXPECT_GT(metric_value(rows, "pn.par.table_ns"), 0.0);
 
     // On a non-truncated run every state was interned by exactly one shard.
     double shard_sum = 0;

@@ -12,9 +12,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nets/paper_nets.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
 #include "pn/builder.hpp"
 #include "pn/marking.hpp"
@@ -243,6 +246,90 @@ TEST(parallel_explore, budget_sweep_keeps_the_sequential_prefix)
                                        .max_tokens_per_place = 4,
                                        .threads = threads});
             expect_identical_spaces(sequential, parallel);
+        }
+    }
+}
+
+TEST(parallel_explore, budget_cut_inside_a_pooled_level)
+{
+    // The sweep above stays on small frontiers, which run inline.  Here the
+    // BFS levels hold hundreds of states, so they run on the pool, and the
+    // state budget is cut inside the fresh markings of the first, a middle
+    // and the last expansion chunk of such a level: chunks before the cut
+    // keep every fresh marking, the cut chunk keeps a prefix, and chunks
+    // after it keep none.
+    pipeline::generator_options options;
+    options.family = pipeline::net_family::choice_heavy;
+    options.sources = 3;
+    options.depth = 3;
+    options.source_credit = 1; // finite state space
+    const petri_net net = pipeline::net_generator(11, options).next();
+
+    const state_space full = explore_state_space(net, {.max_markings = 100000});
+    ASSERT_FALSE(full.truncated());
+    const std::size_t states = full.state_count();
+
+    // Ids are handed out in discovery order, so the fresh successors of
+    // parent p are the ids [first_fresh[p], first_fresh[p + 1]).
+    std::vector<std::size_t> first_fresh(states + 1);
+    std::size_t next_id = 1;
+    for (state_id p = 0; p < static_cast<state_id>(states); ++p) {
+        first_fresh[p] = next_id;
+        for (const state_space_edge& edge : full.successors(p)) {
+            next_id += edge.to == next_id ? 1 : 0;
+        }
+    }
+    first_fresh[states] = states;
+    ASSERT_EQ(next_id, states);
+
+    // The level whose expansion discovers the most fresh markings.
+    std::size_t cut_begin = 0;
+    std::size_t cut_end = 1;
+    for (std::size_t begin = 0, end = 1; begin < end;
+         begin = end, end = first_fresh[end]) {
+        if (first_fresh[end] - end > first_fresh[cut_end] - cut_end) {
+            cut_begin = begin;
+            cut_end = end;
+        }
+    }
+    const std::size_t frontier = cut_end - cut_begin;
+    ASSERT_GE(frontier, std::size_t{64}); // pooled at every thread count below
+
+    for (const std::size_t threads :
+         {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+        // The engine's expansion chunks: 4 x threads contiguous parent
+        // ranges of the frontier.
+        const std::size_t chunk_count = std::min(frontier, 4 * threads);
+        for (const std::size_t chunk :
+             {std::size_t{0}, chunk_count / 2, chunk_count - 1}) {
+            const std::size_t lo =
+                first_fresh[cut_begin + frontier * chunk / chunk_count];
+            const std::size_t hi =
+                first_fresh[cut_begin + frontier * (chunk + 1) / chunk_count];
+            ASSERT_GE(hi - lo, std::size_t{2}) << "chunk " << chunk;
+            const std::size_t max_states = lo + (hi - lo) / 2;
+            const state_space sequential =
+                explore_state_space(net, {.max_markings = max_states});
+            ASSERT_EQ(sequential.state_count(), max_states);
+            ASSERT_TRUE(sequential.truncated());
+            // 4096 routes every store through the spill pager (too few
+            // rows to evict here; test_spill covers eviction).
+            for (const std::size_t max_bytes : {std::size_t{0}, std::size_t{4096}}) {
+                SCOPED_TRACE("threads " + std::to_string(threads) + " chunk " +
+                             std::to_string(chunk) + " max_states " +
+                             std::to_string(max_states) + " max_bytes " +
+                             std::to_string(max_bytes));
+                obs::reset();
+                obs::set_stats_enabled(true);
+                const state_space parallel =
+                    explore_parallel(net, {.max_markings = max_states,
+                                           .max_bytes = max_bytes,
+                                           .threads = threads});
+                obs::set_stats_enabled(false);
+                EXPECT_GT(obs::get_counter("pn.explore.levels").value(),
+                          obs::get_counter("pn.explore.inline_levels").value());
+                expect_identical_spaces(sequential, parallel);
+            }
         }
     }
 }

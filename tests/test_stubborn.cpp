@@ -325,6 +325,7 @@ TEST(enabled_sets, incremental_update_matches_scratch_recompute)
                 for (const place_weight& out : net.outputs(t)) {
                     tokens[out.place.index()] += out.weight;
                 }
+                merged.clear();
                 detail::merge_enabled(net, enabled, affected[t.index()],
                                       tokens.data(), merged);
                 ASSERT_EQ(merged, scan_enabled(net, tokens.data()))
