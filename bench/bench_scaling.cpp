@@ -271,13 +271,13 @@ bool identical_spaces(const pn::state_space& a, const pn::state_space& b)
     return true;
 }
 
-// External-memory rows (this PR's tentpole): the sequential engine on a
-// free-choice net at increasing spill pressure.  The budget is derived from
-// the unlimited run's own arena size B: @0 runs with 2B (pager engaged, no
-// eviction), @0.5 with B/2 and @0.9 with B/10 (nearly everything cold).
-// Bit-identity of the @0.5 run against the unlimited run is reported as a
-// 0/1 row and gated by CI; bench_diff tracks "spill states/s @0.5" with a
-// fail-below floor so the decode path cannot quietly collapse.
+// External-memory rows: the sequential engine on a free-choice net at
+// increasing spill pressure.  The budget is derived from the unlimited run's
+// own arena size B: @0 runs with 2B (pager engaged, no eviction), @0.5 with
+// B/2 and @0.9 with B/10 (nearly everything cold).  Bit-identity of the @0.5
+// run against the unlimited run is reported as a 0/1 row and gated by CI;
+// bench_diff tracks "spill states/s @0.5" with a fail-below floor so reads
+// of evicted rows through the mapping cannot quietly collapse.
 void report_spill()
 {
     benchutil::heading("external-memory exploration (mmap spill, sequential "

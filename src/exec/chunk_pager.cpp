@@ -4,6 +4,7 @@
 #include "base/error.hpp"
 #include "obs/obs.hpp"
 
+#include <cassert>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -24,9 +25,8 @@ namespace {
                    std::strerror(errno));
 }
 
-std::string pick_spill_dir(const std::string& configured)
+std::string temp_directory()
 {
-    if (!configured.empty()) return configured;
     if (const char* tmp = std::getenv("TMPDIR"); tmp != nullptr && *tmp != '\0')
         return tmp;
     return "/tmp";
@@ -34,30 +34,26 @@ std::string pick_spill_dir(const std::string& configured)
 
 } // namespace
 
-chunk_pager::chunk_pager(chunk_pager_options options)
-    : options_(std::move(options))
+chunk_pager::chunk_pager(std::size_t max_resident_bytes)
+    : max_resident_bytes_(max_resident_bytes)
 {
+    assert(max_resident_bytes_ != 0 && "chunk_pager needs a byte budget");
     const long page = ::sysconf(_SC_PAGESIZE);
     if (page > 0) page_size_ = static_cast<std::size_t>(page);
-    if (options_.max_resident_bytes == 0) return;
 
-    std::string templ = pick_spill_dir(options_.spill_dir) + "/fcqss-spill-XXXXXX";
-    std::string buf = templ;
-    fd_ = ::mkstemp(buf.data());
+    std::string path = temp_directory() + "/fcqss-spill-XXXXXX";
+    fd_ = ::mkstemp(path.data());
     if (fd_ < 0) throw_errno("mkstemp");
-    spill_path_ = buf;
+    spill_path_ = std::move(path);
 }
 
 chunk_pager::~chunk_pager()
 {
-    for (auto& chunk : chunks_) {
-        if (chunk.owned == nullptr && chunk.data != nullptr)
-            ::munmap(chunk.data, chunk.bytes);
+    for (const auto& chunk : chunks_) {
+        if (chunk.data != nullptr) ::munmap(chunk.data, chunk.bytes);
     }
-    if (fd_ >= 0) {
-        ::close(fd_);
-        ::unlink(spill_path_.c_str());
-    }
+    ::close(fd_);
+    ::unlink(spill_path_.c_str());
 }
 
 std::pair<std::uint32_t, void*> chunk_pager::allocate(std::size_t bytes)
@@ -65,17 +61,6 @@ std::pair<std::uint32_t, void*> chunk_pager::allocate(std::size_t bytes)
     if (bytes == 0) bytes = 1;
     std::lock_guard lock(mutex_);
     const auto id = static_cast<std::uint32_t>(chunks_.size());
-
-    if (fd_ < 0) {
-        chunk_meta meta;
-        meta.bytes = bytes;
-        meta.owned = std::make_unique<std::byte[]>(bytes);
-        meta.data = meta.owned.get();
-        chunks_.push_back(std::move(meta));
-        resident_bytes_ += bytes;
-        return {id, chunks_.back().data};
-    }
-
     validate_backing_locked();
     const std::size_t rounded =
         (bytes + page_size_ - 1) / page_size_ * page_size_;
@@ -93,20 +78,19 @@ std::pair<std::uint32_t, void*> chunk_pager::allocate(std::size_t bytes)
     meta.data = data;
     meta.bytes = rounded;
     meta.file_offset = offset;
-    chunks_.push_back(std::move(meta));
+    chunks_.push_back(meta);
     resident_bytes_ += rounded;
     return {id, data};
 }
 
 void chunk_pager::evict_to_fit_locked(std::size_t incoming_bytes)
 {
-    if (options_.max_resident_bytes == 0) return;
     // Sweep the clock hand over chunks in allocation order; wrap once.  In
     // steady state the hand sits just past the last eviction, so each call
     // does O(evicted + pinned skipped) work.
     std::size_t examined = 0;
     const std::size_t n = chunks_.size();
-    while (resident_bytes_ + incoming_bytes > options_.max_resident_bytes &&
+    while (resident_bytes_ + incoming_bytes > max_resident_bytes_ &&
            examined < n) {
         if (next_victim_ >= n) next_victim_ = 0;
         chunk_meta& victim = chunks_[next_victim_];
@@ -127,17 +111,13 @@ void chunk_pager::release(std::uint32_t id)
     chunk_meta& chunk = chunks_[id];
     if (chunk.released) return;
     if (chunk.resident) resident_bytes_ -= chunk.bytes;
-    if (chunk.owned != nullptr) {
-        chunk.owned.reset();
-    } else {
-        ::munmap(chunk.data, chunk.bytes);
-        // Give the file range's blocks back too (TMPDIR is often tmpfs, where
-        // they are memory); the extent stays, so offsets never shift.  A
-        // filesystem without hole punching just keeps the bytes.
-        static_cast<void>(::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
-                                      static_cast<off_t>(chunk.file_offset),
-                                      static_cast<off_t>(chunk.bytes)));
-    }
+    ::munmap(chunk.data, chunk.bytes);
+    // Give the file range's blocks back too (TMPDIR is often tmpfs, where
+    // they are memory); the extent stays, so offsets never shift.  A
+    // filesystem without hole punching just keeps the bytes.
+    static_cast<void>(::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                                  static_cast<off_t>(chunk.file_offset),
+                                  static_cast<off_t>(chunk.bytes)));
     chunk.data = nullptr;
     chunk.pins = 0;
     chunk.resident = false;
@@ -170,7 +150,6 @@ void chunk_pager::validate_backing() const
 
 void chunk_pager::validate_backing_locked() const
 {
-    if (fd_ < 0) return;
     struct stat st {};
     if (::fstat(fd_, &st) != 0) throw_errno("fstat");
     if (static_cast<std::size_t>(st.st_size) < file_extent_)

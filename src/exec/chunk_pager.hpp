@@ -1,14 +1,15 @@
 // fcqss — exec/chunk_pager.hpp
 // External-memory backing for bump-arena chunks.  A pager hands out
-// fixed-address chunk allocations and, when a resident-byte budget is set,
-// backs them with one mmap'd spill file and evicts cold chunks to keep the
-// resident set under the budget.
+// fixed-address chunk allocations backed by one mmap'd spill file and evicts
+// cold chunks to keep the resident set under a byte budget.  Engines build
+// one only under a --max-bytes budget; unbudgeted stores keep their arena on
+// the heap.
 //
 // The one invariant everything above relies on: **a chunk's address never
 // changes until the chunk is released.**  marking_store rows and the
 // engines' cross-thread parent-row pointers point straight into chunks, so
-// eviction must not remap anything.  File-backed chunks are therefore
-// MAP_SHARED mappings that stay mapped until release(); "eviction" is
+// eviction must not remap anything.  Chunks are therefore MAP_SHARED
+// mappings that stay mapped until release(); "eviction" is
 // msync(MS_ASYNC) + madvise(MADV_DONTNEED), which drops the chunk's
 // resident pages (the file keeps the bytes) while leaving the address range
 // valid — a later read simply refaults the pages back in from the spill
@@ -18,18 +19,13 @@
 // width (marking_store::widen) copies them into fresh chunks and releases
 // the old ones: row pointers stay valid until the next widening.
 //
-// Two modes, chosen at construction:
-//
-//   unbudgeted  (max_resident_bytes == 0)  plain anonymous allocations,
-//               nothing is ever evicted — the pager is pure bookkeeping.
-//   budgeted    chunks live in a spill file under TMPDIR (created with
-//               mkstemp, removed on destruction; the path is exposed for
-//               tests).  allocate() evicts cold unpinned chunks, oldest
-//               first, until the believed-resident bytes fit the budget.
-//               Pinned chunks (each store pins the bump chunk it is
-//               filling) are never evicted, so the write frontier stays
-//               hot; older chunks age out in allocation order, which for a
-//               BFS arena is ascending state id — exactly cold-first.
+// The spill file lives under $TMPDIR, else /tmp (created with mkstemp,
+// removed on destruction; the path is exposed for tests).  allocate()
+// evicts cold unpinned chunks, oldest first, until the believed-resident
+// bytes fit the budget.  Pinned chunks (each store pins the bump chunk it is
+// filling) are never evicted, so the write frontier stays hot; older chunks
+// age out in allocation order, which for a BFS arena is ascending state id —
+// exactly cold-first.
 //
 // External truncation of the spill file would otherwise surface as a
 // SIGBUS deep inside a token read; instead the pager re-validates the
@@ -37,32 +33,21 @@
 // throws fcqss::io_error the moment the file is shorter than the bytes
 // handed out.
 //
-// Thread safety: allocate/pin/unpin/resident/evictions take one internal
-// mutex (allocation is per-256KiB-chunk, far off any hot path).  Reads and
-// writes of chunk *memory* need no pager involvement at all.
+// Thread safety: allocate/release/pin/unpin/resident/stats take one
+// internal mutex (stores call the pager once per 256 KiB chunk, far off any
+// hot path).  Reads and writes of chunk *memory* need no pager involvement
+// at all.
 #ifndef FCQSS_EXEC_CHUNK_PAGER_HPP
 #define FCQSS_EXEC_CHUNK_PAGER_HPP
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 
 namespace fcqss::exec {
-
-struct chunk_pager_options {
-    /// Soft ceiling on resident chunk bytes; 0 = unbudgeted anonymous mode.
-    /// The ceiling is advisory in the mmap sense: evicted pages refault on
-    /// access, so a workload that touches everything at once can still
-    /// exceed it transiently — but the pager keeps madvising cold chunks
-    /// away, so the steady-state resident set tracks the budget.
-    std::size_t max_resident_bytes = 0;
-    /// Directory for the spill file; empty picks $TMPDIR, then /tmp.
-    std::string spill_dir{};
-};
 
 /// Cumulative pager tallies (see flush_obs for the pn.mem.* mapping).
 struct chunk_pager_stats {
@@ -71,47 +56,48 @@ struct chunk_pager_stats {
     std::uint64_t spilled_chunks = 0;  ///< believed evicted right now
     std::uint64_t released_chunks = 0; ///< handed back through release()
     std::uint64_t evictions = 0;       ///< eviction operations, ever
-    std::uint64_t spill_file_bytes = 0; ///< spill file extent (0 unbudgeted)
+    std::uint64_t spill_file_bytes = 0; ///< spill file extent
     std::uint64_t resident_bytes = 0;  ///< believed resident bytes
 };
 
 class chunk_pager {
 public:
-    explicit chunk_pager(chunk_pager_options options = {});
+    /// A pager whose chunks spill to a fresh file once they would hold more
+    /// than `max_resident_bytes` (non-zero) resident.  The ceiling is
+    /// advisory in the mmap sense: evicted pages refault on access, so a
+    /// workload that touches everything at once can still exceed it
+    /// transiently — but the pager keeps madvising cold chunks away, so the
+    /// steady-state resident set tracks the budget.  Throws fcqss::io_error
+    /// when the spill file cannot be created.
+    explicit chunk_pager(std::size_t max_resident_bytes);
     ~chunk_pager();
 
     chunk_pager(const chunk_pager&) = delete;
     chunk_pager& operator=(const chunk_pager&) = delete;
 
-    /// Allocates a chunk of `bytes` (page-rounded in budgeted mode) and
-    /// returns (chunk id, base address).  The address is stable until the
-    /// chunk is released or the pager is destroyed.  May evict cold chunks
-    /// first; throws fcqss::io_error when the spill file cannot grow or was
-    /// truncated externally.
+    /// Allocates a chunk of `bytes` (page-rounded) and returns (chunk id,
+    /// base address).  The address is stable until the chunk is released or
+    /// the pager is destroyed.  May evict cold chunks first; throws
+    /// fcqss::io_error when the spill file cannot grow or was truncated
+    /// externally.
     std::pair<std::uint32_t, void*> allocate(std::size_t bytes);
 
-    /// Hands a chunk back: its memory is freed (anonymous mode) or unmapped
-    /// and its spill-file range hole-punched (budgeted mode), and its
-    /// address becomes invalid.  The id is never reused.  Releasing twice
-    /// is a no-op.
+    /// Hands a chunk back: it is unmapped and its spill-file range
+    /// hole-punched, and its address becomes invalid.  The id is never
+    /// reused.  Releasing twice is a no-op.
     void release(std::uint32_t id);
 
     /// Pin/unpin a chunk against eviction (counted: pins nest).
     void pin(std::uint32_t id);
     void unpin(std::uint32_t id);
 
-    /// True when the chunk's pages are believed resident.  Conservative:
-    /// an evicted chunk that refaulted through a direct read stays
-    /// "non-resident" until the next eviction pass re-ages it, so callers
-    /// using this to *avoid* faults (the decode cache) never see a false
-    /// "resident".
+    /// True when the chunk counts as resident: allocated, not released, and
+    /// not evicted since.  An evicted chunk whose pages refaulted through a
+    /// read still counts as evicted.
     [[nodiscard]] bool resident(std::uint32_t id) const;
 
-    /// True when chunks are backed by the spill file (budgeted mode).
-    [[nodiscard]] bool file_backed() const noexcept { return fd_ >= 0; }
-
-    /// Path of the spill file; empty in unbudgeted mode.  Exposed so tests
-    /// can corrupt/truncate it and assert the io_error surface.
+    /// Path of the spill file.  Exposed so tests can corrupt/truncate it
+    /// and assert the io_error surface.
     [[nodiscard]] const std::string& spill_path() const noexcept
     {
         return spill_path_;
@@ -136,15 +122,12 @@ private:
         int pins = 0;
         bool resident = true;
         bool released = false;
-        /// Unbudgeted-mode ownership (budgeted chunks are unmapped whole
-        /// via the file mappings in the destructor).
-        std::unique_ptr<std::byte[]> owned;
     };
 
     void evict_to_fit_locked(std::size_t incoming_bytes);
     void validate_backing_locked() const;
 
-    chunk_pager_options options_;
+    std::size_t max_resident_bytes_;
     int fd_ = -1;
     std::string spill_path_;
     std::size_t page_size_ = 4096;

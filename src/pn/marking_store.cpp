@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace fcqss::pn {
 
@@ -12,8 +11,6 @@ namespace {
 
 constexpr std::size_t initial_table_capacity = 64;
 constexpr std::size_t target_chunk_bytes = std::size_t{1} << 18; // 256 KiB
-constexpr std::size_t decode_cache_slots = 64;
-constexpr std::size_t decode_chain_limit = 64;
 
 std::uint64_t splitmix64(std::uint64_t x) noexcept
 {
@@ -131,8 +128,7 @@ std::pair<state_id, bool> marking_store::intern(const std::int64_t* tokens,
             const state_id id = table_[at];
             if (id == invalid_state ||
                 (hashes_[id] == hash &&
-                 equal_decoded(reinterpret_cast<const T*>(probe_row(id)), tokens,
-                               width_))) {
+                 equal_decoded(reinterpret_cast<const T*>(row(id)), tokens, width_))) {
                 return std::pair{at, id};
             }
         }
@@ -253,7 +249,6 @@ void marking_store::widen(unsigned count_bytes)
     while (released < old_rows.size()) {
         release_old(released++);
     }
-    decode_cache_.clear();
 }
 
 void marking_store::allocate_chunk()
@@ -274,92 +269,6 @@ void marking_store::allocate_chunk()
         owned_chunks_.emplace_back(new std::byte[bytes]);
         chunk_rows_.push_back(owned_chunks_.back().get());
     }
-}
-
-void marking_store::record_parent(
-    state_id id, state_id parent,
-    std::span<const std::pair<std::uint32_t, std::int64_t>> deltas)
-{
-    if (pager_ == nullptr) {
-        return;
-    }
-    if (delta_of_.size() <= id) {
-        delta_of_.resize(id + 1);
-    }
-    delta_ref& ref = delta_of_[id];
-    ref.parent = parent;
-    ref.begin = static_cast<std::uint32_t>(delta_pool_.size());
-    ref.count = static_cast<std::uint32_t>(deltas.size());
-    delta_pool_.insert(delta_pool_.end(), deltas.begin(), deltas.end());
-}
-
-const std::byte* marking_store::cold_row(state_id id)
-{
-    const std::byte* direct = row(id);
-    if (pager_chunk_ids_.empty() ||
-        pager_->resident(pager_chunk_ids_[id >> chunk_shift_])) {
-        return direct;
-    }
-    if (decode_cache_.empty()) {
-        decode_cache_.resize(decode_cache_slots);
-    }
-    decode_slot& slot = decode_cache_[id % decode_cache_slots];
-    if (slot.id == id) {
-        ++stats_.decode_hits;
-        return slot.row.data();
-    }
-    // Walk the parent chain until something materializable: a row in a
-    // resident chunk, an already-decoded cache slot, or — failing both
-    // within the depth cap — a forced (faulting) read of the last ancestor.
-    state_id chain[decode_chain_limit];
-    std::size_t depth = 0;
-    state_id cur = id;
-    const std::byte* base = nullptr;
-    bool faulted = false;
-    for (;;) {
-        const std::byte* cur_direct = row(cur);
-        if (pager_->resident(pager_chunk_ids_[cur >> chunk_shift_])) {
-            base = cur_direct;
-            break;
-        }
-        const decode_slot& cached = decode_cache_[cur % decode_cache_slots];
-        if (cached.id == cur) {
-            base = cached.row.data();
-            break;
-        }
-        const bool has_parent =
-            cur < delta_of_.size() && delta_of_[cur].parent != invalid_state;
-        if (!has_parent || depth == decode_chain_limit) {
-            base = cur_direct; // refaults the page: the decode miss
-            faulted = true;
-            break;
-        }
-        chain[depth++] = cur;
-        cur = delta_of_[cur].parent;
-    }
-    // Replay deltas from the base down to id, materializing into the slot.
-    // Every intermediate row is an interned marking, so it fits the width.
-    // memcpy (not an element copy) so the counts are typed objects there.
-    slot.row.resize(row_bytes_);
-    std::memcpy(slot.row.data(), base, row_bytes_);
-    with_count_type(count_bytes_, [&]<typename T>(T) {
-        T* counts = reinterpret_cast<T*>(slot.row.data());
-        for (std::size_t i = depth; i-- > 0;) {
-            const delta_ref& ref = delta_of_[chain[i]];
-            for (std::uint32_t d = 0; d < ref.count; ++d) {
-                const auto& [place, change] = delta_pool_[ref.begin + d];
-                counts[place] =
-                    static_cast<T>(static_cast<std::int64_t>(counts[place]) + change);
-            }
-        }
-    });
-    slot.id = id;
-    if (faulted) {
-        ++stats_.decode_misses;
-    } else {
-        ++stats_.decode_hits;
-    }
-    return slot.row.data();
 }
 
 void marking_store::start_bulk_build(std::size_t count)
@@ -411,9 +320,7 @@ std::size_t marking_store::arena_bytes() const noexcept
 std::size_t marking_store::memory_bytes() const noexcept
 {
     return arena_bytes() + hashes_.size() * sizeof(std::uint64_t) +
-           table_.size() * sizeof(state_id) +
-           delta_pool_.size() * sizeof(delta_pool_[0]) +
-           delta_of_.size() * sizeof(delta_of_[0]);
+           table_.size() * sizeof(state_id);
 }
 
 } // namespace fcqss::pn

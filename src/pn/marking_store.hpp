@@ -21,16 +21,14 @@
 // detail::row_access, and they widen only at points where no other thread
 // holds a row pointer.
 //
-// External memory: a store constructed with an exec::chunk_pager draws its
-// arena chunks from the pager instead of the heap.  Under a --max-bytes
-// budget the pager backs chunks with an mmap'd spill file and evicts cold
-// ones (the bump chunk being filled stays pinned); reads of evicted rows
-// refault transparently, so correctness is unaffected.  To keep intern-time
-// equality probes off the fault path, the sequential engine records each
-// inserted state's (BFS parent, firing delta) via record_parent(); probes
-// against rows whose chunk is believed evicted then materialize the row by
-// replaying deltas down the parent chain into a small decode cache of
-// encoded rows (cleared on widening) instead of touching the cold page.
+// External memory: a store constructed with an exec::chunk_pager (the
+// engines build one under a --max-bytes budget) draws its arena chunks from
+// the pager instead of the heap.  The pager backs chunks with an mmap'd
+// spill file and evicts cold ones (the bump chunk being filled stays
+// pinned).  Every read — intern and find probes, load(), tokens() — goes
+// straight through the mapping and refaults an evicted row's pages
+// transparently, so correctness and the store's footprint are the same
+// with or without a budget.
 #ifndef FCQSS_PN_MARKING_STORE_HPP
 #define FCQSS_PN_MARKING_STORE_HPP
 
@@ -38,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -94,8 +91,6 @@ struct marking_store_stats {
     std::uint64_t inserts = 0;        ///< markings newly interned
     std::uint64_t budget_rejects = 0; ///< interns refused by max_states
     std::uint64_t resizes = 0;        ///< open-addressing table rebuilds
-    std::uint64_t decode_hits = 0;    ///< cold rows served by the decode cache
-    std::uint64_t decode_misses = 0;  ///< cold rows forced to fault pages back
     std::uint64_t widenings = 0;      ///< re-encodings at a wider count width
 };
 
@@ -175,8 +170,7 @@ public:
             if (id == invalid_state) {
                 break;
             }
-            if (hashes_[id] == hash &&
-                equals(reinterpret_cast<const T*>(probe_row(id)))) {
+            if (hashes_[id] == hash && equals(reinterpret_cast<const T*>(row(id)))) {
                 ++stats_.dedup_hits;
                 return {id, false};
             }
@@ -216,14 +210,6 @@ public:
     /// every row pointer taken before the call is invalidated; ids, hashes
     /// and lookups are unchanged.
     void widen(unsigned count_bytes);
-
-    // -- External-memory support --------------------------------------------
-
-    /// Records that `id` was inserted as `parent` fired a transition whose
-    /// (place, token delta) list is `deltas` (detail::firing_deltas shape).
-    /// No-op without a pager: the chain only feeds the cold-row decode path.
-    void record_parent(state_id id, state_id parent,
-                       std::span<const std::pair<std::uint32_t, std::int64_t>> deltas);
 
     /// The pager backing this store's arena, or null.
     [[nodiscard]] const std::shared_ptr<exec::chunk_pager>& pager() const noexcept
@@ -267,8 +253,8 @@ public:
     /// Entries are trusted to be pairwise distinct (no equality checks).
     void finish_bulk_build();
 
-    /// Arena, hashes, table and delta chains: the store's whole footprint,
-    /// for telemetry and benches.
+    /// Arena, hashes and table: the store's whole footprint, for telemetry
+    /// and benches.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
     /// Arena chunks held right now.
@@ -279,21 +265,6 @@ public:
 
 private:
     friend struct detail::row_access;
-
-    /// Parent-chain link of an interned state (invalid_state = unknown);
-    /// the delta half-open range lives in delta_pool_.
-    struct delta_ref {
-        state_id parent = invalid_state;
-        std::uint32_t begin = 0;
-        std::uint32_t count = 0;
-    };
-
-    /// One decode-cache slot: a materialized cold row, encoded at the
-    /// store's current width.
-    struct decode_slot {
-        state_id id = invalid_state;
-        std::vector<std::byte> row;
-    };
 
     /// The encoded row of `id`.  Valid until the next widening.
     [[nodiscard]] std::byte* row(state_id id) const noexcept
@@ -310,18 +281,6 @@ private:
     void set_count_bytes(unsigned count_bytes) noexcept;
     void rebuild_table(std::size_t capacity);
     void allocate_chunk();
-
-    /// The row to hand an equality probe: direct when safe/cheap, decoded
-    /// through the cache when the row's chunk is believed evicted.
-    [[nodiscard]] const std::byte* probe_row(state_id id)
-    {
-        if (pager_ == nullptr) {
-            return row(id);
-        }
-        return cold_row(id);
-    }
-
-    [[nodiscard]] const std::byte* cold_row(state_id id);
 
     std::size_t width_;
     unsigned count_bytes_ = 1;
@@ -343,10 +302,6 @@ private:
     /// capacity is a power of two, rebuilt from hashes_ on growth.
     std::vector<state_id> table_;
     std::size_t table_mask_ = 0;
-    /// Delta-encoded parent chain (pager mode only) + decode cache.
-    std::vector<delta_ref> delta_of_;
-    std::vector<std::pair<std::uint32_t, std::int64_t>> delta_pool_;
-    std::vector<decode_slot> decode_cache_;
     marking_store_stats stats_{};
 };
 

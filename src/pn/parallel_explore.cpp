@@ -190,21 +190,42 @@ struct shard_state {
     }
 };
 
-/// (place, token delta) lists now live in detail:: (state_space.cpp) so the
-/// sequential engine can record them as cold-row decode deltas too.
-using detail::delta_list;
-using detail::firing_deltas;
+/// (place, token delta) of one firing, ascending by place; places whose
+/// count does not change are omitted.
+using delta_list = std::vector<std::pair<std::uint32_t, std::int64_t>>;
 
-/// The shared spill pager of one exploration run (null when unlimited):
-/// every store — result and per-shard — draws chunks from it, so they
-/// compete for one --max-bytes budget.
-std::shared_ptr<exec::chunk_pager> make_run_pager(std::size_t max_bytes)
+/// Per-transition sparse firing deltas, indexed by transition index: phase A
+/// hashes each successor from its parent's row with them, and phase B
+/// compares and writes candidate rows as (parent row, delta).
+std::vector<delta_list> firing_deltas(const petri_net& net)
 {
-    if (max_bytes == 0) {
-        return nullptr;
+    std::vector<delta_list> deltas(net.transition_count());
+    for (transition_id t : net.transitions()) {
+        delta_list& list = deltas[t.index()];
+        for (const place_weight& in : net.inputs(t)) {
+            list.emplace_back(static_cast<std::uint32_t>(in.place.index()),
+                              -in.weight);
+        }
+        for (const place_weight& out : net.outputs(t)) {
+            list.emplace_back(static_cast<std::uint32_t>(out.place.index()),
+                              out.weight);
+        }
+        std::sort(list.begin(), list.end());
+        // Fold arcs touching the same place into one net delta; drop zeros.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < list.size();) {
+            std::int64_t sum = 0;
+            const std::uint32_t place = list[i].first;
+            for (; i < list.size() && list[i].first == place; ++i) {
+                sum += list[i].second;
+            }
+            if (sum != 0) {
+                list[kept++] = {place, sum};
+            }
+        }
+        list.resize(kept);
     }
-    return std::make_shared<exec::chunk_pager>(
-        exec::chunk_pager_options{.max_resident_bytes = max_bytes});
+    return deltas;
 }
 
 /// Resizes `v` to `size` elements.  Capacity grows from the capacity
@@ -283,8 +304,11 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
     // narrowest that holds the root; phase W raises it for all at once.
     const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
     unsigned count_bytes = row_count_bytes(m0.data(), width);
-    const std::shared_ptr<exec::chunk_pager> pager =
-        make_run_pager(options.max_bytes);
+    // The run's one spill pager (null when unlimited): every store, result
+    // and per-shard, draws chunks from it, so they compete for one budget.
+    const auto pager = options.max_bytes == 0
+                           ? nullptr
+                           : std::make_shared<exec::chunk_pager>(options.max_bytes);
     std::vector<shard_state> shards;
     shards.reserve(shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {

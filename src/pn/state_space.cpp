@@ -46,8 +46,6 @@ void flush_store_obs(const marking_store& store)
     static obs::counter& resizes = obs::get_counter("pn.store.table_resizes");
     static obs::counter& arena = obs::get_counter("pn.store.arena_bytes", "bytes");
     static obs::counter& chunks = obs::get_counter("pn.store.chunks");
-    static obs::counter& decode_hits = obs::get_counter("pn.mem.decode_hits");
-    static obs::counter& decode_misses = obs::get_counter("pn.mem.decode_misses");
     static obs::counter& widenings = obs::get_counter("pn.store.widenings");
     static obs::gauge& count_bytes = obs::get_gauge("pn.store.count_bytes", "bytes");
     const marking_store_stats& s = store.stats();
@@ -58,41 +56,8 @@ void flush_store_obs(const marking_store& store)
     resizes.add(s.resizes);
     arena.add(store.memory_bytes());
     chunks.add(store.chunk_count());
-    decode_hits.add(s.decode_hits);
-    decode_misses.add(s.decode_misses);
     widenings.add(s.widenings);
     count_bytes.set_max(static_cast<double>(store.count_bytes()));
-}
-
-std::vector<delta_list> firing_deltas(const petri_net& net)
-{
-    std::vector<delta_list> deltas(net.transition_count());
-    for (transition_id t : net.transitions()) {
-        delta_list& list = deltas[t.index()];
-        for (const place_weight& in : net.inputs(t)) {
-            list.emplace_back(static_cast<std::uint32_t>(in.place.index()),
-                              -in.weight);
-        }
-        for (const place_weight& out : net.outputs(t)) {
-            list.emplace_back(static_cast<std::uint32_t>(out.place.index()),
-                              out.weight);
-        }
-        std::sort(list.begin(), list.end());
-        // Fold arcs touching the same place into one net delta; drop zeros.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < list.size();) {
-            std::int64_t sum = 0;
-            const std::uint32_t place = list[i].first;
-            for (; i < list.size() && list[i].first == place; ++i) {
-                sum += list[i].second;
-            }
-            if (sum != 0) {
-                list[kept++] = {place, sum};
-            }
-        }
-        list.resize(kept);
-    }
-    return deltas;
 }
 
 template <typename Count>
@@ -468,22 +433,13 @@ state_space explore_state_space(const petri_net& net, const reachability_options
     // Under a byte budget the arena spills through a pager; the shared_ptr
     // rides inside the store so the mappings outlive the exploration for as
     // long as the returned space does.
-    std::shared_ptr<exec::chunk_pager> pager;
-    if (options.max_bytes != 0) {
-        pager = std::make_shared<exec::chunk_pager>(
-            exec::chunk_pager_options{.max_resident_bytes = options.max_bytes});
-    }
+    const auto pager = options.max_bytes == 0
+                           ? nullptr
+                           : std::make_shared<exec::chunk_pager>(options.max_bytes);
     // Rows start at the narrowest count width that holds the root and widen
     // inside intern() when a fresh marking outgrows it.
     const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
     result.store_ = marking_store(width, pager, row_count_bytes(m0.data(), width));
-
-    // With a pager, every inserted state records its (parent, firing delta)
-    // so equality probes against evicted rows can decode instead of fault.
-    std::vector<detail::delta_list> deltas;
-    if (pager != nullptr) {
-        deltas = detail::firing_deltas(net);
-    }
 
     // Progress counters are flushed as deltas every few thousand expansions
     // (and once at the end), so a concurrent snapshot() sees them grow
@@ -595,9 +551,6 @@ state_space explore_state_space(const petri_net& net, const reachability_options
                 } else {
                     result.edges_.push_back({t, to});
                     if (inserted) {
-                        if (pager != nullptr) {
-                            result.store_.record_parent(to, s, deltas[t.index()]);
-                        }
                         // Incremental enabled set of the successor: statuses
                         // carry over except for the consumers of touched
                         // places, which are re-checked against scratch.

@@ -81,16 +81,6 @@ struct reachability_options {
 
 namespace detail {
 
-/// (place, token delta) of one firing, ascending by place; places whose
-/// count does not change are omitted.
-using delta_list = std::vector<std::pair<std::uint32_t, std::int64_t>>;
-
-/// Per-transition sparse firing deltas, indexed by transition index.  Both
-/// engines use these for O(|arcs|) successor construction, and the
-/// sequential engine forwards them to marking_store::record_parent so cold
-/// rows can be decoded instead of faulted back in.
-[[nodiscard]] std::vector<delta_list> firing_deltas(const petri_net& net);
-
 /// True when `tokens` (length |P|) enables t.  Count is the storage type of
 /// the row (std::int64_t for a decoded vector, or an encoded marking_store
 /// row type); instantiated for the four with_count_type types.

@@ -1,10 +1,10 @@
-// exec/chunk_pager.hpp unit surface: anonymous vs file-backed modes, the
+// exec/chunk_pager.hpp unit surface: the spill file's lifetime, the
 // address-stability invariant (data written before eviction reads back
 // bit-identically through the refault path), pin nesting, the clock-hand
-// eviction accounting, release() in both modes, and the io_error contract
-// when the spill file is truncated behind the pager's back.  The ASan CI
-// job runs this file too, so every mmap/munmap/madvise path gets leak- and
-// poison-checked.
+// eviction accounting, release() (a no-op the second time, ids never
+// reused), and the io_error contract when the spill file is truncated behind
+// the pager's back.  The ASan CI job runs this file too, so every
+// mmap/munmap/madvise path gets leak- and poison-checked.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -41,36 +41,10 @@ bool check_pattern(const void* data, std::size_t bytes, std::uint64_t seed)
     return true;
 }
 
-TEST(ChunkPager, UnbudgetedModeIsPureBookkeeping)
-{
-    chunk_pager pager;
-    EXPECT_FALSE(pager.file_backed());
-    EXPECT_TRUE(pager.spill_path().empty());
-
-    std::vector<void*> bases;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        const auto [id, data] = pager.allocate(chunk_bytes);
-        EXPECT_EQ(id, i);
-        fill_pattern(data, chunk_bytes, i);
-        bases.push_back(data);
-    }
-    const chunk_pager_stats stats = pager.stats();
-    EXPECT_EQ(stats.chunks, 8u);
-    EXPECT_EQ(stats.resident_chunks, 8u);
-    EXPECT_EQ(stats.spilled_chunks, 0u);
-    EXPECT_EQ(stats.evictions, 0u);
-    EXPECT_EQ(stats.spill_file_bytes, 0u);
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        EXPECT_TRUE(pager.resident(i));
-        EXPECT_TRUE(check_pattern(bases[i], chunk_bytes, i));
-    }
-}
-
-TEST(ChunkPager, BudgetedModeSpillsAndRefaultsBitIdentically)
+TEST(ChunkPager, SpillsAndRefaultsBitIdentically)
 {
     // Budget fits two chunks; ten are allocated, so most must age out.
-    chunk_pager pager({.max_resident_bytes = 2 * chunk_bytes});
-    ASSERT_TRUE(pager.file_backed());
+    chunk_pager pager(2 * chunk_bytes);
     ASSERT_FALSE(pager.spill_path().empty());
     EXPECT_TRUE(std::filesystem::exists(pager.spill_path()));
 
@@ -97,7 +71,7 @@ TEST(ChunkPager, BudgetedModeSpillsAndRefaultsBitIdentically)
 
 TEST(ChunkPager, PinnedChunksSurviveEvictionPressure)
 {
-    chunk_pager pager({.max_resident_bytes = 2 * chunk_bytes});
+    chunk_pager pager(2 * chunk_bytes);
     const auto [pinned_id, pinned_data] = pager.allocate(chunk_bytes);
     pager.pin(pinned_id);
     pager.pin(pinned_id); // pins nest
@@ -119,35 +93,9 @@ TEST(ChunkPager, PinnedChunksSurviveEvictionPressure)
     EXPECT_TRUE(check_pattern(pinned_data, chunk_bytes, 77));
 }
 
-TEST(ChunkPager, ReleaseFreesAnonymousChunksAndKeepsIdsStable)
-{
-    chunk_pager pager;
-    std::vector<void*> bases;
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        bases.push_back(pager.allocate(chunk_bytes).second);
-        fill_pattern(bases.back(), chunk_bytes, i);
-    }
-    pager.release(1);
-    pager.release(1); // releasing twice is a no-op
-    chunk_pager_stats stats = pager.stats();
-    EXPECT_EQ(stats.chunks, 4u);
-    EXPECT_EQ(stats.released_chunks, 1u);
-    EXPECT_EQ(stats.resident_chunks, 3u);
-    EXPECT_EQ(stats.resident_bytes, 3 * chunk_bytes);
-    EXPECT_FALSE(pager.resident(1));
-    // Ids are never reused; the neighbours of the released chunk are intact.
-    EXPECT_EQ(pager.allocate(chunk_bytes).first, 4u);
-    EXPECT_TRUE(check_pattern(bases[0], chunk_bytes, 0));
-    EXPECT_TRUE(check_pattern(bases[2], chunk_bytes, 2));
-    EXPECT_TRUE(check_pattern(bases[3], chunk_bytes, 3));
-    stats = pager.stats();
-    EXPECT_EQ(stats.chunks, 5u);
-    EXPECT_EQ(stats.resident_chunks, 4u);
-}
-
 TEST(ChunkPager, ReleaseUnmapsSpilledChunksAndEvictionSkipsThem)
 {
-    chunk_pager pager({.max_resident_bytes = 2 * chunk_bytes});
+    chunk_pager pager(2 * chunk_bytes);
     std::vector<void*> bases;
     for (std::uint32_t i = 0; i < 6; ++i) {
         bases.push_back(pager.allocate(chunk_bytes).second);
@@ -160,19 +108,25 @@ TEST(ChunkPager, ReleaseUnmapsSpilledChunksAndEvictionSkipsThem)
     pager.pin(5);
     pager.release(0);
     pager.release(5);
+    pager.release(5); // releasing twice is a no-op
     chunk_pager_stats stats = pager.stats();
+    EXPECT_EQ(stats.chunks, 6u);
     EXPECT_EQ(stats.released_chunks, 2u);
     EXPECT_EQ(stats.resident_chunks + stats.spilled_chunks, 4u);
     EXPECT_LE(stats.resident_bytes, 2 * chunk_bytes);
+    EXPECT_FALSE(pager.resident(5));
     // The file keeps its extent, so later chunks keep their offsets, and
-    // the surviving chunks still read back through the refault path.
+    // the neighbours of the released chunks still read back through the
+    // refault path.
     EXPECT_EQ(stats.spill_file_bytes, extent);
     EXPECT_NO_THROW(pager.validate_backing());
     for (std::uint32_t i = 1; i < 5; ++i) {
         EXPECT_TRUE(check_pattern(bases[i], chunk_bytes, i)) << "chunk " << i;
     }
-    // Eviction pressure after the release never touches released chunks.
-    for (int i = 0; i < 4; ++i) {
+    // Ids are never reused: the next allocation gets a fresh one.  Eviction
+    // pressure after the release never touches released chunks.
+    EXPECT_EQ(pager.allocate(chunk_bytes).first, 6u);
+    for (int i = 0; i < 3; ++i) {
         fill_pattern(pager.allocate(chunk_bytes).second, chunk_bytes, 50);
     }
     stats = pager.stats();
@@ -183,7 +137,7 @@ TEST(ChunkPager, ReleaseUnmapsSpilledChunksAndEvictionSkipsThem)
 
 TEST(ChunkPager, ExternalTruncationSurfacesAsIoError)
 {
-    chunk_pager pager({.max_resident_bytes = 2 * chunk_bytes});
+    chunk_pager pager(2 * chunk_bytes);
     for (int i = 0; i < 6; ++i) {
         static_cast<void>(pager.allocate(chunk_bytes));
     }
@@ -203,7 +157,7 @@ TEST(ChunkPager, SpillFileIsRemovedOnDestruction)
 {
     std::string path;
     {
-        chunk_pager pager({.max_resident_bytes = chunk_bytes});
+        chunk_pager pager(chunk_bytes);
         static_cast<void>(pager.allocate(chunk_bytes));
         path = pager.spill_path();
         ASSERT_TRUE(std::filesystem::exists(path));

@@ -192,8 +192,7 @@ TEST(compact_store, find_of_a_marking_above_the_width_is_absent_and_does_not_wid
 
 TEST(compact_store, widening_under_a_spilling_pager_releases_the_old_chunks)
 {
-    const auto pager = std::make_shared<exec::chunk_pager>(
-        exec::chunk_pager_options{.max_resident_bytes = 64 * 1024});
+    const auto pager = std::make_shared<exec::chunk_pager>(64 * 1024);
     marking_store store = filled_store(300000, pager);
     std::vector<std::vector<std::int64_t>> rows;
     std::vector<std::uint64_t> hashes;

@@ -3,10 +3,11 @@
 // decoded tokens, CSR rows and truncation verdict — across generator families,
 // thread counts and spill ratios (budgets derived from the unlimited run's
 // own arena size).  Also pins the operational surface: evictions really
-// happen under a tight budget, the decode cache actually serves intern
-// probes on the sequential engine, and a truncated spill file surfaces as
-// fcqss::io_error at the store layer, not UB.  The ASan CI job runs this
-// file, covering the whole mmap/madvise/refault path.
+// happen under a tight budget on both engines, a budget adds no bytes to
+// the store (probes read evicted rows through the mapping, nothing is kept
+// beside the arena), and a truncated spill file surfaces as fcqss::io_error
+// at the store layer, not UB.  The ASan CI job runs this file, covering the
+// whole mmap/madvise/refault path.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -91,40 +92,39 @@ TEST(Spill, BitIdenticalAcrossFamiliesThreadsAndRatios)
     }
 }
 
-TEST(Spill, TightBudgetEvictsAndDecodesOnTheSequentialEngine)
+TEST(Spill, TightBudgetEvictsAndAddsNoStoreBytes)
 {
     // client_server without source credit is unbounded: truncation at
     // max_markings guarantees a large arena, so a budget ~32x smaller than
     // the unlimited run's arena forces most chunks out and intern probes
-    // onto the delta-decode path.  With 1-byte rows the 7-place net needs
-    // 300k states to span several 256 KiB chunks (30k fit in one, and the
-    // bump chunk being filled is never evicted).
+    // onto evicted rows.  With 1-byte rows the 7-place net needs 300k
+    // states to span several 256 KiB chunks (30k fit in one, and the bump
+    // chunk being filled is never evicted).
     pipeline::generator_options gen;
     gen.family = pipeline::net_family::client_server;
     const petri_net net = pipeline::net_generator(7, gen).next();
 
-    reachability_options unlimited;
-    unlimited.max_markings = 300000;
-    const state_space baseline = explore_space(net, unlimited);
-    ASSERT_TRUE(baseline.truncated());
-    ASSERT_GT(baseline.store().chunk_count(), 4u);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(threads);
+        reachability_options unlimited;
+        unlimited.max_markings = 300000;
+        unlimited.threads = threads;
+        const state_space baseline = explore_space(net, unlimited);
+        ASSERT_TRUE(baseline.truncated());
+        ASSERT_GT(baseline.store().chunk_count(), 4u);
 
-    reachability_options spilled = unlimited;
-    spilled.max_bytes = baseline.store().arena_bytes() / 32;
-    const state_space space = explore_space(net, spilled);
-    expect_identical_spaces(baseline, space);
+        reachability_options spilled = unlimited;
+        spilled.max_bytes = baseline.store().arena_bytes() / 32;
+        const state_space space = explore_space(net, spilled);
+        expect_identical_spaces(baseline, space);
+        EXPECT_EQ(space.store().memory_bytes(), baseline.store().memory_bytes());
 
-    ASSERT_NE(space.store().pager(), nullptr);
-    const exec::chunk_pager_stats pager_stats = space.store().pager()->stats();
-    EXPECT_GT(pager_stats.chunks, 1u);
-    EXPECT_GT(pager_stats.evictions, 0u);
-    EXPECT_GT(pager_stats.spill_file_bytes, 0u);
-
-    // The sequential engine records parent deltas, so cold-row probes are
-    // served by decode (cache hit or forced fault) rather than silently
-    // reading through the mapping.
-    const marking_store_stats& store_stats = space.store().stats();
-    EXPECT_GT(store_stats.decode_hits + store_stats.decode_misses, 0u);
+        ASSERT_NE(space.store().pager(), nullptr);
+        const exec::chunk_pager_stats pager_stats = space.store().pager()->stats();
+        EXPECT_GT(pager_stats.chunks, 1u);
+        EXPECT_GT(pager_stats.evictions, 0u);
+        EXPECT_GT(pager_stats.spill_file_bytes, 0u);
+    }
 }
 
 TEST(Spill, TruncatedSpillFileSurfacesAsIoErrorNotUB)
@@ -136,8 +136,7 @@ TEST(Spill, TruncatedSpillFileSurfacesAsIoErrorNotUB)
     // read.  The intern itself is not run past the truncation: rows already
     // handed out live in the truncated region, and writing them is exactly
     // the UB window the allocate-time validation exists to close early.
-    const auto pager = std::make_shared<exec::chunk_pager>(
-        exec::chunk_pager_options{.max_resident_bytes = 64 * 1024});
+    const auto pager = std::make_shared<exec::chunk_pager>(64 * 1024);
     marking_store store(8, pager);
     std::vector<std::int64_t> tokens(8, 0);
     tokens[0] = 1;
