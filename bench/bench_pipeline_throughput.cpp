@@ -40,7 +40,7 @@ const std::vector<pipeline::net_source>& workload()
     return sources;
 }
 
-pipeline::batch_report run_batch(std::size_t jobs)
+pipeline::batch_report synthesize_batch(std::size_t jobs)
 {
     pipeline::pipeline_options options;
     options.jobs = jobs;
@@ -51,7 +51,7 @@ pipeline::batch_report run_batch(std::size_t jobs)
 void report()
 {
     benchutil::heading("Generated workload (seed " + std::to_string(kSeed) + ")");
-    const pipeline::batch_report serial = run_batch(1);
+    const pipeline::batch_report serial = synthesize_batch(1);
     benchutil::row("nets", std::to_string(serial.results.size()));
     benchutil::row("synthesized ok",
                    std::to_string(serial.count(pipeline::pipeline_status::ok)));
@@ -69,7 +69,7 @@ void report()
     const double base = serial.nets_per_second();
     for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
         // The jobs=1 probe above doubles as the serial baseline row.
-        const pipeline::batch_report r = jobs == 1 ? serial : run_batch(jobs);
+        const pipeline::batch_report r = jobs == 1 ? serial : synthesize_batch(jobs);
         char rate[32];
         char speedup[32];
         std::snprintf(rate, sizeof rate, "%.1f", r.nets_per_second());
@@ -85,7 +85,7 @@ void bm_batch_throughput(benchmark::State& state)
     const auto jobs = static_cast<std::size_t>(state.range(0));
     std::size_t nets = 0;
     for (auto _ : state) {
-        const pipeline::batch_report r = run_batch(jobs);
+        const pipeline::batch_report r = synthesize_batch(jobs);
         nets += r.results.size();
         benchmark::DoNotOptimize(r);
     }

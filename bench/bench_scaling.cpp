@@ -323,7 +323,7 @@ struct reduction_row_labels {
 };
 
 // Shared body of the two reduction report blocks: full vs reduced state
-// counts and reduced-engine throughput at `strength`, on >= 500-transition
+// counts and reduced-engine throughput under `reduction`, on >= 500-transition
 // credit-bounded nets.  The ratio is only emitted when the *reduced* run
 // completed: it then reads "the reduction covers the whole space in
 // 1/ratio of the states the full exploration burns before the budget" (a
@@ -331,7 +331,7 @@ struct reduction_row_labels {
 // truncates would make the row a meaningless 1.00, so it is reported as
 // n/a instead — bench_diff tracks the ratio rows, and a degenerate value
 // would read as a real trajectory.
-void report_reduction_block(const char* heading, pn::reduction_strength strength,
+void report_reduction_block(const char* heading, pn::reduction_kind reduction,
                             const reduction_row_labels& labels)
 {
     benchutil::heading(heading);
@@ -348,8 +348,7 @@ void report_reduction_block(const char* heading, pn::reduction_strength strength
         bool reduced_truncated = false;
         options.reduction = pn::reduction_kind::none;
         engine_states_per_second(net, options, 1, full_states);
-        options.reduction = pn::reduction_kind::stubborn;
-        options.strength = strength;
+        options.reduction = reduction;
         const double reduced_rate = engine_states_per_second(
             net, options, 3, reduced_states, &reduced_truncated);
         const double ratio =
@@ -383,7 +382,7 @@ void report_stubborn_reduction()
 {
     report_reduction_block("stubborn-set reduction (full vs deadlock-preserving "
                            "reduced exploration)",
-                           pn::reduction_strength::deadlock,
+                           pn::reduction_kind::deadlock,
                            {.rate_column = "red st/s",
                             .states_label = "reduced states",
                             .ratio_label = "reduction ratio",
@@ -391,19 +390,19 @@ void report_stubborn_reduction()
                             .emit_full_states = true});
 }
 
-// ltl_x strength rows (this PR's tentpole): the liveness-preserving
-// reduction — visibility + ignoring fix-up on top of the deadlock-strength
-// sets — against the full exploration, on the same nets.  CI gates on the
-// choice-heavy "ltlx ratio" row staying >= 1.5x: the fix-up may only
-// re-expand states in cycle-capable SCCs, so on these (acyclic-state-graph)
-// workloads it must not give back the deadlock-strength savings.  "live
-// red st/s" is the throughput of the exploration check_live now runs
-// (reduction included), tracked by bench_diff alongside the ratio.
+// ltl_x rows: the liveness-preserving reduction — visibility + ignoring
+// fix-up on top of the deadlock stubborn sets — against the full
+// exploration, on the same nets.  CI gates on the choice-heavy "ltlx ratio"
+// row staying >= 1.5x: the fix-up may only re-expand states in
+// cycle-capable SCCs, so on these (acyclic-state-graph) workloads it must
+// not give back the deadlock reduction's savings.  "live red st/s" is the
+// throughput of the exploration check_live now runs (reduction included),
+// tracked by bench_diff alongside the ratio.
 void report_ltlx_reduction()
 {
     report_reduction_block("ltl_x stubborn reduction (liveness-preserving "
                            "fragment vs full exploration)",
-                           pn::reduction_strength::ltl_x,
+                           pn::reduction_kind::ltl_x,
                            {.rate_column = "live st/s",
                             .states_label = "ltlx states",
                             .ratio_label = "ltlx ratio",
@@ -488,8 +487,7 @@ void report_obs_counters()
     pn::reachability_options options{.max_markings = 60000,
                                      .max_tokens_per_place = 1 << 20};
     options.threads = 4;
-    options.reduction = pn::reduction_kind::stubborn;
-    options.strength = pn::reduction_strength::ltl_x;
+    options.reduction = pn::reduction_kind::ltl_x;
     obs::reset();
     obs::set_stats_enabled(true);
     std::size_t states = 0;
@@ -633,7 +631,7 @@ void bm_explore_stubborn(benchmark::State& state)
     const pn::reachability_options options{
         .max_markings = static_cast<std::size_t>(state.range(0)),
         .max_tokens_per_place = 1 << 20,
-        .reduction = pn::reduction_kind::stubborn};
+        .reduction = pn::reduction_kind::deadlock};
     for (auto _ : state) {
         benchmark::DoNotOptimize(pn::explore_state_space(net, options));
     }
@@ -646,8 +644,7 @@ void bm_explore_stubborn_ltlx(benchmark::State& state)
     const pn::reachability_options options{
         .max_markings = static_cast<std::size_t>(state.range(0)),
         .max_tokens_per_place = 1 << 20,
-        .reduction = pn::reduction_kind::stubborn,
-        .strength = pn::reduction_strength::ltl_x};
+        .reduction = pn::reduction_kind::ltl_x};
     for (auto _ : state) {
         benchmark::DoNotOptimize(pn::explore_state_space(net, options));
     }

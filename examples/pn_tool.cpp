@@ -12,13 +12,15 @@
 //                    model.pn      explicit state-space exploration on the
 //                                  engine (N != 1 runs the sharded parallel
 //                                  engine; results are identical).  --reduce
-//                                  stubborn expands a deadlock-preserving
+//                                  picks the pn::reduction_kind: stubborn
+//                                  (deadlock) expands a deadlock-preserving
 //                                  stubborn subset per state: deadlock
 //                                  verdicts are exact, state counts shrink,
 //                                  but the reachability set is partial.
-//                                  stubborn-ltlx adds the visibility and
-//                                  no-ignoring conditions, so liveness and
-//                                  stutter-invariant verdicts stay exact too.
+//                                  stubborn-ltlx (ltl_x) adds the visibility
+//                                  and no-ignoring conditions, so liveness
+//                                  and stutter-invariant verdicts stay exact
+//                                  too.
 //                                  --max-bytes caps the resident marking-
 //                                  arena bytes: chunks spill to an mmap'd
 //                                  temp file and cold ones are evicted; the
@@ -231,13 +233,10 @@ int cmd_dot(int argc, char** argv)
 
 // --------------------------------------------------------------- explore --
 
-/// The --reduce spellings, shared between the flag table and the synopsis.
-enum class reduce_mode { none, stubborn, stubborn_ltlx };
-
-constexpr cli::enum_choice<reduce_mode> reduce_choices[] = {
-    {"none", reduce_mode::none},
-    {"stubborn", reduce_mode::stubborn},
-    {"stubborn-ltlx", reduce_mode::stubborn_ltlx},
+constexpr cli::enum_choice<pn::reduction_kind> reduce_choices[] = {
+    {"none", pn::reduction_kind::none},
+    {"stubborn", pn::reduction_kind::deadlock},
+    {"stubborn-ltlx", pn::reduction_kind::ltl_x},
 };
 
 constexpr cli::enum_choice<pipeline::net_family> family_choices[] = {
@@ -258,7 +257,6 @@ int cmd_explore(int argc, char** argv)
     for (int i = 2; i < argc; ++i) {
         long value = 0;
         unsigned long long bytes = 0;
-        reduce_mode mode = reduce_mode::none;
         if (cli::int_option(argc, argv, i, "--threads", value)) {
             options.threads = value >= 0 ? static_cast<std::size_t>(value) : 1;
         } else if (cli::int_option(argc, argv, i, "--max-states", value)) {
@@ -267,13 +265,8 @@ int cmd_explore(int argc, char** argv)
             options.max_tokens_per_place = value > 0 ? value : 1;
         } else if (cli::byte_option(argc, argv, i, "--max-bytes", bytes)) {
             options.max_bytes = static_cast<std::size_t>(bytes);
-        } else if (cli::enum_option(argc, argv, i, "--reduce", reduce_choices, mode)) {
-            options.reduction = mode == reduce_mode::none
-                                    ? pn::reduction_kind::none
-                                    : pn::reduction_kind::stubborn;
-            options.strength = mode == reduce_mode::stubborn_ltlx
-                                   ? pn::reduction_strength::ltl_x
-                                   : pn::reduction_strength::deadlock;
+        } else if (cli::enum_option(argc, argv, i, "--reduce", reduce_choices,
+                                     options.reduction)) {
         } else if (telemetry.parse(argv[i])) {
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown explore option '%s'\n", argv[i]);
@@ -294,14 +287,14 @@ int cmd_explore(int argc, char** argv)
     }
 
     const pn::petri_net net = pnio::load_net(path);
-    const bool reduced = options.reduction == pn::reduction_kind::stubborn;
-    const bool ltlx = reduced && options.strength == pn::reduction_strength::ltl_x;
+    const bool reduced = options.reduction != pn::reduction_kind::none;
     const pn::state_space space = pn::explore_space(net, options);
     std::printf("net '%s': explored %zu states, %zu edges%s%s\n", net.name().c_str(),
                 space.state_count(), space.edge_count(),
                 !reduced ? ""
-                : ltlx   ? " (stubborn reduction: liveness-preserving ltl_x fragment)"
-                         : " (stubborn reduction: deadlock-preserving fragment)",
+                : options.reduction == pn::reduction_kind::ltl_x
+                    ? " (stubborn reduction: liveness-preserving ltl_x fragment)"
+                    : " (stubborn reduction: deadlock-preserving fragment)",
                 space.truncated() ? " (truncated by budget)" : "");
     std::printf("  store: %.2f MiB arena+table\n",
                 static_cast<double>(space.store().memory_bytes()) / (1024.0 * 1024.0));

@@ -33,13 +33,13 @@ struct cell_verdict {
     }
 };
 
-const char* strength_name(pn::reduction_kind kind, pn::reduction_strength strength)
-{
-    if (kind == pn::reduction_kind::none) {
-        return "none";
-    }
-    return strength == pn::reduction_strength::ltl_x ? "ltlx" : "deadlock";
-}
+/// The matrix cells, one per reduction, and their names in reports.
+constexpr pn::reduction_kind cell_reductions[] = {
+    pn::reduction_kind::none,
+    pn::reduction_kind::deadlock,
+    pn::reduction_kind::ltl_x,
+};
+constexpr const char* cell_names[] = {"none", "deadlock", "ltlx"};
 
 /// Bit-identity check between the sequential cell and one parallel cell
 /// (`cell` names it, e.g. "par/ltlx"); any difference is a disagreement by
@@ -93,29 +93,18 @@ cell_verdict verdict_of(const pn::petri_net& net, const pn::state_space& space)
 
 std::string check_verdict_matrix(const pn::petri_net& net, const fuzz_options& options)
 {
-    struct strength_config {
-        pn::reduction_kind kind;
-        pn::reduction_strength strength;
-    };
-    constexpr strength_config configs[] = {
-        {pn::reduction_kind::none, pn::reduction_strength::deadlock},
-        {pn::reduction_kind::stubborn, pn::reduction_strength::deadlock},
-        {pn::reduction_kind::stubborn, pn::reduction_strength::ltl_x},
-    };
-
-    cell_verdict verdicts[std::size(configs)];
-    for (std::size_t c = 0; c < std::size(configs); ++c) {
+    cell_verdict verdicts[std::size(cell_reductions)];
+    for (std::size_t c = 0; c < std::size(cell_reductions); ++c) {
         pn::reachability_options explore;
         explore.max_markings = options.max_states;
         explore.max_tokens_per_place = options.max_tokens_per_place;
         explore.max_bytes = options.max_bytes;
-        explore.reduction = configs[c].kind;
-        explore.strength = configs[c].strength;
+        explore.reduction = cell_reductions[c];
         explore.threads = 1;
         const pn::state_space seq = pn::explore_space(net, explore);
         explore.threads = options.threads > 1 ? options.threads : 2;
         const pn::state_space par = pn::explore_space(net, explore);
-        const char* name = strength_name(configs[c].kind, configs[c].strength);
+        const char* name = cell_names[c];
         if (std::string reason = compare_spaces(seq, par, std::string("par/") + name);
             !reason.empty()) {
             return reason;
@@ -125,9 +114,9 @@ std::string check_verdict_matrix(const pn::petri_net& net, const fuzz_options& o
 
     // Reduction soundness against the full exploration (cell 0).
     const cell_verdict& full = verdicts[0];
-    for (std::size_t c = 1; c < std::size(configs); ++c) {
+    for (std::size_t c = 1; c < std::size(cell_reductions); ++c) {
         const cell_verdict& reduced = verdicts[c];
-        const char* name = strength_name(configs[c].kind, configs[c].strength);
+        const char* name = cell_names[c];
         if (!full.truncated && !reduced.truncated &&
             reduced.states > full.states) {
             return std::string("[") + name + "] reduced exploration visited " +
@@ -137,10 +126,10 @@ std::string check_verdict_matrix(const pn::petri_net& net, const fuzz_options& o
     }
 
     // Deadlock agreement across every pair of cells.
-    for (std::size_t a = 0; a < std::size(configs); ++a) {
-        for (std::size_t b = a + 1; b < std::size(configs); ++b) {
-            const char* name_a = strength_name(configs[a].kind, configs[a].strength);
-            const char* name_b = strength_name(configs[b].kind, configs[b].strength);
+    for (std::size_t a = 0; a < std::size(cell_reductions); ++a) {
+        for (std::size_t b = a + 1; b < std::size(cell_reductions); ++b) {
+            const char* name_a = cell_names[a];
+            const char* name_b = cell_names[b];
             const cell_verdict& va = verdicts[a];
             const cell_verdict& vb = verdicts[b];
             if ((va.definite_deadlock() && vb.definite_deadlock_free()) ||

@@ -3,12 +3,12 @@
 // generator family, mutated by pn/mutator.hpp, driven through the full
 // verdict matrix
 //
-//   {sequential, parallel} x {none, stubborn-deadlock, stubborn-ltl_x}
+//   {sequential, parallel} x {none, deadlock, ltl_x} reduction
 //
 // under tight exploration budgets, plus one synthesis-pipeline pass.  The
 // invariants checked per mutant:
 //
-//   engine agreement     for each reduction strength, the parallel engine's
+//   engine agreement     for each reduction kind, the parallel engine's
 //                        state space is bit-identical to the sequential one
 //                        (states, edges, decoded tokens, truncation) — the
 //                        repo-wide determinism guarantee.

@@ -289,16 +289,13 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         detail::affected_transitions(net);
     const std::vector<delta_list> deltas = firing_deltas(net);
 
-    // Stubborn-set reduction: phase A expands only the deadlock-preserving
-    // subset of each frontier state's enabled set.  The subset depends on
-    // the marking alone (never on thread/shard/chunk assignment), so the
-    // determinism argument below is untouched; full enabled sets are still
-    // maintained in phase E for the incremental updates.
-    std::optional<stubborn_reduction> stubborn;
-    if (options.reduction == reduction_kind::stubborn) {
-        stubborn.emplace(net, stubborn_options{.strength = options.strength,
-                                               .observed_places = options.observed_places});
-    }
+    // Stubborn-set reduction: phase A expands only the stubborn subset of
+    // each frontier state's enabled set.  The subset depends on the marking
+    // alone (never on thread/shard/chunk assignment), so the determinism
+    // argument below is untouched; full enabled sets are still maintained
+    // in phase E for the incremental updates.
+    const std::optional<stubborn_reduction> stubborn =
+        detail::make_reduction(net, options);
 
     // One count width for every store of the run, starting at the
     // narrowest that holds the root; phase W raises it for all at once.
@@ -759,13 +756,11 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         }
     }
 
-    if (stubborn && options.strength == reduction_strength::ltl_x) {
+    if (options.reduction == reduction_kind::ltl_x) {
         // The base graph above is bit-identical to the sequential engine's,
-        // and the fix-up interns in a deterministic sequential order no
-        // matter how its candidate batches are generated (see
-        // enforce_nonignoring), so the thread-count-independence guarantee
-        // carries through.
-        detail::enforce_nonignoring(net, *stubborn, result, options, &pool);
+        // and the fix-up is a deterministic sequential pass over it, so the
+        // thread-count-independence guarantee carries through.
+        detail::enforce_nonignoring(net, *stubborn, result, options);
     }
     flush_progress();
     detail::flush_store_obs(rstore);

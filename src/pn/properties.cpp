@@ -50,7 +50,7 @@ verdict check_k_bounded_explicit(const petri_net& net, std::int64_t k,
             return verdict::no; // the root marking itself is the witness
         }
     }
-    if (options.reduction != reduction_kind::stubborn) {
+    if (options.reduction == reduction_kind::none) {
         const state_space space = explore_space(net, options);
         for (const std::int64_t bound : place_bounds(space)) {
             if (bound > k) {
@@ -62,7 +62,7 @@ verdict check_k_bounded_explicit(const petri_net& net, std::int64_t k,
     bool truncated = false;
     for (const place_id p : growable_places(net)) {
         reachability_options opts = options;
-        opts.strength = reduction_strength::ltl_x;
+        opts.reduction = reduction_kind::ltl_x;
         opts.observed_places = {p};
         const state_space space = explore_space(net, opts);
         if (place_bounds(space)[p.index()] > k) {
@@ -87,13 +87,13 @@ verdict check_deadlock_free(const petri_net& net, const reachability_options& op
 verdict check_live(const petri_net& net, const reachability_options& options)
 {
     // Liveness quantifies over every transition from every reachable
-    // marking, which deadlock-strength stubborn sets do not preserve — but
-    // ltl_x-strength ones do (the SCC-local non-ignoring proviso keeps
-    // fireability exact; no place needs observing).  A caller-requested
-    // reduction is therefore upgraded, not forced off.
+    // marking, which deadlock stubborn sets do not preserve — but ltl_x ones
+    // do (the SCC-local non-ignoring proviso keeps fireability exact; no
+    // place needs observing).  A caller-requested reduction is therefore
+    // upgraded, not forced off.
     reachability_options opts = options;
-    if (opts.reduction == reduction_kind::stubborn) {
-        opts.strength = reduction_strength::ltl_x;
+    if (opts.reduction != reduction_kind::none) {
+        opts.reduction = reduction_kind::ltl_x;
         opts.observed_places.clear();
     }
     const state_space space = explore_space(net, opts);

@@ -30,7 +30,7 @@ enum class verdict {
 /// coverability tree (useful when the caller already pays for exploration,
 /// or wants the engines' thread/reduction knobs).  An over-k witness is
 /// definite even on a truncated exploration; "yes" needs the full graph.
-/// With a stubborn reduction the strength is upgraded to ltl_x and each
+/// A `deadlock` or `ltl_x` reduction runs as ltl_x, and each
 /// *growable* place is queried in its own exploration observing just that
 /// place (the weakest exact visibility set); non-growable places are
 /// settled by a root-marking scan.  Definite verdicts match the

@@ -1,11 +1,9 @@
 #include "pn/state_space.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 
 #include "exec/chunk_pager.hpp"
-#include "exec/executor.hpp"
 #include "graph/digraph.hpp"
 #include "graph/scc.hpp"
 #include "obs/obs.hpp"
@@ -126,6 +124,18 @@ FCQSS_INSTANTIATE_COUNT(std::uint32_t)
 FCQSS_INSTANTIATE_COUNT(std::int64_t)
 #undef FCQSS_INSTANTIATE_COUNT
 
+std::optional<stubborn_reduction> make_reduction(const petri_net& net,
+                                                 const reachability_options& options)
+{
+    if (options.reduction == reduction_kind::none) {
+        return std::nullopt;
+    }
+    if (options.reduction == reduction_kind::deadlock) {
+        return stubborn_reduction(net);
+    }
+    return stubborn_reduction(net, options.observed_places);
+}
+
 // The ltl_x ignoring fix-up.  The reduced graph built by D1/D2 (+V/I) sets
 // alone can starve a transition forever: a cycle of cheap closures keeps
 // expanding one process while another stays enabled and untouched, which
@@ -140,8 +150,7 @@ FCQSS_INSTANTIATE_COUNT(std::int64_t)
 // state per offending SCC per round and re-explores only the freshly
 // discovered states, never restarting from scratch.
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const reachability_options& options,
-                         exec::executor* pool)
+                         state_space& space, const reachability_options& options)
 {
     obs::span pass_span("explore.nonignoring");
     std::uint64_t obs_rounds = 0;
@@ -171,13 +180,14 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
     // ever need theirs, so acyclic regions cost nothing here.
     std::vector<std::vector<transition_id>> enabled_cache(space.state_count());
     std::vector<std::uint8_t> enabled_known(space.state_count(), 0);
+    std::vector<std::int64_t> probe(width);
     const auto enabled_of =
         [&](state_id s) -> const std::vector<transition_id>& {
         if (!enabled_known[s]) {
             enabled_known[s] = 1;
-            const std::vector<std::int64_t> tokens = store.tokens(s);
+            store.load(s, probe.data());
             for (transition_id t : net.transitions()) {
-                if (enabled_in(net, tokens.data(), t)) {
+                if (enabled_in(net, probe.data(), t)) {
                     enabled_cache[s].push_back(t);
                 }
             }
@@ -187,110 +197,64 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
 
     std::vector<std::uint8_t> fully_expanded(space.state_count(), 0);
 
-    // One fired successor, precomputed off the critical interning path.
-    // The token vector, its hash and the cap verdict are pure functions of
-    // (parent tokens, transition), so batches of candidates can be
-    // generated concurrently; only the intern — which assigns ids — stays
-    // sequential, in (state id, transition id) order, which is exactly the
-    // order the single-threaded pass interns in.
-    struct fire_candidate {
-        transition_id via{0};
-        std::uint64_t hash = 0;
-        bool over_cap = false;
-        std::vector<std::int64_t> tokens;
-    };
-    // Fires t from s into a candidate.  The full-vector cap scan is
-    // equivalent to the engines' per-touched-place check (every interned
-    // parent except possibly the root already obeys the cap) and also
-    // covers the over-cap-root case.
-    const auto fire_from = [&](state_id s, transition_id t) {
-        fire_candidate cand;
-        cand.via = t;
-        cand.tokens = store.tokens(s);
+    // Fires t from s, whose counts the caller has loaded into `tokens`,
+    // and interns the successor at once, appending the edge to rows[s].
+    // Callers fire in (state id, transition id) order, which fixes the ids
+    // of fresh states.  Budget-dropped successors (token cap, state budget)
+    // mark the space truncated, exactly like in-engine expansion.  The
+    // full-vector cap scan is equivalent to the engines' per-touched-place
+    // check (every interned parent except possibly the root already obeys
+    // the cap) and also covers the over-cap-root case.
+    std::vector<std::int64_t> tokens(width);
+    std::vector<std::int64_t> next(width);
+    const auto fire_and_intern = [&](state_id s, transition_id t) {
+        next = tokens;
         for (const place_weight& in : net.inputs(t)) {
-            cand.tokens[in.place.index()] -= in.weight;
+            next[in.place.index()] -= in.weight;
         }
         for (const place_weight& out : net.outputs(t)) {
-            cand.tokens[out.place.index()] += out.weight;
+            next[out.place.index()] += out.weight;
         }
-        for (const std::int64_t count : cand.tokens) {
+        for (const std::int64_t count : next) {
             if (count > cap) {
-                cand.over_cap = true;
-                return cand;
+                space.truncated_ = true;
+                return;
             }
         }
-        cand.hash = marking_store::hash_tokens(cand.tokens.data(), width);
-        return cand;
-    };
-    // Runs gen(0..count-1) on the pool when one is given and the batch is
-    // worth a dispatch, inline otherwise; either path computes the same
-    // values into disjoint per-index slots.
-    const auto run_batch = [&](std::size_t count,
-                               const std::function<void(std::size_t)>& gen) {
-        if (pool != nullptr && count > 1) {
-            pool->for_each_index(count, gen);
-        } else {
-            for (std::size_t i = 0; i < count; ++i) {
-                gen(i);
-            }
-        }
-    };
-    // Interns one generated candidate and appends the edge to rows[s];
-    // budget-dropped successors (token cap, state budget) mark the space
-    // truncated, exactly like in-engine expansion.
-    const auto merge_candidate = [&](state_id s, const fire_candidate& cand) {
-        if (cand.over_cap) {
-            space.truncated_ = true;
-            return;
-        }
-        const auto [to, inserted] =
-            store.intern(cand.tokens.data(), cand.hash, options.max_markings);
+        const state_id to =
+            store
+                .intern(next.data(), marking_store::hash_tokens(next.data(), width),
+                        options.max_markings)
+                .first;
         if (to == invalid_state) {
             space.truncated_ = true;
             return;
         }
-        static_cast<void>(inserted);
-        rows[s].push_back({cand.via, to});
+        rows[s].push_back({t, to});
     };
 
     // Expands every pending state (freshly interned, no row yet) with the
-    // normal per-state reduction, in id order; expansion may intern more.
-    // Each batch generates its candidates (enabled scan, stubborn closure,
-    // firing, hashing) via run_batch, then merges them sequentially in
-    // (state id, transition id) order.
-    std::vector<stubborn_workspace> batch_ws;
-    std::vector<std::vector<transition_id>> batch_reduced;
+    // normal per-state reduction, in id order; expansion may intern more,
+    // which the next pass of the loop picks up.
+    stubborn_workspace ws;
+    std::vector<transition_id> reduced;
     const auto expand_tail = [&] {
         while (rows.size() < store.size()) {
             const std::size_t begin = rows.size();
-            const std::size_t count = store.size() - begin;
-            rows.resize(begin + count);
-            enabled_cache.resize(begin + count);
-            enabled_known.resize(begin + count, 0);
-            fully_expanded.resize(begin + count, 0);
-            if (batch_ws.size() < count) {
-                batch_ws.resize(count);
-                batch_reduced.resize(count);
-            }
-            std::vector<std::size_t> enabled_counts(count, 0);
-            std::vector<std::vector<fire_candidate>> batch(count);
-            run_batch(count, [&](std::size_t i) {
-                const state_id s = static_cast<state_id>(begin + i);
+            const std::size_t end = store.size();
+            rows.resize(end);
+            enabled_cache.resize(end);
+            enabled_known.resize(end, 0);
+            fully_expanded.resize(end, 0);
+            for (state_id s = static_cast<state_id>(begin);
+                 s < static_cast<state_id>(end); ++s) {
                 const std::vector<transition_id>& enabled = enabled_of(s);
-                enabled_counts[i] = enabled.size();
-                reduction.reduce(store.tokens(s).data(), enabled, batch_ws[i],
-                                 batch_reduced[i]);
-                batch[i].reserve(batch_reduced[i].size());
-                for (const transition_id t : batch_reduced[i]) {
-                    batch[i].push_back(fire_from(s, t));
+                store.load(s, tokens.data());
+                reduction.reduce(tokens.data(), enabled, ws, reduced);
+                for (const transition_id t : reduced) {
+                    fire_and_intern(s, t);
                 }
-            });
-            for (std::size_t i = 0; i < count; ++i) {
-                const state_id s = static_cast<state_id>(begin + i);
-                for (const fire_candidate& cand : batch[i]) {
-                    merge_candidate(s, cand);
-                }
-                fully_expanded[s] = batch[i].size() == enabled_counts[i] ? 1 : 0;
+                fully_expanded[s] = reduced.size() == enabled.size() ? 1 : 0;
             }
         }
     };
@@ -365,27 +329,20 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
             materialized = true;
         }
         std::sort(offenders.begin(), offenders.end());
-        // Generate every offender's missing successors concurrently (their
-        // enabled sets are already cached — the pick above computed them),
-        // then intern in (offender id, transition id) order.
-        std::vector<std::vector<fire_candidate>> missing(offenders.size());
-        run_batch(offenders.size(), [&](std::size_t i) {
-            const state_id s = offenders[i];
+        // Fire every offender's missing transitions (its enabled set is
+        // already cached — the pick above computed it), in (offender id,
+        // transition id) order.
+        for (const state_id s : offenders) {
+            fully_expanded[s] = 1;
+            store.load(s, tokens.data());
             for (const transition_id t : enabled_cache[s]) {
                 bool present = false;
                 for (const state_space_edge& edge : rows[s]) {
                     present |= edge.via == t;
                 }
                 if (!present) {
-                    missing[i].push_back(fire_from(s, t));
+                    fire_and_intern(s, t);
                 }
-            }
-        });
-        for (std::size_t i = 0; i < offenders.size(); ++i) {
-            const state_id s = offenders[i];
-            fully_expanded[s] = 1;
-            for (const fire_candidate& cand : missing[i]) {
-                merge_candidate(s, cand);
             }
             std::sort(rows[s].begin(), rows[s].end(),
                       [](const state_space_edge& a, const state_space_edge& b) {
@@ -490,15 +447,12 @@ state_space explore_state_space(const petri_net& net, const reachability_options
     std::vector<transition_id> merged;
     result.edge_offsets_.push_back(0);
 
-    // Optional stubborn-set reduction: only a deadlock-preserving subset of
-    // each state's enabled set is expanded.  The *full* enabled sets are
-    // still maintained incrementally — successors derive theirs from the
-    // parent's full set, reduced or not.
-    std::optional<stubborn_reduction> stubborn;
-    if (options.reduction == reduction_kind::stubborn) {
-        stubborn.emplace(net, stubborn_options{.strength = options.strength,
-                                               .observed_places = options.observed_places});
-    }
+    // Optional stubborn-set reduction: only a stubborn subset of each
+    // state's enabled set is expanded.  The *full* enabled sets are still
+    // maintained incrementally — successors derive theirs from the parent's
+    // full set, reduced or not.
+    const std::optional<stubborn_reduction> stubborn =
+        detail::make_reduction(net, options);
     stubborn_workspace stubborn_ws;
     std::vector<transition_id> reduced;
 
@@ -575,7 +529,7 @@ state_space explore_state_space(const petri_net& net, const reachability_options
             flush_progress();
         }
     }
-    if (stubborn && options.strength == reduction_strength::ltl_x) {
+    if (options.reduction == reduction_kind::ltl_x) {
         flush_progress();
         detail::enforce_nonignoring(net, *stubborn, result, options);
     }

@@ -26,10 +26,6 @@
 #include "pn/petri_net.hpp"
 #include "pn/stubborn.hpp"
 
-namespace fcqss::exec {
-class executor;
-}
-
 namespace fcqss::pn {
 
 struct state_space_edge;
@@ -58,24 +54,20 @@ struct reachability_options {
     /// explore_state_space() ignores it.  Results are bit-identical at any
     /// value.
     std::size_t threads = 1;
-    /// Per-state partial-order reduction (pn/stubborn.hpp).  `stubborn`
-    /// explores a property-preserving fragment: with `strength = deadlock`
-    /// has-deadlock and the set of reachable dead markings match the full
-    /// graph (exactly, when neither run is truncated); with `strength =
-    /// ltl_x` transition liveness and stutter-invariant queries over
-    /// `observed_places` are preserved too.  The reachability *set* is
-    /// never preserved — keep `none` for is_reachable / shortest_path /
+    /// Per-state partial-order reduction (pn/stubborn.hpp).  `deadlock`
+    /// applies the stubborn D1/D2 rules only: has-deadlock and the set of
+    /// reachable dead markings match the full graph (exactly, when neither
+    /// run is truncated).  `ltl_x` adds the visibility conditions over
+    /// `observed_places` and the SCC-local "no transition ignored forever"
+    /// post-pass, so transition liveness and stutter-invariant queries over
+    /// `observed_places` are preserved too.  The reachability *set* is never
+    /// preserved — keep `none` for is_reachable / shortest_path /
     /// place_bounds-style queries.
     reduction_kind reduction = reduction_kind::none;
-    /// How much the stubborn reduction preserves (pn/stubborn.hpp):
-    /// `deadlock` applies D1/D2 only; `ltl_x` adds the visibility
-    /// conditions over `observed_places` and the SCC-local "no transition
-    /// ignored forever" post-pass.
-    reduction_strength strength = reduction_strength::deadlock;
-    /// Places the query observes (the ltl_x visibility set — see
-    /// stubborn_options::observed_places).  Empty is right for deadlock and
-    /// liveness queries; boundedness-style queries observe the places they
-    /// bound.
+    /// Places the query observes: the visibility set of an `ltl_x`
+    /// reduction, ignored under `none` and `deadlock`.  Empty is right for
+    /// deadlock and liveness queries; boundedness-style queries observe the
+    /// places they bound.
     std::vector<place_id> observed_places{};
 };
 
@@ -103,27 +95,27 @@ void merge_enabled(const petri_net& net, std::span<const transition_id> parent_e
                    std::span<const transition_id> recheck, const Count* tokens,
                    std::vector<transition_id>& out);
 
+/// The per-state stubborn reducer both engines apply for
+/// `options.reduction`, or nullopt under `none`.  Observed places count only
+/// under `ltl_x`: a `deadlock` reducer sees no visible transition whatever
+/// `options.observed_places` holds.
+[[nodiscard]] std::optional<stubborn_reduction>
+make_reduction(const petri_net& net, const reachability_options& options);
+
 /// The ltl_x "no transition ignored forever" post-pass shared by both
 /// engines: over the finished reduced graph, every SCC that can sustain a
 /// cycle (two or more states, or a self-loop) and ignores a transition —
 /// enabled at some member state but fired from none — gets its smallest
 /// such state fully expanded; freshly discovered states are then explored
 /// with the normal per-state reduction, and the check repeats until no SCC
-/// ignores anything.  Deterministic in (net, reduction, space, options)
-/// alone, so running it after either engine keeps the
-/// bit-identical-at-any-thread-count guarantee.  Budgets are respected
-/// exactly like in-engine expansion (dropped successors mark the space
-/// truncated).
-///
-/// When `pool` is given, the per-SCC re-expansions and the re-exploration
-/// of freshly discovered states run their candidate generation (firing,
-/// cap scan, hashing, stubborn closure) on the executor; candidates are
-/// then interned by a sequential merge in (state id, transition id) order —
-/// the exact order the inline path interns in — so the result is
-/// bit-identical with or without the pool at any thread count.
+/// ignores anything.  Every successor is interned as soon as it is fired,
+/// in (state id, transition id) order, so the pass is deterministic in
+/// (net, reduction, space, options) alone and running it after either
+/// engine keeps the bit-identical-at-any-thread-count guarantee.  Budgets
+/// are respected exactly like in-engine expansion (dropped successors mark
+/// the space truncated).
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const reachability_options& options,
-                         exec::executor* pool = nullptr);
+                         state_space& space, const reachability_options& options);
 
 /// Adds one store's dedup-work tallies (probes, dedup hits, inserts, budget
 /// rejects, table resizes, widenings, footprint, chunk count) to the global
@@ -188,8 +180,7 @@ private:
     friend void detail::enforce_nonignoring(const petri_net& net,
                                             const stubborn_reduction& reduction,
                                             state_space& space,
-                                            const reachability_options& options,
-                                            exec::executor* pool);
+                                            const reachability_options& options);
     friend struct detail::space_access;
 
     marking_store store_{0};

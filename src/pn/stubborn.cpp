@@ -55,8 +55,9 @@ std::vector<place_id> growable_places(const petri_net& net)
     return places;
 }
 
-stubborn_reduction::stubborn_reduction(const petri_net& net, stubborn_options options)
-    : net_(&net), strength_(options.strength)
+stubborn_reduction::stubborn_reduction(const petri_net& net,
+                                       std::span<const place_id> observed_places)
+    : net_(&net)
 {
     conflicts_.resize(net.transition_count());
     for (transition_id t : net.transitions()) {
@@ -72,12 +73,9 @@ stubborn_reduction::stubborn_reduction(const petri_net& net, stubborn_options op
         list.erase(std::unique(list.begin(), list.end()), list.end());
     }
 
-    // Visibility is an ltl_x concern only: deadlock-strength reductions stay
-    // byte-identical to the pre-visibility behaviour whatever the caller
-    // puts in observed_places.
-    if (strength_ == reduction_strength::ltl_x && !options.observed_places.empty()) {
+    if (!observed_places.empty()) {
         std::vector<std::uint8_t> observed(net.place_count(), 0);
-        for (const place_id p : options.observed_places) {
+        for (const place_id p : observed_places) {
             observed[p.index()] = 1;
         }
         // t is visible iff its *net* token delta on some observed place is
@@ -202,7 +200,7 @@ void stubborn_reduction::reduce(const std::int64_t* tokens,
         ws.is_enabled[t.index()] = 1;
     }
 
-    // Condition I (ltl_x with a non-empty visibility set): when an
+    // Condition I (with a non-empty visibility set): when an
     // invisible enabled transition exists, only invisible seeds are tried —
     // the chosen closure then contains its (enabled, invisible) seed, so
     // the reduction never forces visible-only progress it could stutter.

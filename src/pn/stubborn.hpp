@@ -15,17 +15,17 @@
 // so its first transition lies in S ∩ En(M); by induction every reachable
 // dead marking stays reachable in the reduced graph, so deadlock verdicts
 // (and the set of reachable dead markings) are preserved exactly.  That is
-// reduction_strength::deadlock — the full reachability *set* is NOT
-// preserved, and neither are liveness or other temporal properties.
+// reduction_kind::deadlock — the full reachability *set* is NOT preserved,
+// and neither are liveness or other temporal properties.
 //
-// reduction_strength::ltl_x layers the classical extra conditions on top,
+// reduction_kind::ltl_x layers the classical extra conditions on top,
 // so liveness and stutter-invariant reachability queries stay exact too:
 //
 //   (key)  every stubborn set is built by D2-closing an *enabled* seed, so
 //          every enabled member is a key transition: the transitions that
 //          could consume from its input places are all inside S, hence no
 //          firing sequence outside S can ever disable it.  This holds by
-//          construction for both strengths (reduce() guarantees it).
+//          construction under both reductions (reduce() guarantees it).
 //   (V)    visibility: if S contains an enabled transition that changes the
 //          token count of an observed place, S contains every such
 //          "visible" transition — visible firings are never reordered past
@@ -52,7 +52,7 @@
 // function of the marking alone, which keeps the parallel engine's
 // bit-identical-at-any-thread-count guarantee intact — the ignoring
 // post-pass is sequential and runs on the (already identical) leveled
-// graph, so the guarantee survives ltl_x strength too.
+// graph, so the guarantee survives ltl_x too.
 #ifndef FCQSS_PN_STUBBORN_HPP
 #define FCQSS_PN_STUBBORN_HPP
 
@@ -64,20 +64,14 @@
 
 namespace fcqss::pn {
 
-/// Which partial-order reduction the exploration engines apply per state.
+/// Which partial-order reduction the exploration engines apply per state,
+/// and so what the explored graph preserves.
 enum class reduction_kind {
     /// Expand every enabled transition: the full state graph.
     none,
-    /// Expand a stubborn subset per state (see reduction_strength for what
-    /// the reduced graph preserves).
-    stubborn,
-};
-
-/// How much a stubborn reduction must preserve.
-enum class reduction_strength {
-    /// D1/D2 only.  Preserves has-deadlock and the set of reachable dead
-    /// markings; does NOT preserve the reachability set, liveness, or any
-    /// other temporal property.
+    /// Stubborn sets under D1/D2 only.  Preserves has-deadlock and the set
+    /// of reachable dead markings; does NOT preserve the reachability set,
+    /// liveness, or any other temporal property.
     deadlock,
     /// D1/D2 plus visibility (V/I over the observed places) and the
     /// SCC-local "no transition ignored forever" post-pass.  Additionally
@@ -88,17 +82,6 @@ enum class reduction_strength {
     /// need).  Full trace-level LTL-X model checking would need a stronger
     /// per-cycle proviso than the per-SCC one enforced here.
     ltl_x,
-};
-
-/// Per-net configuration of the reduction.
-struct stubborn_options {
-    reduction_strength strength = reduction_strength::deadlock;
-    /// Places the query observes (only meaningful under ltl_x): transitions
-    /// whose firing changes the token count of an observed place are
-    /// *visible* and subject to conditions V and I.  Empty — the right
-    /// choice for deadlock and liveness queries — makes every transition
-    /// invisible.
-    std::vector<place_id> observed_places{};
 };
 
 /// Places some firing can *grow*: those where at least one transition has a
@@ -128,12 +111,16 @@ struct stubborn_workspace {
 /// to call concurrently with per-thread workspaces.
 class stubborn_reduction {
 public:
-    explicit stubborn_reduction(const petri_net& net, stubborn_options options = {});
-
-    [[nodiscard]] reduction_strength strength() const noexcept { return strength_; }
+    /// `observed_places` is the visibility set: transitions whose firing
+    /// changes the token count of an observed place are *visible* and
+    /// subject to conditions V and I.  Empty — the right choice for
+    /// deadlock and liveness queries — makes every transition invisible,
+    /// which is the D1/D2-only reducer of reduction_kind::deadlock.
+    explicit stubborn_reduction(const petri_net& net,
+                                std::span<const place_id> observed_places = {});
 
     /// True when t changes the token count of an observed place (always
-    /// false under deadlock strength or with no observed places).
+    /// false with no observed places).
     [[nodiscard]] bool visible(transition_id t) const noexcept
     {
         return !visible_.empty() && visible_[t.index()] != 0;
@@ -148,11 +135,11 @@ public:
                 stubborn_workspace& ws, std::vector<transition_id>& out) const;
 
 private:
-    /// Closes over {seed} under D1/D2 (plus V under ltl_x) at `tokens`,
-    /// marking members in ws.in_set / ws.members.  Returns the number of
-    /// enabled members, or `bail_out` as soon as that many are seen (the
-    /// caller already has a set this small, so the rest of the closure
-    /// cannot matter).
+    /// Closes over {seed} under D1/D2 (plus V when places are observed) at
+    /// `tokens`, marking members in ws.in_set / ws.members.  Returns the
+    /// number of enabled members, or `bail_out` as soon as that many are
+    /// seen (the caller already has a set this small, so the rest of the
+    /// closure cannot matter).
     [[nodiscard]] std::size_t closure(const std::int64_t* tokens, transition_id seed,
                                       std::size_t bail_out,
                                       stubborn_workspace& ws) const;
@@ -163,12 +150,11 @@ private:
                                      transition_id t) const;
 
     const petri_net* net_;
-    reduction_strength strength_;
     /// conflicts_[t]: transitions other than t sharing an input place with t
     /// (the consumers of •t), ascending — the D2 rule, precomputed.
     std::vector<std::vector<transition_id>> conflicts_;
     /// visible_[t] != 0 when t changes an observed place; empty when nothing
-    /// is observed (or strength is deadlock), so visible() is O(1) either way.
+    /// is observed, so visible() is O(1) either way.
     std::vector<std::uint8_t> visible_;
     /// The visible transitions, ascending — condition V pulls this whole
     /// list into any set holding an enabled visible member.

@@ -191,11 +191,9 @@ void session::handle_explore(const json& request)
         if (reduce->as_string() == "none") {
             explore.reduction = pn::reduction_kind::none;
         } else if (reduce->as_string() == "stubborn") {
-            explore.reduction = pn::reduction_kind::stubborn;
-            explore.strength = pn::reduction_strength::deadlock;
+            explore.reduction = pn::reduction_kind::deadlock;
         } else if (reduce->as_string() == "stubborn-ltlx") {
-            explore.reduction = pn::reduction_kind::stubborn;
-            explore.strength = pn::reduction_strength::ltl_x;
+            explore.reduction = pn::reduction_kind::ltl_x;
         } else {
             send_error("explore \"reduce\" must be \"none\", \"stubborn\" or "
                        "\"stubborn-ltlx\"");

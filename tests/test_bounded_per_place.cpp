@@ -25,7 +25,7 @@ reachability_options reduced_options()
     reachability_options options;
     options.max_markings = 20000;
     options.max_tokens_per_place = 256;
-    options.reduction = reduction_kind::stubborn;
+    options.reduction = reduction_kind::deadlock;
     return options;
 }
 

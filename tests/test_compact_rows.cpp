@@ -11,7 +11,7 @@
 // the middle of the run (plus one whose root is above 2^32) are explored by
 // the sequential engine and by the leveled parallel engine at 1, 2, 4 and 8
 // threads, with and without a --max-bytes budget that really spills,
-// unreduced and under the stubborn deadlock and ltl_x strengths.  Every run
+// unreduced and under the deadlock and ltl_x stubborn reductions.  Every run
 // must match explore_reference / the sequential engine bit for bit: ids,
 // edges, decoded tokens and truncation.  pn.store.widenings and the
 // pn.store.count_bytes gauge are pinned.  The TSan and ASan CI jobs run this
@@ -27,14 +27,16 @@
 
 #include "exec/chunk_pager.hpp"
 #include "obs/obs.hpp"
-#include "pn/builder.hpp"
 #include "pn/marking_store.hpp"
 #include "pn/parallel_explore.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::pn {
 namespace {
+
+using testutil::counter_net;
 
 std::uint64_t hash_of(const std::vector<std::int64_t>& tokens)
 {
@@ -219,51 +221,6 @@ TEST(compact_store, widening_under_a_spilling_pager_releases_the_old_chunks)
 }
 
 // ---------------------------------------------------------- engine level --
-
-/// A net whose counter place `c` starts at `root` and grows mid-run.
-/// `toggles` independent places a_i each hold a token that flips to b_i
-/// and back; every flip adds `step` tokens to c (step 0: flips leave c
-/// alone).  With `fuse` > 0 a token walks a chain of `fuse` places, each
-/// walk adding `walk_step` to c, and then a `jump` transition adds `jump`
-/// tokens to c once — so counts cross widths at chosen BFS depths, where
-/// the toggles have made the frontier wide.
-petri_net counter_net(const std::string& name, std::int64_t root, std::int64_t step,
-                      int toggles, int fuse = 0, std::int64_t walk_step = 0,
-                      std::int64_t jump = 0)
-{
-    net_builder b(name);
-    const place_id c = b.add_place("c", root);
-    for (int i = 0; i < toggles; ++i) {
-        const place_id a = b.add_place("a" + std::to_string(i), 1);
-        const place_id z = b.add_place("b" + std::to_string(i));
-        const transition_id flip = b.add_transition("flip" + std::to_string(i));
-        const transition_id flop = b.add_transition("flop" + std::to_string(i));
-        b.add_arc(a, flip);
-        b.add_arc(flip, z);
-        if (step != 0) {
-            b.add_arc(flip, c, step);
-        }
-        b.add_arc(z, flop);
-        b.add_arc(flop, a);
-    }
-    if (fuse > 0) {
-        place_id at = b.add_place("f0", 1);
-        for (int i = 1; i <= fuse; ++i) {
-            const place_id next = b.add_place("f" + std::to_string(i));
-            const transition_id walk = b.add_transition("walk" + std::to_string(i));
-            b.add_arc(at, walk);
-            b.add_arc(walk, next);
-            if (walk_step != 0) {
-                b.add_arc(walk, c, walk_step);
-            }
-            at = next;
-        }
-        const transition_id leap = b.add_transition("jump");
-        b.add_arc(at, leap);
-        b.add_arc(leap, c, jump);
-    }
-    return std::move(b).build();
-}
 
 struct widening_case {
     const char* name;
@@ -463,21 +420,18 @@ TEST(compact_engines, widening_under_stubborn_reduction_matches_the_sequential_e
     // until it reaches the leap, i.e. nearly the whole space, and it widens
     // inside that sequential post-pass.
     for (const widening_case& c : widening_cases(5)) {
-        for (const reduction_strength strength :
-             {reduction_strength::deadlock, reduction_strength::ltl_x}) {
+        for (const reduction_kind reduction :
+             {reduction_kind::deadlock, reduction_kind::ltl_x}) {
             const std::string where =
-                c.name + std::string(strength == reduction_strength::deadlock
-                                         ? " deadlock"
-                                         : " ltl_x");
+                c.name + std::string(reduction == reduction_kind::deadlock ? " deadlock"
+                                                                           : " ltl_x");
             reachability_options seq_options = c.seq(all_states);
-            seq_options.reduction = reduction_kind::stubborn;
-            seq_options.strength = strength;
+            seq_options.reduction = reduction;
             const state_space seq = explore_state_space(c.net, seq_options);
             for (const std::size_t budget : {std::size_t{0}, std::size_t{4096}}) {
                 for (const std::size_t threads : thread_counts) {
                     reachability_options options = c.par(threads, all_states, budget);
-                    options.reduction = reduction_kind::stubborn;
-                    options.strength = strength;
+                    options.reduction = reduction;
                     expect_identical_spaces(seq, explore_parallel(c.net, options),
                                             where + " par" + std::to_string(threads) +
                                                 " budget " + std::to_string(budget));

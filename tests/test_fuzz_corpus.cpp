@@ -1,6 +1,6 @@
 // Corpus replay: every `.pn` net under tests/corpus/ runs through the full
 // differential verdict matrix (pipeline/fuzz.hpp) and must come back clean —
-// agreeing sequential/parallel state spaces per reduction strength, agreeing
+// agreeing sequential/parallel state spaces per reduction kind, agreeing
 // deadlock verdicts, and a rejection-or-success synthesis pass.  The corpus
 // holds one base net and two mutants per generator family plus hand-shaped
 // edge cases; any fuzz finding gets minimized into a new file here, turning

@@ -1,4 +1,4 @@
-// The differential liveness test net for the ltl_x stubborn-set strength
+// The differential liveness test net for the ltl_x stubborn-set reduction
 // (pn/stubborn.hpp): randomized sweeps over every generator family x defect
 // x token load x source credit assert that check_live / boundedness
 // verdicts decided on the ltl_x-reduced graph equal the unreduced engine's
@@ -6,8 +6,9 @@
 // the reduced spaces themselves stay bit-identical across thread counts
 // (the ignoring fix-up is a deterministic sequential post-pass).  The file
 // also carries the ignoring-regression fixture — a cycle of choices that a
-// deadlock-strength reduction starves forever, flipping the liveness
-// verdict — and the from-scratch proviso property test: in every
+// deadlock reduction starves forever, flipping the liveness verdict — the
+// fix-up's pinned work (rounds, re-expansions) on a net where it
+// re-expands, and the from-scratch proviso property test: in every
 // cycle-capable SCC of an ltl_x-reduced graph, each transition enabled
 // somewhere in the SCC is fired somewhere in it.  Runs under the TSan CI
 // job.
@@ -19,6 +20,7 @@
 
 #include "graph/digraph.hpp"
 #include "graph/scc.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
 #include "pn/builder.hpp"
 #include "pn/parallel_explore.hpp"
@@ -26,6 +28,7 @@
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
 #include "pn/stubborn.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::pn {
 namespace {
@@ -162,7 +165,7 @@ void expect_proviso_holds(const petri_net& net, const state_space& space)
 
 /// A tight two-state cycle (a1/a2) next to a cycle of choices: from y1
 /// either branch b or branch c loops back.  The whole net is live, but a
-/// deadlock-strength stubborn reduction forever prefers the conflict-free
+/// deadlock stubborn reduction forever prefers the conflict-free
 /// a-cycle — the singleton closure {a1} or {a2} always beats the choice
 /// cluster — so every b/c transition stays enabled and is never fired: the
 /// textbook ignoring problem.
@@ -195,7 +198,7 @@ petri_net cycle_of_choices()
     return std::move(b).build();
 }
 
-TEST(ltlx_stubborn, deadlock_strength_starves_the_choice_cycle)
+TEST(ltlx_stubborn, deadlock_reduction_starves_the_choice_cycle)
 {
     const petri_net net = cycle_of_choices();
     const state_space full = explore_state_space(net, {});
@@ -203,10 +206,10 @@ TEST(ltlx_stubborn, deadlock_strength_starves_the_choice_cycle)
     EXPECT_EQ(full.state_count(), 6u);
     EXPECT_EQ(live_verdict_on(net, full), verdict::yes);
 
-    // Deadlock strength: the a-cycle is expanded alone forever.  The graph
+    // Deadlock reduction: the a-cycle is expanded alone forever.  The graph
     // is deadlock-correct (no deadlock to find) but liveness-wrong.
     const state_space starved =
-        explore_state_space(net, {.reduction = reduction_kind::stubborn});
+        explore_state_space(net, {.reduction = reduction_kind::deadlock});
     ASSERT_FALSE(starved.truncated());
     EXPECT_EQ(starved.state_count(), 2u);
     std::vector<bool> fired(net.transition_count(), false);
@@ -216,18 +219,17 @@ TEST(ltlx_stubborn, deadlock_strength_starves_the_choice_cycle)
         }
     }
     EXPECT_EQ(std::count(fired.begin(), fired.end(), true), 2)
-        << "only the a-cycle should ever fire under deadlock strength";
+        << "only the a-cycle should ever fire under the deadlock reduction";
     EXPECT_EQ(live_verdict_on(net, starved), verdict::no)
         << "the starved graph must misreport liveness — the very bug "
-           "ltl_x strength exists to fix";
+           "ltl_x reduction exists to fix";
 }
 
-TEST(ltlx_stubborn, ltlx_strength_flips_the_verdict_to_the_correct_one)
+TEST(ltlx_stubborn, ltlx_reduction_flips_the_verdict_to_the_correct_one)
 {
     const petri_net net = cycle_of_choices();
-    const state_space reduced = explore_state_space(
-        net, {.reduction = reduction_kind::stubborn,
-              .strength = reduction_strength::ltl_x});
+    const state_space reduced =
+        explore_state_space(net, {.reduction = reduction_kind::ltl_x});
     ASSERT_FALSE(reduced.truncated());
     expect_proviso_holds(net, reduced);
     EXPECT_EQ(live_verdict_on(net, reduced), verdict::yes);
@@ -237,18 +239,17 @@ TEST(ltlx_stubborn, ltlx_strength_flips_the_verdict_to_the_correct_one)
     for (const std::size_t threads : thread_counts) {
         reachability_options options;
         options.threads = threads;
-        options.reduction = reduction_kind::stubborn;
+        options.reduction = reduction_kind::deadlock;
         EXPECT_EQ(check_live(net, options), verdict::yes)
             << "threads " << threads;
     }
 }
 
-TEST(ltlx_stubborn, fixup_is_a_no_op_on_acyclic_graphs)
+/// Two independent one-shot chains, p0 -t0-> p1 and q0 -u0-> q1 (as in
+/// test_stubborn.cpp): 4 reachable states, which the deadlock reduction
+/// serializes into 3.
+petri_net independent_chains()
 {
-    // Two independent one-shot chains (as in test_stubborn.cpp): the
-    // deadlock reduction serializes them into 3 of the 4 states, and since
-    // the graph is acyclic nothing can be ignored forever — ltl_x must
-    // keep the reduction untouched rather than degrade to full expansion.
     net_builder b("independent_chains");
     const auto p0 = b.add_place("p0", 1);
     const auto p1 = b.add_place("p1");
@@ -260,34 +261,82 @@ TEST(ltlx_stubborn, fixup_is_a_no_op_on_acyclic_graphs)
     b.add_arc(t0, p1);
     b.add_arc(q0, u0);
     b.add_arc(u0, q1);
-    const petri_net net = std::move(b).build();
+    return std::move(b).build();
+}
 
+TEST(ltlx_stubborn, fixup_is_a_no_op_on_acyclic_graphs)
+{
+    // Since the graph is acyclic nothing can be ignored forever — ltl_x
+    // must keep the reduction untouched rather than degrade to full
+    // expansion.
+    const petri_net net = independent_chains();
     const state_space deadlock_reduced =
-        explore_state_space(net, {.reduction = reduction_kind::stubborn});
-    const state_space ltlx_reduced = explore_state_space(
-        net, {.reduction = reduction_kind::stubborn,
-              .strength = reduction_strength::ltl_x});
+        explore_state_space(net, {.reduction = reduction_kind::deadlock});
+    const state_space ltlx_reduced =
+        explore_state_space(net, {.reduction = reduction_kind::ltl_x});
     EXPECT_EQ(deadlock_reduced.state_count(), 3u);
     expect_identical_spaces(deadlock_reduced, ltlx_reduced);
+}
+
+// -- The fix-up's work on a net where it re-expands --------------------------
+
+TEST(ltlx_stubborn, fixup_work_is_pinned_where_it_re_expands)
+{
+    // Three toggles beside a four-place fuse ending in a weight-1 jump
+    // (12 places, 11 transitions).  The deadlock reduction expands one
+    // toggle cycle forever and ignores the fuse, so the fix-up must
+    // re-expand its way down the fuse: 9 rounds and 24 re-expansions reach
+    // all 48 states with 116 of the full graph's 184 edges.  Every engine
+    // and thread count does the same work and builds the same space.
+    const petri_net net =
+        testutil::counter_net("fuse_beside_toggles", 0, 0, 3, 4, 0, 1);
+    ASSERT_EQ(net.place_count(), 12u);
+    ASSERT_EQ(net.transition_count(), 11u);
+    const reachability_options options{.max_markings = 4000,
+                                       .max_tokens_per_place = 64,
+                                       .reduction = reduction_kind::ltl_x};
+    struct fixup_run {
+        state_space space;
+        std::uint64_t rounds = 0;
+        std::uint64_t reexpansions = 0;
+    };
+    const auto observe = [](auto&& explore) {
+        obs::reset();
+        obs::set_stats_enabled(true);
+        fixup_run run{explore()};
+        obs::set_stats_enabled(false);
+        run.rounds = obs::get_counter("pn.ltlx.rounds").value();
+        run.reexpansions = obs::get_counter("pn.ltlx.reexpansions").value();
+        return run;
+    };
+
+    const fixup_run sequential =
+        observe([&] { return explore_state_space(net, options); });
+    EXPECT_FALSE(sequential.space.truncated());
+    EXPECT_EQ(sequential.space.state_count(), 48u);
+    EXPECT_EQ(sequential.space.edge_count(), 116u);
+    EXPECT_EQ(sequential.rounds, 9u);
+    EXPECT_EQ(sequential.reexpansions, 24u);
+    expect_proviso_holds(net, sequential.space);
+    for (const std::size_t threads : thread_counts) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        reachability_options parallel_options = options;
+        parallel_options.threads = threads;
+        const fixup_run parallel =
+            observe([&] { return explore_parallel(net, parallel_options); });
+        EXPECT_EQ(parallel.rounds, 9u);
+        EXPECT_EQ(parallel.reexpansions, 24u);
+        expect_identical_spaces(sequential.space, parallel.space);
+    }
 }
 
 // -- Visibility (conditions V and I) ----------------------------------------
 
 TEST(ltlx_stubborn, invisible_seeds_are_preferred_and_visible_sets_merge)
 {
-    net_builder b("observed_chains");
-    const auto p0 = b.add_place("p0", 1);
-    const auto p1 = b.add_place("p1");
-    const auto q0 = b.add_place("q0", 1);
-    const auto q1 = b.add_place("q1");
-    const auto t0 = b.add_transition("t0");
-    const auto u0 = b.add_transition("u0");
-    b.add_arc(p0, t0);
-    b.add_arc(t0, p1);
-    b.add_arc(q0, u0);
-    b.add_arc(u0, q1);
-    const petri_net net = std::move(b).build();
-
+    const petri_net net = independent_chains();
+    const place_id p1 = net.find_place("p1");
+    const place_id q1 = net.find_place("q1");
     const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
     const std::vector<transition_id> enabled = scan_enabled(net, m0.data());
     ASSERT_EQ(enabled.size(), 2u);
@@ -296,8 +345,8 @@ TEST(ltlx_stubborn, invisible_seeds_are_preferred_and_visible_sets_merge)
 
     // Observing p1 makes t0 visible and u0 invisible: condition I restricts
     // the seeds to u0, so the reduction defers the visible firing.
-    const stubborn_reduction observe_one(
-        net, {.strength = reduction_strength::ltl_x, .observed_places = {p1}});
+    const std::vector<place_id> observe_p1{p1};
+    const stubborn_reduction observe_one(net, observe_p1);
     EXPECT_TRUE(observe_one.visible(enabled[0]));  // t0
     EXPECT_FALSE(observe_one.visible(enabled[1])); // u0
     observe_one.reduce(m0.data(), enabled, ws, out);
@@ -307,19 +356,33 @@ TEST(ltlx_stubborn, invisible_seeds_are_preferred_and_visible_sets_merge)
     // Observing both chains makes both transitions visible: condition V
     // pulls every visible transition into any candidate set, so nothing can
     // be deferred and the state is fully expanded.
-    const stubborn_reduction observe_both(
-        net,
-        {.strength = reduction_strength::ltl_x, .observed_places = {p1, q1}});
+    const std::vector<place_id> observe_p1_q1{p1, q1};
+    const stubborn_reduction observe_both(net, observe_p1_q1);
     observe_both.reduce(m0.data(), enabled, ws, out);
     EXPECT_EQ(out, enabled);
+}
 
-    // Deadlock strength ignores the visibility set entirely.
-    const stubborn_reduction deadlock_strength(
-        net,
-        {.strength = reduction_strength::deadlock, .observed_places = {p1, q1}});
-    EXPECT_FALSE(deadlock_strength.visible(enabled[0]));
-    deadlock_strength.reduce(m0.data(), enabled, ws, out);
-    EXPECT_EQ(out.size(), 1u);
+TEST(ltlx_stubborn, deadlock_reduction_ignores_observed_places)
+{
+    // Observed places count only under ltl_x: the deadlock reduction with
+    // both chains observed explores exactly what it explores without them,
+    // on both engines, while ltl_x with the same set expands the root fully.
+    const petri_net net = independent_chains();
+    const std::vector<place_id> observed{net.find_place("p1"), net.find_place("q1")};
+    const state_space plain =
+        explore_state_space(net, {.reduction = reduction_kind::deadlock});
+    EXPECT_EQ(plain.state_count(), 3u);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const reachability_options options{.threads = threads,
+                                           .reduction = reduction_kind::deadlock,
+                                           .observed_places = observed};
+        expect_identical_spaces(plain, explore_space(net, options));
+    }
+    EXPECT_EQ(explore_state_space(
+                  net, {.reduction = reduction_kind::ltl_x, .observed_places = observed})
+                  .state_count(),
+              4u);
 }
 
 // -- Randomized differential sweeps ----------------------------------------
@@ -336,7 +399,7 @@ void expect_ltlx_verdicts_match(const petri_net& net)
     ASSERT_NE(live_full, verdict::unknown) << "test net too large: grow the budget";
 
     reachability_options reduced = full;
-    reduced.reduction = reduction_kind::stubborn;
+    reduced.reduction = reduction_kind::deadlock;
     for (const std::size_t threads : thread_counts) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         reduced.threads = threads;
@@ -351,17 +414,14 @@ void expect_ltlx_verdicts_match(const petri_net& net)
     }
 
     const state_space sequential = explore_state_space(
-        net, {.max_markings = full.max_markings,
-              .reduction = reduction_kind::stubborn,
-              .strength = reduction_strength::ltl_x});
+        net, {.max_markings = full.max_markings, .reduction = reduction_kind::ltl_x});
     EXPECT_LE(sequential.state_count(), 300000u);
     for (const std::size_t threads : thread_counts) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         const state_space parallel = explore_parallel(
             net, {.max_markings = full.max_markings,
                   .threads = threads,
-                  .reduction = reduction_kind::stubborn,
-                  .strength = reduction_strength::ltl_x});
+                  .reduction = reduction_kind::ltl_x});
         expect_identical_spaces(sequential, parallel);
     }
 }
@@ -421,7 +481,7 @@ TEST(ltlx_stubborn, verdicts_under_tight_budgets)
             SCOPED_TRACE("threads " + std::to_string(threads));
             reachability_options reduced = tight;
             reduced.threads = threads;
-            reduced.reduction = reduction_kind::stubborn;
+            reduced.reduction = reduction_kind::deadlock;
             const verdict red_tight = check_live(net, reduced);
             if (red_tight == verdict::unknown) {
                 // A truncated reduced run explores a subset of the reachable
@@ -442,16 +502,14 @@ TEST(ltlx_stubborn, verdicts_under_tight_budgets)
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
             net, {.max_markings = max_states, .max_tokens_per_place = 64,
-                  .reduction = reduction_kind::stubborn,
-                  .strength = reduction_strength::ltl_x});
+                  .reduction = reduction_kind::ltl_x});
         for (const std::size_t threads : thread_counts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const state_space parallel = explore_parallel(
                 net, {.max_markings = max_states,
                       .max_tokens_per_place = 64,
                       .threads = threads,
-                      .reduction = reduction_kind::stubborn,
-                      .strength = reduction_strength::ltl_x});
+                      .reduction = reduction_kind::ltl_x});
             expect_identical_spaces(sequential, parallel);
         }
     }
@@ -463,8 +521,7 @@ TEST(ltlx_stubborn, proviso_holds_in_every_cyclic_scc)
 {
     expect_proviso_holds(cycle_of_choices(),
                          explore_state_space(cycle_of_choices(),
-                                             {.reduction = reduction_kind::stubborn,
-                                              .strength = reduction_strength::ltl_x}));
+                                             {.reduction = reduction_kind::ltl_x}));
 
     for (const pipeline::net_family family :
          {pipeline::net_family::marked_graph, pipeline::net_family::free_choice,
@@ -484,9 +541,7 @@ TEST(ltlx_stubborn, proviso_holds_in_every_cyclic_scc)
                              " credit " + std::to_string(credit) + " net " +
                              std::to_string(i));
                 const state_space reduced = explore_state_space(
-                    net, {.max_markings = 300000,
-                          .reduction = reduction_kind::stubborn,
-                          .strength = reduction_strength::ltl_x});
+                    net, {.max_markings = 300000, .reduction = reduction_kind::ltl_x});
                 expect_proviso_holds(net, reduced);
             }
         }
@@ -536,8 +591,7 @@ TEST(ltlx_stubborn, boundedness_visibility_keeps_the_reduction_effective)
 
     // The exploration the fixed query runs: ltl_x with growable visibility.
     reachability_options reduced = full;
-    reduced.reduction = reduction_kind::stubborn;
-    reduced.strength = reduction_strength::ltl_x;
+    reduced.reduction = reduction_kind::ltl_x;
     reduced.observed_places = growable_places(net);
     const state_space pruned = explore_space(net, reduced);
     ASSERT_FALSE(pruned.truncated());
@@ -558,7 +612,7 @@ TEST(ltlx_stubborn, boundedness_visibility_keeps_the_reduction_effective)
     // And the verdict stays exact against the unreduced engine: the lanes
     // start at 4 tokens and only drain, so the bound is exactly 4.
     reachability_options query = full;
-    query.reduction = reduction_kind::stubborn;
+    query.reduction = reduction_kind::deadlock;
     for (const std::int64_t k :
          {std::int64_t{1}, std::int64_t{3}, std::int64_t{4}, std::int64_t{8}}) {
         const verdict expected = k >= 4 ? verdict::yes : verdict::no;
@@ -567,12 +621,11 @@ TEST(ltlx_stubborn, boundedness_visibility_keeps_the_reduction_effective)
     }
 }
 
-TEST(ltlx_stubborn, explore_space_dispatch_carries_strength_and_observed)
+TEST(ltlx_stubborn, explore_space_dispatch_carries_the_ltlx_reduction)
 {
     const petri_net net = cycle_of_choices();
     reachability_options options;
-    options.reduction = reduction_kind::stubborn;
-    options.strength = reduction_strength::ltl_x;
+    options.reduction = reduction_kind::ltl_x;
     const state_space sequential = explore_space(net, options);
     expect_proviso_holds(net, sequential);
     options.threads = 4;

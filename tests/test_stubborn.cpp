@@ -108,7 +108,7 @@ TEST(stubborn, serializes_independent_chains)
     const petri_net net = independent_chains();
     const state_space full = explore_state_space(net, {});
     const state_space reduced =
-        explore_state_space(net, {.reduction = reduction_kind::stubborn});
+        explore_state_space(net, {.reduction = reduction_kind::deadlock});
 
     EXPECT_EQ(full.state_count(), 4u);
     EXPECT_EQ(reduced.state_count(), 3u);
@@ -122,7 +122,7 @@ TEST(stubborn, keeps_conflicting_alternatives_together)
     const petri_net net = two_way_choice();
     const state_space full = explore_state_space(net, {});
     const state_space reduced =
-        explore_state_space(net, {.reduction = reduction_kind::stubborn});
+        explore_state_space(net, {.reduction = reduction_kind::deadlock});
 
     // Both alternatives share the choice place, so the stubborn set at the
     // root is the whole enabled set: no state may be dropped here.
@@ -173,7 +173,7 @@ void expect_deadlocks_preserved(const petri_net& net, bool expect_strictly_fewer
     ASSERT_FALSE(full.truncated()) << "test net too large: grow the budget";
 
     reachability_options reduced_budget = full_budget;
-    reduced_budget.reduction = reduction_kind::stubborn;
+    reduced_budget.reduction = reduction_kind::deadlock;
     const state_space reduced = explore_state_space(net, reduced_budget);
     ASSERT_FALSE(reduced.truncated());
 
@@ -253,14 +253,14 @@ TEST(stubborn, reduced_parallel_identical_under_tight_budgets)
         SCOPED_TRACE("max_states " + std::to_string(max_states));
         const state_space sequential = explore_state_space(
             net, {.max_markings = max_states, .max_tokens_per_place = 64,
-                  .reduction = reduction_kind::stubborn});
+                  .reduction = reduction_kind::deadlock});
         for (const std::size_t threads : thread_counts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             const state_space parallel = explore_parallel(
                 net, {.max_markings = max_states,
                       .max_tokens_per_place = 64,
                       .threads = threads,
-                      .reduction = reduction_kind::stubborn});
+                      .reduction = reduction_kind::deadlock});
             expect_identical_spaces(sequential, parallel);
         }
     }
@@ -270,7 +270,7 @@ TEST(stubborn, explore_space_dispatch_carries_the_reduction)
 {
     const petri_net net = independent_chains();
     reachability_options options;
-    options.reduction = reduction_kind::stubborn;
+    options.reduction = reduction_kind::deadlock;
     EXPECT_EQ(explore_space(net, options).state_count(), 3u);
     options.threads = 4;
     EXPECT_EQ(explore_space(net, options).state_count(), 3u);

@@ -18,6 +18,7 @@
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::svc {
 namespace {
@@ -312,19 +313,14 @@ TEST(session, duplicate_nets_are_flagged_on_the_wire)
 
 // End-to-end over real pipes: a JSONL batch with a duplicate net and a
 // malformed request, answered and drained through serve_stdio.
-/// Sends one explore request for an unbounded counter net (one source
-/// transition feeding one place) with the given budget fields and returns
-/// the single reply.
-json explore_counter(session_harness& h,
-                     const std::vector<std::pair<const char*, json>>& fields)
+/// Sends one explore request for `net` with the given extra fields and
+/// returns the single reply.
+json explore_net(session_harness& h, const pn::petri_net& net,
+                 const std::vector<std::pair<const char*, json>>& fields)
 {
-    pn::net_builder builder("counter");
-    const pn::place_id place = builder.add_place("p");
-    const pn::transition_id source = builder.add_transition("t");
-    builder.add_arc(source, place);
     json request = json::object();
     request.set("op", "explore");
-    request.set("net", pnio::write_net(std::move(builder).build()));
+    request.set("net", pnio::write_net(net));
     for (const auto& [key, value] : fields) {
         request.set(key, value);
     }
@@ -333,6 +329,18 @@ json explore_counter(session_harness& h,
     const std::vector<json> lines = h.lines();
     EXPECT_EQ(lines.size(), before + 1);
     return lines.back();
+}
+
+/// explore_net for an unbounded counter net: one source transition feeding
+/// one place.
+json explore_counter(session_harness& h,
+                     const std::vector<std::pair<const char*, json>>& fields)
+{
+    pn::net_builder builder("counter");
+    const pn::place_id place = builder.add_place("p");
+    const pn::transition_id source = builder.add_transition("t");
+    builder.add_arc(source, place);
+    return explore_net(h, std::move(builder).build(), fields);
 }
 
 TEST(session, explore_budgets_beyond_the_ceiling_get_the_ceiling)
@@ -386,6 +394,32 @@ TEST(session, explore_ignores_an_order_field)
     EXPECT_TRUE(plain.find("truncated")->as_bool(false));
     EXPECT_EQ(with_order.dump(), plain.dump());
     EXPECT_EQ(with_order.find("fallback"), nullptr);
+}
+
+TEST(session, explore_reduce_spellings_pick_the_reduction)
+{
+    // Three toggles beside a four-place fuse (test_ltlx_stubborn pins the
+    // fix-up's work on it): 48 states and 184 edges in full; the deadlock
+    // reduction expands one toggle cycle (2 states, 2 edges); ltl_x
+    // re-expands down the fuse to all 48 states over 116 edges.
+    session_harness h;
+    const pn::petri_net net =
+        testutil::counter_net("fuse_beside_toggles", 0, 0, 3, 4, 0, 1);
+    const struct {
+        const char* reduce;
+        double states;
+        double edges;
+    } cases[] = {{"none", 48, 184}, {"stubborn", 2, 2}, {"stubborn-ltlx", 48, 116}};
+    for (const auto& c : cases) {
+        const json reply = explore_net(h, net, {{"reduce", c.reduce}});
+        ASSERT_EQ(reply.find("event")->as_string(), "explored") << c.reduce;
+        EXPECT_EQ(reply.find("states")->as_number(), c.states) << c.reduce;
+        EXPECT_EQ(reply.find("edges")->as_number(), c.edges) << c.reduce;
+        EXPECT_FALSE(reply.find("truncated")->as_bool(true)) << c.reduce;
+    }
+    const json bogus = explore_net(h, net, {{"reduce", "bogus"}});
+    EXPECT_EQ(bogus.find("event")->as_string(), "error");
+    EXPECT_EQ(h.events("explored").size(), 3u);
 }
 
 TEST(serve_stdio, answers_a_jsonl_batch_and_drains_cleanly)

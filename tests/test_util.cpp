@@ -101,6 +101,44 @@ pn::petri_net random_free_choice_net(std::uint64_t seed,
     return std::move(builder).build();
 }
 
+pn::petri_net counter_net(const std::string& name, std::int64_t root, std::int64_t step,
+                          int toggles, int fuse, std::int64_t walk_step,
+                          std::int64_t jump)
+{
+    pn::net_builder b(name);
+    const pn::place_id c = b.add_place("c", root);
+    for (int i = 0; i < toggles; ++i) {
+        const pn::place_id a = b.add_place("a" + std::to_string(i), 1);
+        const pn::place_id z = b.add_place("b" + std::to_string(i));
+        const pn::transition_id flip = b.add_transition("flip" + std::to_string(i));
+        const pn::transition_id flop = b.add_transition("flop" + std::to_string(i));
+        b.add_arc(a, flip);
+        b.add_arc(flip, z);
+        if (step != 0) {
+            b.add_arc(flip, c, step);
+        }
+        b.add_arc(z, flop);
+        b.add_arc(flop, a);
+    }
+    if (fuse > 0) {
+        pn::place_id at = b.add_place("f0", 1);
+        for (int i = 1; i <= fuse; ++i) {
+            const pn::place_id next = b.add_place("f" + std::to_string(i));
+            const pn::transition_id walk = b.add_transition("walk" + std::to_string(i));
+            b.add_arc(at, walk);
+            b.add_arc(walk, next);
+            if (walk_step != 0) {
+                b.add_arc(walk, c, walk_step);
+            }
+            at = next;
+        }
+        const pn::transition_id leap = b.add_transition("jump");
+        b.add_arc(at, leap);
+        b.add_arc(leap, c, jump);
+    }
+    return std::move(b).build();
+}
+
 void eager_react(const pn::petri_net& net, pn::marking& m, pn::transition_id source,
                  const std::function<int(pn::place_id)>& choose,
                  const std::function<void(pn::transition_id)>& on_fire, int max_steps)

@@ -1,12 +1,14 @@
 // Shared test utilities: a seeded random free-choice net generator (for
-// property-style sweeps), an eager reference simulator that mirrors the
-// generated code's operational semantics on the net itself, and the
-// brute-force T-allocation oracle for the scheduler's enumeration.
+// property-style sweeps), the toggles-plus-counter net the exploration
+// tests share, an eager reference simulator that mirrors the generated
+// code's operational semantics on the net itself, and the brute-force
+// T-allocation oracle for the scheduler's enumeration.
 #ifndef FCQSS_TESTS_TEST_UTIL_HPP
 #define FCQSS_TESTS_TEST_UTIL_HPP
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "base/prng.hpp"
@@ -37,6 +39,19 @@ struct random_net_options {
 /// pairs that the QSS cycle covers).
 [[nodiscard]] pn::petri_net
 random_free_choice_net(std::uint64_t seed, const random_net_options& options = {});
+
+/// A net whose counter place `c` starts at `root` and grows mid-run.
+/// `toggles` independent places a_i each hold a token that flips to b_i
+/// and back; every flip adds `step` tokens to c (step 0: flips leave c
+/// alone).  With `fuse` > 0 a token walks a chain of `fuse` places, each
+/// walk adding `walk_step` to c, and then a `jump` transition adds `jump`
+/// tokens to c once — so counts cross widths at chosen BFS depths, where
+/// the toggles have made the frontier wide.  The toggle cycles next to the
+/// fuse are also what a stubborn reduction ignores the fuse in.
+[[nodiscard]] pn::petri_net counter_net(const std::string& name, std::int64_t root,
+                                        std::int64_t step, int toggles, int fuse = 0,
+                                        std::int64_t walk_step = 0,
+                                        std::int64_t jump = 0);
 
 /// Eager reference semantics: fire `source`, then repeatedly fire any
 /// enabled non-source transition (choices resolved by the oracle, keyed by
