@@ -68,13 +68,59 @@ marking_store::marking_store(std::size_t width)
 {
 }
 
+namespace detail {
+
+hash_index::hash_index()
+    : table_(initial_table_capacity, invalid_state), mask_(initial_table_capacity - 1)
+{
+}
+
+bool hash_index::insert(std::size_t slot, std::uint64_t hash)
+{
+    table_[slot] = static_cast<state_id>(hashes_.size());
+    hashes_.push_back(hash);
+    // Keep the load factor below ~0.7 (power-of-two capacity, linear
+    // probes).
+    if (size() * 10 < (mask_ + 1) * 7) {
+        return false;
+    }
+    rebuild_table((mask_ + 1) * 2);
+    return true;
+}
+
+void hash_index::rebuild()
+{
+    std::size_t capacity = initial_table_capacity;
+    while (size() * 10 >= capacity * 7) {
+        capacity *= 2;
+    }
+    rebuild_table(capacity);
+}
+
+void hash_index::rebuild_table(std::size_t capacity)
+{
+    table_.assign(capacity, invalid_state);
+    mask_ = capacity - 1;
+    for (state_id id = 0; id < static_cast<state_id>(size()); ++id) {
+        std::size_t slot = hashes_[id] & mask_;
+        while (table_[slot] != invalid_state) {
+            slot = (slot + 1) & mask_;
+        }
+        table_[slot] = id;
+    }
+}
+
+std::size_t hash_index::memory_bytes() const noexcept
+{
+    return hashes_.size() * sizeof(std::uint64_t) + table_.size() * sizeof(state_id);
+}
+
+} // namespace detail
+
 marking_store::marking_store(std::size_t width,
                              std::shared_ptr<exec::chunk_pager> pager,
                              unsigned count_bytes)
-    : width_(width),
-      pager_(std::move(pager)),
-      table_(initial_table_capacity, invalid_state),
-      table_mask_(initial_table_capacity - 1)
+    : width_(width), pager_(std::move(pager))
 {
     assert(count_bytes == 1 || count_bytes == 2 || count_bytes == 4 || count_bytes == 8);
     set_count_bytes(count_bytes);
@@ -122,16 +168,12 @@ std::pair<state_id, bool> marking_store::intern(const std::int64_t* tokens,
     // Probe against rows decoded on the fly; the candidate is encoded only
     // once it is known to be fresh and within budget.
     const auto [slot, found] = with_count_type(count_bytes_, [&]<typename T>(T) {
-        std::size_t at = hash & table_mask_;
-        for (;; at = (at + 1) & table_mask_) {
-            ++stats_.probes;
-            const state_id id = table_[at];
-            if (id == invalid_state ||
-                (hashes_[id] == hash &&
-                 equal_decoded(reinterpret_cast<const T*>(row(id)), tokens, width_))) {
-                return std::pair{at, id};
-            }
-        }
+        return index_.probe(
+            hash,
+            [&](state_id id) {
+                return equal_decoded(reinterpret_cast<const T*>(row(id)), tokens, width_);
+            },
+            stats_.probes);
     });
     if (found != invalid_state) {
         ++stats_.dedup_hits;
@@ -158,12 +200,8 @@ state_id marking_store::insert_at(std::size_t slot, std::uint64_t hash)
     if ((id & ((std::size_t{1} << chunk_shift_) - 1)) == 0) {
         allocate_chunk();
     }
-    hashes_.push_back(hash);
-    table_[slot] = id;
-    // Keep the load factor below ~0.7 (power-of-two capacity, linear
-    // probes).
-    if (size() * 10 >= (table_mask_ + 1) * 7) {
-        rebuild_table((table_mask_ + 1) * 2);
+    if (index_.insert(slot, hash)) {
+        ++stats_.resizes;
     }
     return id;
 }
@@ -171,15 +209,17 @@ state_id marking_store::insert_at(std::size_t slot, std::uint64_t hash)
 state_id marking_store::find(const std::int64_t* candidate,
                              std::uint64_t hash) const noexcept
 {
+    std::uint64_t probes = 0; // lookups are not dedup work
     return with_count_type(count_bytes_, [&]<typename T>(T) {
-        for (std::size_t slot = hash & table_mask_;; slot = (slot + 1) & table_mask_) {
-            const state_id id = table_[slot];
-            if (id == invalid_state ||
-                (hashes_[id] == hash &&
-                 equal_decoded(reinterpret_cast<const T*>(row(id)), candidate, width_))) {
-                return id;
-            }
-        }
+        return index_
+            .probe(
+                hash,
+                [&](state_id id) {
+                    return equal_decoded(reinterpret_cast<const T*>(row(id)), candidate,
+                                         width_);
+                },
+                probes)
+            .second;
     });
 }
 
@@ -286,30 +326,13 @@ void marking_store::grow_bulk_build(std::size_t count)
     while (chunk_rows_.size() < chunk_count) {
         allocate_chunk();
     }
-    hashes_.resize(count);
+    index_.resize_for_overwrite(count);
 }
 
 void marking_store::finish_bulk_build()
 {
-    std::size_t capacity = initial_table_capacity;
-    while (size() * 10 >= capacity * 7) {
-        capacity *= 2;
-    }
-    rebuild_table(capacity);
-}
-
-void marking_store::rebuild_table(std::size_t capacity)
-{
     ++stats_.resizes;
-    table_.assign(capacity, invalid_state);
-    table_mask_ = capacity - 1;
-    for (state_id id = 0; id < static_cast<state_id>(size()); ++id) {
-        std::size_t slot = hashes_[id] & table_mask_;
-        while (table_[slot] != invalid_state) {
-            slot = (slot + 1) & table_mask_;
-        }
-        table_[slot] = id;
-    }
+    index_.rebuild();
 }
 
 std::size_t marking_store::arena_bytes() const noexcept
@@ -319,8 +342,7 @@ std::size_t marking_store::arena_bytes() const noexcept
 
 std::size_t marking_store::memory_bytes() const noexcept
 {
-    return arena_bytes() + hashes_.size() * sizeof(std::uint64_t) +
-           table_.size() * sizeof(state_id);
+    return arena_bytes() + index_.memory_bytes();
 }
 
 } // namespace fcqss::pn

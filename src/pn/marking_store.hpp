@@ -2,8 +2,10 @@
 // Arena-interned marking storage for explicit-state exploration.  Every
 // distinct marking is stored exactly once as a contiguous row of token
 // counts inside a chunked bump arena and addressed by a dense 32-bit
-// state_id; a separate open-addressing hash set (keyed by precomputed
-// 64-bit hashes) deduplicates candidates without per-state heap nodes.
+// state_id; a separate open-addressing hash set (detail::hash_index, keyed
+// by precomputed 64-bit hashes) deduplicates candidates without per-state
+// heap nodes.  The parallel engine's shards use that index without a store
+// around it: the rows they dedup against live in the result store.
 //
 // Compact rows: a store keeps every count in count_bytes() ∈ {1, 2, 4, 8}
 // bytes — u8, u16, u32, and signed 8-byte from 2^32 up — so a row is
@@ -38,6 +40,8 @@
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "base/grow_array.hpp"
 
 namespace fcqss::exec {
 class chunk_pager;
@@ -81,10 +85,10 @@ decltype(auto) with_count_type(unsigned bytes, Fn&& fn)
     }
 }
 
-/// Running tallies of one store's dedup work, maintained unconditionally
-/// (plain increments on single-owner stores — the engines shard stores per
-/// thread, so no atomics are needed) and flushed into the global obs
-/// counters by the engines when telemetry is on.
+/// Running tallies of one store's (or one shard index's) dedup work,
+/// maintained unconditionally (plain increments on single-owner structures,
+/// so no atomics are needed) and flushed into the global obs counters by
+/// the engines when telemetry is on.
 struct marking_store_stats {
     std::uint64_t probes = 0;         ///< hash-table slots inspected by interns
     std::uint64_t dedup_hits = 0;     ///< interns that found an existing marking
@@ -95,8 +99,66 @@ struct marking_store_stats {
 };
 
 namespace detail {
+
 struct row_access;
-}
+
+/// The open-addressing dedup index behind marking_store and the parallel
+/// engine's shard indexes: the precomputed 64-bit hash of every dense id
+/// 0..size()-1, and a power-of-two table of ids (invalid_state = empty
+/// slot) probed linearly from the hash's low bits and kept below a 0.7
+/// load factor.  The index holds no rows: a probe asks its caller whether
+/// an id with a matching hash is the candidate.  This is the one place the
+/// probe and rebuild policy lives.
+class hash_index {
+public:
+    hash_index();
+
+    /// Ids indexed so far.
+    [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
+    /// The hash `id` was indexed with.
+    [[nodiscard]] std::uint64_t hash(state_id id) const noexcept { return hashes_[id]; }
+
+    /// Probes for `hash`: the {slot, id} of the first indexed id with that
+    /// hash for which `equals(id)` holds, or {the empty slot that ended the
+    /// probe, invalid_state}.  Adds the slots inspected to `probes`.
+    template <typename Equals>
+    [[nodiscard]] std::pair<std::size_t, state_id> probe(std::uint64_t hash, Equals&& equals,
+                                                         std::uint64_t& probes) const
+    {
+        for (std::size_t slot = hash & mask_;; slot = (slot + 1) & mask_) {
+            ++probes;
+            const state_id id = table_[slot];
+            if (id == invalid_state || (hashes_[id] == hash && equals(id))) {
+                return {slot, id};
+            }
+        }
+    }
+
+    /// Indexes id size() with `hash` in `slot`, the empty slot a probe for
+    /// `hash` just ended on.  Returns whether the table was rebuilt larger.
+    bool insert(std::size_t slot, std::uint64_t hash);
+
+    /// Bulk building: sets size() to `count`; ids from the old size on get
+    /// their hashes from set_hash(), from any thread (distinct ids), and no
+    /// probe or insert is valid until rebuild().
+    void resize_for_overwrite(std::size_t count) { hashes_.resize_for_overwrite(count); }
+    void set_hash(state_id id, std::uint64_t hash) noexcept { hashes_[id] = hash; }
+    /// Rebuilds the table from the hashes at the smallest capacity that
+    /// keeps the load factor.  The ids are trusted to be pairwise distinct.
+    void rebuild();
+
+    /// Hashes and table, in bytes.
+    [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
+private:
+    void rebuild_table(std::size_t capacity);
+
+    grow_array<std::uint64_t> hashes_;
+    std::vector<state_id> table_;
+    std::size_t mask_ = 0;
+};
+
+} // namespace detail
 
 class marking_store {
 public:
@@ -118,7 +180,7 @@ public:
     /// Number of token counts per marking (|P| of the net).
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
     /// Number of distinct markings interned so far.
-    [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
+    [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
     /// Bytes per stored count: 1, 2, 4 or 8.
     [[nodiscard]] unsigned count_bytes() const noexcept { return count_bytes_; }
 
@@ -144,46 +206,6 @@ public:
     intern(const std::int64_t* tokens, std::uint64_t hash,
            std::size_t max_states = static_cast<std::size_t>(-1));
 
-    /// intern() with the token vector virtualized, for callers that work on
-    /// encoded rows: T must be the storage type of count_bytes(), and the
-    /// caller guarantees the candidate fits it.  `equals(stored)` decides
-    /// whether the candidate equals an already-interned row, and
-    /// `fill(slot)` writes the candidate's width() encoded counts directly
-    /// into its arena slot on insertion; both pointers are valid only
-    /// during the call.  Neither is called unless the probe needs it, so
-    /// candidates that lose by hash alone — fresh markings rejected by
-    /// `max_states`, or probes that run into an empty slot — cost O(probe)
-    /// instead of O(width), and insertions write the arena without an
-    /// intermediate copy.  The parallel engine lives on this: near a state
-    /// budget almost every candidate is a doomed fresh marking, and
-    /// accepted ones are reconstructed from (parent row, firing delta)
-    /// straight into the arena.
-    template <typename T, typename Equals, typename Fill>
-    std::pair<state_id, bool> intern_with(std::uint64_t hash, std::size_t max_states,
-                                          Equals&& equals, Fill&& fill)
-    {
-        assert(sizeof(T) == count_bytes_);
-        std::size_t slot = hash & table_mask_;
-        for (;; slot = (slot + 1) & table_mask_) {
-            ++stats_.probes;
-            const state_id id = table_[slot];
-            if (id == invalid_state) {
-                break;
-            }
-            if (hashes_[id] == hash && equals(reinterpret_cast<const T*>(row(id)))) {
-                ++stats_.dedup_hits;
-                return {id, false};
-            }
-        }
-        if (size() >= max_states) {
-            ++stats_.budget_rejects;
-            return {invalid_state, false};
-        }
-        const state_id id = insert_at(slot, hash);
-        fill(reinterpret_cast<T*>(row(id)));
-        return {id, true};
-    }
-
     /// Looks `tokens` up without inserting; invalid_state when absent.  A
     /// marking with a count above the current width is absent by
     /// construction; find() never widens.
@@ -201,7 +223,7 @@ public:
     /// The precomputed hash of `id` (as passed to intern()).
     [[nodiscard]] std::uint64_t stored_hash(state_id id) const noexcept
     {
-        return hashes_[id];
+        return index_.hash(id);
     }
 
     /// Re-encodes every row at `count_bytes` (1, 2, 4 or 8) bytes per count
@@ -222,16 +244,18 @@ public:
     /// ratio.
     [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
-    // -- Bulk building (the parallel engine's merge step) -------------------
+    // -- Bulk building (the parallel engine's publish step) -----------------
     //
-    // The sharded explorer dedups markings in per-shard stores and already
-    // knows the final result is `count` pairwise-distinct markings; copying
-    // them through intern() would redo one hash probe and one compare per
-    // state on one thread.  start_bulk_build() pre-sizes the arena so
-    // disjoint ids can be filled concurrently through
-    // detail::row_access::bulk_row() / set_bulk_hash(); finish_bulk_build()
-    // then rebuilds the dedup table from the hashes alone.  No lookup or
-    // intern is valid in between.
+    // The sharded explorer dedups markings in per-shard indexes and already
+    // knows the result is pairwise-distinct markings, numbered level by
+    // level; copying them through intern() would redo one hash probe and
+    // one compare per state on one thread.  start_bulk_build() and
+    // grow_bulk_build() size the arena and the hash array so disjoint ids
+    // can be filled concurrently through detail::row_access::bulk_row() /
+    // set_bulk_hash(); finish_bulk_build() then rebuilds the dedup table
+    // from the hashes alone.  No lookup or intern is valid in between.
+    // Growing the hash array neither zero-fills nor copies it (grow_array),
+    // so the threads filling a level first-touch its new pages.
 
     /// Pre-sizes an empty store to exactly `count` markings with
     /// unspecified contents.  Every id in [0, count) must be filled before
@@ -247,7 +271,7 @@ public:
     void grow_bulk_build(std::size_t count);
 
     /// Records the precomputed hash of `id` during a bulk build.
-    void set_bulk_hash(state_id id, std::uint64_t hash) noexcept { hashes_[id] = hash; }
+    void set_bulk_hash(state_id id, std::uint64_t hash) noexcept { index_.set_hash(id, hash); }
 
     /// Rebuilds the open-addressing table from the bulk-filled hashes.
     /// Entries are trusted to be pairwise distinct (no equality checks).
@@ -274,12 +298,11 @@ private:
     }
 
     /// Appends `id` = size() with `hash` into empty table slot `slot`
-    /// (allocating a chunk when the row starts one) and keeps the load
-    /// factor in check.  The caller fills the row.
+    /// (allocating a chunk when the row starts one).  The caller fills the
+    /// row.
     state_id insert_at(std::size_t slot, std::uint64_t hash);
 
     void set_count_bytes(unsigned count_bytes) noexcept;
-    void rebuild_table(std::size_t capacity);
     void allocate_chunk();
 
     std::size_t width_;
@@ -296,12 +319,8 @@ private:
     std::vector<std::unique_ptr<std::byte[]>> owned_chunks_;
     std::shared_ptr<exec::chunk_pager> pager_;
     std::vector<std::uint32_t> pager_chunk_ids_;
-    /// Per-state precomputed hashes, indexed by state_id.
-    std::vector<std::uint64_t> hashes_;
-    /// Open-addressing table of state ids (invalid_state = empty slot);
-    /// capacity is a power of two, rebuilt from hashes_ on growth.
-    std::vector<state_id> table_;
-    std::size_t table_mask_ = 0;
+    /// Per-state precomputed hashes and the dedup table over them.
+    detail::hash_index index_;
     marking_store_stats stats_{};
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -31,19 +30,29 @@
 //                Every successor count the delta raises is at hand for the
 //                hash anyway, so each chunk also records the largest one.
 //   W  widen     only when some candidate's count does not fit the run's
-//                count width: every store — result and shards — is
-//                re-encoded at the wider width, one store per task.  No row
+//                count width: the result store, the run's only row store,
+//                is re-encoded at the wider width.  The shards' level
+//                buffers are dead between phases E and B (phase B refills
+//                them from scratch), so nothing else holds a row; no row
 //                pointer survives from phase A into phase B, and phases B
-//                and E dispatch on the width afresh, so all stores always
-//                share one width and rows compare and copy bytewise.
+//                and E dispatch on the width afresh, so every row compares
+//                and copies bytewise.
 //   B  dedup     parallel over shards: each owner drains the outboxes
-//                aimed at it and resolves candidates against its private
-//                store with marking_store::intern_with — equality against a
-//                stored vector is a delta-aware compare of (parent row +
-//                firing delta), and an accepted insertion reconstructs the
-//                tokens straight into the arena slot, so a candidate's
-//                counts are never materialized anywhere else.  The
-//                candidate that interns a fresh marking is flagged, and
+//                aimed at it and resolves candidates against its dedup
+//                index, which holds hashes and ids but no rows.  A local id
+//                from an earlier level compares against the result store's
+//                row at its global id; one interned this level compares
+//                against the shard's level buffer, where the insertion
+//                reconstructed the tokens from (parent row + firing
+//                delta).  Equality is a delta-aware compare of (parent row
+//                + firing delta) against the stored row, so a candidate's
+//                counts are never materialized anywhere else.  A local id
+//                below the level whose global id is invalid was interned
+//                at the level where the state budget bound and not kept:
+//                it has no row anywhere and compares unequal, which cannot
+//                change the graph, since from that level on nothing is
+//                interned and the candidate resolves invalid either way.
+//                The candidate that interns a fresh marking is flagged, and
 //                each outbox counts its flags.  Doomed fresh candidates
 //                (the flood at a budget-crossing level) cost one table
 //                probe each, exactly like the sequential engine's failed
@@ -73,25 +82,31 @@
 //                resolves each candidate to its global id and counts the
 //                chunk's kept edges; after a prefix sum over chunks, the
 //                second writes each chunk's CSR rows and offsets into its
-//                own slice of the edge array, in parent id order.
-//                Candidates resolving to an invalid global id are dropped
-//                and flagged as truncation.
+//                own slice of the edge array, in parent id order.  The edge
+//                and offset arrays are grow_arrays: growing them between
+//                the passes neither zero-fills nor copies, so each chunk
+//                first-touches its own slice.  Candidates resolving to an
+//                invalid global id are dropped and flagged as truncation.
 //   E  publish   parallel over the next frontier: each kept state's token
-//                row and hash are written into the *result* store (grown by
+//                row is copied from its shard's level buffer, and its hash
+//                from the shard index, into the *result* store (grown by
 //                whole levels, so ids are final and earlier rows never
-//                move), and its enabled set is merged incrementally from
+//                move); that copy is the row's only one.  Its enabled set
+//                is merged incrementally from
 //                its discovering parent's set (detail::merge_enabled) onto
 //                the end of its publish chunk's flat buffer; each state
 //                keeps a span into that buffer.  Two buffer sets alternate
 //                between levels, so the parents' spans stay valid while the
 //                children's sets are built.
-//                Phases A and B of the next level read parent rows straight
-//                from the result store — safe because the only writes to it
-//                happen here, behind barriers, to slots no other phase
-//                reads yet.  This doubles as the output assembly: when the
-//                loop ends, the result store already holds every state in
-//                global id order and only the lookup table remains to be
-//                built (finish_bulk_build).
+//                Phases A and B of the next level read parent and stored
+//                rows straight from the result store — safe because the
+//                only writes to it happen here (and in phase W), behind
+//                barriers, to slots no other phase reads yet.  This doubles
+//                as the output assembly: when the loop ends, the result
+//                store already holds every state in global id order, the
+//                CSR arrays every edge, and only the lookup table remains
+//                to be built (finish_bulk_build), after the shard indexes
+//                are freed.
 //
 // Small frontiers skip the thread pool entirely (run_indexed): the same
 // phases run inline with one chunk, so a deep, narrow graph — a 10k-level
@@ -164,7 +179,8 @@ struct chunk_state {
 };
 
 /// A fresh marking kept this level, at its global rank: the edge that
-/// discovered it and where phase E copies its row from.
+/// discovered it and the shard whose level buffer phase E copies its row
+/// from.
 struct kept_entry {
     state_id parent;
     transition_id via;
@@ -178,16 +194,18 @@ struct enabled_buffer {
     std::vector<std::size_t> ends; ///< where each state's set ends in `sets`
 };
 
-/// One hash-prefix shard: a private store plus the local -> global id map.
+/// One hash-prefix shard: a dedup index over the markings whose hash
+/// prefix it owns, holding no rows of its own.  The row of a local id below
+/// level_first is the result store's at global_of_local[id] (none when the
+/// state budget refused to keep it: an invalid global id); the row of one
+/// interned this level waits in level_rows, at id - level_first, until
+/// phase E publishes it.
 struct shard_state {
-    marking_store store;
+    detail::hash_index index;
     std::vector<state_id> global_of_local;
-
-    shard_state(std::size_t width, std::shared_ptr<exec::chunk_pager> pager,
-                unsigned count_bytes)
-        : store(width, std::move(pager), count_bytes)
-    {
-    }
+    grow_array<std::byte> level_rows;
+    state_id level_first = 0;
+    marking_store_stats stats;
 };
 
 /// (place, token delta) of one firing, ascending by place; places whose
@@ -226,18 +244,6 @@ std::vector<delta_list> firing_deltas(const petri_net& net)
         list.resize(kept);
     }
     return deltas;
-}
-
-/// Resizes `v` to `size` elements.  Capacity grows from the capacity
-/// (doubling, as push_back would), not from the size as resize() alone
-/// does, so a run of per-level resizes reallocates as rarely as appends.
-template <typename T>
-void resize_geometric(std::vector<T>& v, std::size_t size)
-{
-    if (size > v.capacity()) {
-        v.reserve(std::max(size, 2 * v.capacity()));
-    }
-    v.resize(size);
 }
 
 /// Runs fn(0..count-1) on the pool, or inline when the work is too small to
@@ -297,20 +303,16 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
     const std::optional<stubborn_reduction> stubborn =
         detail::make_reduction(net, options);
 
-    // One count width for every store of the run, starting at the
-    // narrowest that holds the root; phase W raises it for all at once.
+    // One count width for every row of the run, starting at the narrowest
+    // that holds the root; phase W raises it.
     const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
     unsigned count_bytes = row_count_bytes(m0.data(), width);
-    // The run's one spill pager (null when unlimited): every store, result
-    // and per-shard, draws chunks from it, so they compete for one budget.
+    // The spill pager (null when unlimited): the result store, the run's
+    // only row store, draws its arena chunks from it.
     const auto pager = options.max_bytes == 0
                            ? nullptr
                            : std::make_shared<exec::chunk_pager>(options.max_bytes);
-    std::vector<shard_state> shards;
-    shards.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-        shards.emplace_back(width, pager, count_bytes);
-    }
+    std::vector<shard_state> shards(shard_count);
     std::vector<chunk_state> chunks(max_chunks);
     for (chunk_state& chunk : chunks) {
         chunk.to_shard.resize(shard_count);
@@ -318,15 +320,15 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
 
     state_space result;
     marking_store& rstore = detail::space_access::store(result);
-    std::vector<state_space_edge>& redges = detail::space_access::edges(result);
-    std::vector<std::size_t>& roffsets = detail::space_access::edge_offsets(result);
+    grow_array<state_space_edge>& redges = detail::space_access::edges(result);
+    grow_array<std::size_t>& roffsets = detail::space_access::edge_offsets(result);
     rstore = marking_store(width, pager, count_bytes);
     roffsets.push_back(0);
     bool truncated = false;
 
     // Global id 0 is the root: published into the result store immediately
-    // (phases A/B read parent rows from there) and interned into its shard
-    // for deduplication.
+    // (phases A/B read rows from there) and indexed by its shard for
+    // deduplication.
     const std::uint64_t root_hash = marking_store::hash_tokens(m0.data(), width);
     rstore.start_bulk_build(1);
     with_count_type(count_bytes, [&]<typename T>(T) {
@@ -337,11 +339,13 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
     });
     rstore.set_bulk_hash(0, root_hash);
     {
-        const std::uint32_t s = shard_of(root_hash);
-        const auto inserted = shards[s].store.intern(m0.data(), root_hash).second;
-        assert(inserted);
-        static_cast<void>(inserted);
-        shards[s].global_of_local.push_back(0);
+        shard_state& shard = shards[shard_of(root_hash)];
+        const std::size_t slot =
+            shard.index.probe(root_hash, [](state_id) { return false; }, shard.stats.probes)
+                .first;
+        shard.index.insert(slot, root_hash);
+        ++shard.stats.inserts;
+        shard.global_of_local.push_back(0);
     }
     std::size_t state_count = 1;
 
@@ -504,7 +508,8 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
             }
         }
 
-        // Phase W: widen every store when a routed candidate does not fit.
+        // Phase W: widen the result store when a routed candidate does not
+        // fit.
         std::int64_t raised = 0;
         for (std::size_t c = 0; c < chunk_count; ++c) {
             raised = std::max(raised, chunks[c].raised);
@@ -512,9 +517,7 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         if (const unsigned needed = count_bytes_for(raised); needed > count_bytes) {
             const std::uint64_t obs_w_begin = obs_timing ? obs::now_ns() : 0;
             count_bytes = needed;
-            run_indexed(pool, shard_count + 1, inline_run, [&](std::size_t s) {
-                (s == shard_count ? rstore : shards[s].store).widen(count_bytes);
-            });
+            rstore.widen(count_bytes);
             if (obs_timing) {
                 obs_phase_w_ns += obs::now_ns() - obs_w_begin;
             }
@@ -524,16 +527,28 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         // and resolves candidates, flagging the ones that intern.
         const std::uint64_t obs_b_begin = obs_timing ? obs::now_ns() : 0;
         with_count_type(count_bytes, [&]<typename T>(T) {
+            const std::size_t row_bytes = width * sizeof(T);
             run_indexed(pool, shard_count, inline_run, [&](std::size_t s) {
                 obs::span phase_span("phase.dedup", "shard",
                                      static_cast<std::int64_t>(s));
                 shard_state& shard = shards[s];
+                shard.level_first = static_cast<state_id>(shard.index.size());
+                shard.level_rows.clear();
                 // Fresh markings past the budget remainder cannot be kept
                 // (the shard-local discovery rank is a lower bound on the
                 // global one), so stop interning there and let them resolve
                 // invalid.
-                const std::size_t stored_before = shard.store.size();
-                const std::size_t intern_limit = stored_before + available;
+                const std::size_t intern_limit = shard.level_first + available;
+                const auto stored_row = [&](state_id local) -> const T* {
+                    if (local >= shard.level_first) {
+                        return reinterpret_cast<const T*>(
+                            shard.level_rows.data() + (local - shard.level_first) * row_bytes);
+                    }
+                    const state_id global = shard.global_of_local[local];
+                    return global == invalid_state
+                               ? nullptr
+                               : detail::row_access::row<T>(rstore, global);
+                };
                 for (std::size_t c = 0; c < chunk_count; ++c) {
                     outbox& ob = chunks[c].to_shard[s];
                     ob.fresh = 0;
@@ -543,7 +558,11 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                         // stored == row + delta, compared as memcmp runs
                         // between the (few) delta places so the common long
                         // stretches stay vectorized.
-                        const auto equals = [&](const T* stored) {
+                        const auto equals = [&](state_id local) {
+                            const T* stored = stored_row(local);
+                            if (stored == nullptr) {
+                                return false;
+                            }
                             std::size_t prev = 0;
                             for (const auto& [place, d] : delta) {
                                 if (std::memcmp(stored + prev, row + prev,
@@ -559,25 +578,39 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                             return std::memcmp(stored + prev, row + prev,
                                                (width - prev) * sizeof(T)) == 0;
                         };
-                        const auto fill = [&](T* slot) {
-                            std::memcpy(slot, row, width * sizeof(T));
-                            for (const auto& [place, d] : delta) {
-                                slot[place] = static_cast<T>(
-                                    static_cast<std::int64_t>(row[place]) + d);
-                            }
-                        };
-                        const auto [local, inserted] = shard.store.intern_with<T>(
-                            cand.hash, intern_limit, equals, fill);
-                        cand.target = local;
-                        if (inserted) {
-                            cand.fresh = true;
-                            ++ob.fresh;
-                            shard.global_of_local.push_back(invalid_state);
+                        const auto [slot, local] =
+                            shard.index.probe(cand.hash, equals, shard.stats.probes);
+                        if (local != invalid_state) {
+                            ++shard.stats.dedup_hits;
+                            cand.target = local;
+                            continue;
                         }
+                        if (shard.index.size() >= intern_limit) {
+                            ++shard.stats.budget_rejects;
+                            continue;
+                        }
+                        ++shard.stats.inserts;
+                        cand.target = static_cast<state_id>(shard.index.size());
+                        if (shard.index.insert(slot, cand.hash)) {
+                            ++shard.stats.resizes;
+                        }
+                        // The fresh row: (parent row + firing delta), built
+                        // straight into the level buffer.
+                        const std::size_t at = shard.level_rows.size();
+                        shard.level_rows.resize_for_overwrite(at + row_bytes);
+                        T* fresh = reinterpret_cast<T*>(shard.level_rows.data() + at);
+                        std::memcpy(fresh, row, row_bytes);
+                        for (const auto& [place, d] : delta) {
+                            fresh[place] =
+                                static_cast<T>(static_cast<std::int64_t>(row[place]) + d);
+                        }
+                        cand.fresh = true;
+                        ++ob.fresh;
+                        shard.global_of_local.push_back(invalid_state);
                     }
                 }
-                phase_span.arg("fresh", static_cast<std::int64_t>(shard.store.size() -
-                                                                  stored_before));
+                phase_span.arg("fresh", static_cast<std::int64_t>(shard.index.size() -
+                                                                  shard.level_first));
             });
         });
         if (obs_timing) {
@@ -641,8 +674,8 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
             chunks[c].edge_begin = edge_total;
             edge_total += chunks[c].edge_count;
         }
-        resize_geometric(redges, edge_total);
-        resize_geometric(roffsets, level_end + 1);
+        redges.resize_for_overwrite(edge_total);
+        roffsets.resize_for_overwrite(level_end + 1);
         run_indexed(pool, chunk_count, inline_run, [&](std::size_t c) {
             obs::span phase_span("phase.edges", "chunk", static_cast<std::int64_t>(c));
             const chunk_state& chunk = chunks[c];
@@ -672,6 +705,7 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
             const std::size_t publish_chunks =
                 inline_run ? 1 : std::min(keep, max_chunks);
             with_count_type(count_bytes, [&]<typename T>(T) {
+                const std::size_t row_bytes = width * sizeof(T);
                 run_indexed(pool, publish_chunks, inline_run, [&](std::size_t c) {
                     obs::span phase_span("phase.publish", "chunk",
                                          static_cast<std::int64_t>(c));
@@ -683,11 +717,13 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
                     for (std::size_t i = begin; i < end; ++i) {
                         const kept_entry& entry = kept[i];
                         const state_id gid = static_cast<state_id>(level_end + i);
-                        const marking_store& store = shards[entry.shard].store;
+                        const shard_state& shard = shards[entry.shard];
                         T* row = detail::row_access::bulk_row<T>(rstore, gid);
-                        std::memcpy(row, detail::row_access::row<T>(store, entry.local),
-                                    width * sizeof(T));
-                        rstore.set_bulk_hash(gid, store.stored_hash(entry.local));
+                        std::memcpy(row,
+                                    shard.level_rows.data() +
+                                        (entry.local - shard.level_first) * row_bytes,
+                                    row_bytes);
+                        rstore.set_bulk_hash(gid, shard.index.hash(entry.local));
                         detail::merge_enabled(net,
                                               cur_enabled[entry.parent - level_begin],
                                               affected[entry.via.index()], row,
@@ -715,6 +751,32 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         level_end = state_count;
     }
 
+    // The shard indexes have done their work: flush their tallies and free
+    // them before the result's lookup table is built.
+    if (obs::stats_enabled()) {
+        std::size_t shard_total = 0;
+        std::size_t shard_max = 0;
+        for (std::size_t s = 0; s < shard_count; ++s) {
+            const shard_state& shard = shards[s];
+            const std::size_t interned = shard.index.size();
+            shard_total += interned;
+            shard_max = std::max(shard_max, interned);
+            obs::get_counter("pn.par.shard." + std::to_string(s) + ".states")
+                .add(interned);
+            detail::flush_store_obs(shard.stats,
+                                    shard.index.memory_bytes() +
+                                        shard.global_of_local.size() * sizeof(state_id) +
+                                        shard.level_rows.memory_bytes());
+        }
+        // max-over-mean of the shard index sizes: 1.0 is a perfect hash
+        // split, k means the fullest shard holds k times its fair share.
+        const double mean = static_cast<double>(shard_total) /
+                            static_cast<double>(shard_count);
+        obs::get_gauge("pn.par.shard_imbalance", "ratio")
+            .set(mean == 0.0 ? 0.0 : static_cast<double>(shard_max) / mean);
+    }
+    shards.clear();
+
     // The arena already holds every state in global id order; only the
     // lookup table is left to build.
     const bool obs_table_timing = obs::stats_enabled();
@@ -735,22 +797,6 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         obs::get_counter("pn.explore.levels").add(obs_levels);
         obs::get_counter("pn.explore.inline_levels").add(obs_inline_levels);
         obs::get_counter("pn.par.candidates").add(obs_candidates);
-        std::size_t shard_total = 0;
-        std::size_t shard_max = 0;
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            const std::size_t interned = shards[s].store.size();
-            shard_total += interned;
-            shard_max = std::max(shard_max, interned);
-            obs::get_counter("pn.par.shard." + std::to_string(s) + ".states")
-                .add(interned);
-            detail::flush_store_obs(shards[s].store);
-        }
-        // max-over-mean of the shard store sizes: 1.0 is a perfect hash
-        // split, k means the fullest shard holds k times its fair share.
-        const double mean = static_cast<double>(shard_total) /
-                            static_cast<double>(shard_count);
-        obs::get_gauge("pn.par.shard_imbalance", "ratio")
-            .set(mean == 0.0 ? 0.0 : static_cast<double>(shard_max) / mean);
         if (truncated) {
             obs::get_counter("pn.explore.truncations").add(1);
         }

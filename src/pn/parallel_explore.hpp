@@ -1,8 +1,9 @@
 // fcqss — pn/parallel_explore.hpp
 // Sharded parallel BFS over the arena-interned state-space engine.  The
 // marking universe is partitioned into hash-prefix shards (2 x threads,
-// rounded up to a power of two), each owning a private marking_store (arena
-// + open-addressing table) that only one worker thread ever mutates;
+// rounded up to a power of two), each owning a private dedup index
+// (open-addressing table and hashes, no rows: every row is stored once, in
+// the result store) that only one worker thread ever mutates;
 // successors that hash to another shard travel through per-(chunk, shard)
 // handoff outboxes between barriers, so the hot paths need no locks at all.
 // Exploration is level-synchronous, and ids are (re)assigned after every

@@ -17,12 +17,12 @@ marking_store& space_access::store(state_space& space)
     return space.store_;
 }
 
-std::vector<state_space_edge>& space_access::edges(state_space& space)
+grow_array<state_space_edge>& space_access::edges(state_space& space)
 {
     return space.edges_;
 }
 
-std::vector<std::size_t>& space_access::edge_offsets(state_space& space)
+grow_array<std::size_t>& space_access::edge_offsets(state_space& space)
 {
     return space.edge_offsets_;
 }
@@ -32,7 +32,7 @@ bool& space_access::truncated(state_space& space)
     return space.truncated_;
 }
 
-void flush_store_obs(const marking_store& store)
+void flush_store_obs(const marking_store_stats& stats, std::size_t bytes)
 {
     if (!obs::stats_enabled()) {
         return;
@@ -43,18 +43,25 @@ void flush_store_obs(const marking_store& store)
     static obs::counter& rejects = obs::get_counter("pn.store.budget_rejects");
     static obs::counter& resizes = obs::get_counter("pn.store.table_resizes");
     static obs::counter& arena = obs::get_counter("pn.store.arena_bytes", "bytes");
-    static obs::counter& chunks = obs::get_counter("pn.store.chunks");
     static obs::counter& widenings = obs::get_counter("pn.store.widenings");
+    probes.add(stats.probes);
+    hits.add(stats.dedup_hits);
+    inserts.add(stats.inserts);
+    rejects.add(stats.budget_rejects);
+    resizes.add(stats.resizes);
+    arena.add(bytes);
+    widenings.add(stats.widenings);
+}
+
+void flush_store_obs(const marking_store& store)
+{
+    if (!obs::stats_enabled()) {
+        return;
+    }
+    flush_store_obs(store.stats(), store.memory_bytes());
+    static obs::counter& chunks = obs::get_counter("pn.store.chunks");
     static obs::gauge& count_bytes = obs::get_gauge("pn.store.count_bytes", "bytes");
-    const marking_store_stats& s = store.stats();
-    probes.add(s.probes);
-    hits.add(s.dedup_hits);
-    inserts.add(s.inserts);
-    rejects.add(s.budget_rejects);
-    resizes.add(s.resizes);
-    arena.add(store.memory_bytes());
     chunks.add(store.chunk_count());
-    widenings.add(s.widenings);
     count_bytes.set_max(static_cast<double>(store.count_bytes()));
 }
 
@@ -366,9 +373,10 @@ void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reducti
     }
     // Rebuild the CSR from the final rows.
     space.edges_.clear();
-    space.edge_offsets_.assign(1, 0);
+    space.edge_offsets_.clear();
+    space.edge_offsets_.push_back(0);
     for (const std::vector<state_space_edge>& row : rows) {
-        space.edges_.insert(space.edges_.end(), row.begin(), row.end());
+        space.edges_.append(row.data(), row.size());
         space.edge_offsets_.push_back(space.edges_.size());
     }
 }

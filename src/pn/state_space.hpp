@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "base/grow_array.hpp"
 #include "pn/firing.hpp"
 #include "pn/marking.hpp"
 #include "pn/marking_store.hpp"
@@ -42,10 +43,11 @@ struct reachability_options {
     /// dropped (the net is unbounded there) and marks the space truncated.
     std::int64_t max_tokens_per_place = 1 << 20;
     /// Soft ceiling on resident arena bytes; 0 = unlimited (heap arena).
-    /// Non-zero routes every arena chunk of the run (result and parallel
-    /// shard stores alike) through one exec::chunk_pager backed by an
-    /// mmap'd spill file, evicting cold chunks past the budget.  The
-    /// explored graph is bit-identical either way — only residency changes.
+    /// Non-zero routes every arena chunk of the run's result store (the
+    /// only store with rows: the parallel engine's shards keep none)
+    /// through one exec::chunk_pager backed by an mmap'd spill file,
+    /// evicting cold chunks past the budget.  The explored graph is
+    /// bit-identical either way — only residency changes.
     std::size_t max_bytes = 0;
     /// Worker threads.  explore_space() and explore() run the sequential
     /// engine at 1 and the sharded parallel engine otherwise;
@@ -117,20 +119,25 @@ make_reduction(const petri_net& net, const reachability_options& options);
 void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
                          state_space& space, const reachability_options& options);
 
-/// Adds one store's dedup-work tallies (probes, dedup hits, inserts, budget
-/// rejects, table resizes, widenings, footprint, chunk count) to the global
-/// pn.store.* obs counters and raises the pn.store.count_bytes gauge to the
-/// store's count width.  No-op when stats are off.  Both engines call this
-/// once per store at the end of a run — the stores themselves count with
-/// plain members so the hot probe loop never touches an atomic.
+/// Adds dedup-work tallies (probes, dedup hits, inserts, budget rejects,
+/// table resizes, widenings) and `bytes` of footprint to the global
+/// pn.store.* obs counters.  No-op when stats are off.  The parallel engine
+/// calls this once per shard index at the end of a run — stores and shards
+/// count with plain members so the hot probe loop never touches an atomic.
+void flush_store_obs(const marking_store_stats& stats, std::size_t bytes);
+
+/// flush_store_obs of a whole store: its tallies and memory_bytes(), plus
+/// its arena chunk count (pn.store.chunks); raises the pn.store.count_bytes
+/// gauge to the store's count width.  Both engines call this once for the
+/// result store at the end of a run.
 void flush_store_obs(const marking_store& store);
 
 /// Private-member access for the exploration engines in parallel_explore.cpp
 /// (which live in an anonymous namespace and so cannot be friends by name).
 struct space_access {
     [[nodiscard]] static marking_store& store(state_space& space);
-    [[nodiscard]] static std::vector<state_space_edge>& edges(state_space& space);
-    [[nodiscard]] static std::vector<std::size_t>& edge_offsets(state_space& space);
+    [[nodiscard]] static grow_array<state_space_edge>& edges(state_space& space);
+    [[nodiscard]] static grow_array<std::size_t>& edge_offsets(state_space& space);
     [[nodiscard]] static bool& truncated(state_space& space);
 };
 
@@ -184,9 +191,12 @@ private:
     friend struct detail::space_access;
 
     marking_store store_{0};
-    std::vector<state_space_edge> edges_;
-    /// size state_count()+1; successors of s are edges_[offsets[s]..offsets[s+1]).
-    std::vector<std::size_t> edge_offsets_;
+    /// The CSR edge list and its offsets: size state_count()+1, successors
+    /// of s are edges_[offsets[s]..offsets[s+1]).  grow_array, so the
+    /// parallel engine's per-level growth neither zero-fills nor copies
+    /// them and its chunk writers first-touch each new slice.
+    grow_array<state_space_edge> edges_;
+    grow_array<std::size_t> edge_offsets_;
     bool truncated_ = false;
 };
 

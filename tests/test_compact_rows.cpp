@@ -13,9 +13,11 @@
 // threads, with and without a --max-bytes budget that really spills,
 // unreduced and under the deadlock and ltl_x stubborn reductions.  Every run
 // must match explore_reference / the sequential engine bit for bit: ids,
-// edges, decoded tokens and truncation.  pn.store.widenings and the
-// pn.store.count_bytes gauge are pinned.  The TSan and ASan CI jobs run this
-// file, so the widening between phases A and B doubles as a race net.
+// edges, decoded tokens and truncation.  pn.store.widenings, pn.store.chunks
+// and the pn.store.count_bytes gauge are pinned: the parallel engine keeps
+// every row once, in its result store, so it widens and allocates exactly
+// like the sequential engine.  The TSan and ASan CI jobs run this file, so
+// the widening between phases A and B doubles as a race net.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,10 +315,12 @@ void expect_matches_reference(const state_space& space,
     }
 }
 
-/// Explores with obs on and returns (space, pn.store.widenings, gauge).
+/// Explores with obs on and returns (space, pn.store.widenings,
+/// pn.store.chunks, gauge).
 struct observed_run {
     state_space space;
     std::uint64_t widenings = 0;
+    std::uint64_t chunks = 0;
     double count_bytes = 0;
 };
 
@@ -328,6 +332,7 @@ observed_run observe(Explore&& explore)
     observed_run run{explore()};
     obs::set_stats_enabled(false);
     run.widenings = obs::get_counter("pn.store.widenings").value();
+    run.chunks = obs::get_counter("pn.store.chunks").value();
     run.count_bytes = obs::get_gauge("pn.store.count_bytes", "bytes").value();
     return run;
 }
@@ -354,10 +359,12 @@ TEST(compact_engines, widening_runs_match_the_reference_and_the_sequential_engin
             expect_identical_spaces(seq.space, par.space, where);
             EXPECT_EQ(par.space.store().count_bytes(), c.final_bytes) << where;
             EXPECT_EQ(par.count_bytes, c.final_bytes) << where;
-            // Every store of the run (the result plus 2 x threads shards)
-            // widens at each of the sequential engine's steps, and no more
-            // when the state budget does not bind.
-            EXPECT_EQ(par.widenings, c.seq_widenings * (2 * threads + 1)) << where;
+            // Shards hold no rows, so only the result store widens: at each
+            // of the sequential engine's steps, and no more when the state
+            // budget does not bind.  It is also the only store with arena
+            // chunks, as many as the sequential engine's.
+            EXPECT_EQ(par.widenings, c.seq_widenings) << where;
+            EXPECT_EQ(par.chunks, seq.chunks) << where;
         }
     }
 }
