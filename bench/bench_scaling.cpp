@@ -444,12 +444,10 @@ void report_coverability()
     }
 }
 
-// Telemetry overhead rows (this PR's tentpole): the same single-threaded
-// choice-heavy exploration with obs runtime-disabled (each instrumentation
-// site costs one predicted branch) vs enabled-but-idle (counters increment,
-// nobody snapshots).  CI gates on the overhead staying < 2%.  Compile-time
-// off (FCQSS_OBS_ENABLED=0) removes even the branch, so it is strictly
-// cheaper than the "off" column measured here.
+// Telemetry overhead rows: the same single-threaded choice-heavy
+// exploration with obs runtime-disabled (each instrumentation site costs
+// one predicted branch) vs enabled-but-idle (counters increment, nobody
+// snapshots).  CI gates on the overhead staying < 2%.
 void report_obs_overhead()
 {
     benchutil::heading("obs overhead: telemetry runtime-off vs enabled-but-idle");

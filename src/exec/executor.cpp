@@ -1,5 +1,7 @@
 #include "exec/executor.hpp"
 
+#include <condition_variable>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -16,18 +18,34 @@ std::size_t resolve_thread_count(std::size_t threads) noexcept
     return hw ? hw : 1;
 }
 
-executor::executor(std::size_t jobs) : queue_(2 * resolve_thread_count(jobs))
+executor::executor(std::size_t jobs) : executor(jobs, 2 * resolve_thread_count(jobs))
 {
-    const std::size_t n = resolve_thread_count(jobs);
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+}
+
+executor::executor(std::size_t jobs, std::size_t queue_capacity)
+    : queue_(queue_capacity), job_count_(resolve_thread_count(jobs))
+{
+    workers_.reserve(job_count_);
+    for (std::size_t i = 0; i < job_count_; ++i) {
         workers_.emplace_back([this, i] { worker_loop(i); });
     }
 }
 
 executor::~executor()
 {
+    close();
+}
+
+bool executor::try_submit(std::function<void()> job)
+{
+    return queue_.try_push(std::move(job));
+}
+
+void executor::close()
+{
+    std::lock_guard lock(close_mutex_);
     queue_.close();
+    workers_.clear(); // jthread joins on destruction; pops drain the queue
 }
 
 void executor::worker_loop(std::size_t index)
@@ -37,7 +55,17 @@ void executor::worker_loop(std::size_t index)
     obs::counter& jobs_counter =
         obs::get_counter("exec.worker." + std::to_string(index) + ".jobs");
     while (auto job = queue_.pop()) {
-        (*job)();
+        try {
+            (*job)();
+        } catch (...) {
+            // Jobs own their failures; one that leaks must not kill the
+            // process.  Count it so the stats surface shows it.
+            if (obs::stats_enabled()) {
+                static obs::counter& escaped =
+                    obs::get_counter("exec.pool.escaped_exceptions");
+                escaped.add(1);
+            }
+        }
         jobs_counter.add(1);
     }
 }
@@ -45,22 +73,24 @@ void executor::worker_loop(std::size_t index)
 void executor::for_each_index(std::size_t count,
                               const std::function<void(std::size_t)>& fn)
 {
-    {
-        std::lock_guard lock(done_mutex_);
-        pending_ = count;
-        first_failure_ = nullptr;
-    }
     if (count == 0) {
         return;
     }
 
-    const auto finish_one = [this](std::exception_ptr failure) {
-        std::lock_guard lock(done_mutex_);
-        if (failure && !first_failure_) {
-            first_failure_ = std::move(failure);
+    // This batch's completion state: it lives in this frame, so batches
+    // from different callers never share it.
+    std::mutex done_mutex;
+    std::condition_variable done;
+    std::size_t pending = count;
+    std::exception_ptr first_failure;
+
+    const auto finish_one = [&](std::exception_ptr failure) {
+        std::lock_guard lock(done_mutex);
+        if (failure && !first_failure) {
+            first_failure = std::move(failure);
         }
-        if (--pending_ == 0) {
-            done_.notify_all();
+        if (--pending == 0) {
+            done.notify_all();
         }
     };
 
@@ -75,18 +105,16 @@ void executor::for_each_index(std::size_t count,
             finish_one(failure);
         });
         if (!queued) {
-            // Queue closed under us (executor being destroyed): account for
-            // the jobs that will never run so the wait below terminates.
+            // Queue closed under us: account for the jobs that will never
+            // run so the wait below terminates.
             finish_one(nullptr);
         }
     }
 
-    std::unique_lock lock(done_mutex_);
-    done_.wait(lock, [this] { return pending_ == 0; });
-    if (first_failure_) {
-        std::exception_ptr failure = std::exchange(first_failure_, nullptr);
-        lock.unlock();
-        std::rethrow_exception(failure);
+    std::unique_lock lock(done_mutex);
+    done.wait(lock, [&] { return pending == 0; });
+    if (first_failure) {
+        std::rethrow_exception(first_failure);
     }
 }
 

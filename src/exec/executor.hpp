@@ -1,21 +1,27 @@
 // fcqss — exec/executor.hpp
-// A fixed-size thread pool (std::jthread workers pulling from a bounded
-// job_queue) with the one primitive both batch synthesis and the parallel
-// state-space engine need: run fn(i) for every index in [0, count) and wait
-// for all of them.  Jobs are expected to handle their own failures (callers
-// isolate per-item errors); any exception that escapes a job anyway is
-// captured and rethrown to the caller of for_each_index after the batch
-// drains, so worker threads never terminate the process.
+// The one thread pool: a fixed set of std::jthread workers pulling closures
+// from a bounded job_queue.  It serves batch synthesis, the parallel
+// state-space engine and the resident synthesis service through two entry
+// points:
 //
-// This used to live in src/pipeline/; it moved down a layer so that
-// src/pn/parallel_explore.cpp can drive shard workers over the same pool
-// without a pn -> pipeline dependency cycle.
+//   for_each_index  runs fn(i) for every index in [0, count) and waits for
+//                   all of them.  Pushes block while the queue is full.  An
+//                   exception that escapes fn is captured and rethrown to
+//                   the caller after the batch drains.
+//
+//   try_submit      enqueues one closure without blocking and fails fast
+//                   when the queue is full or closed: the service turns
+//                   that failure into an "overloaded" reply.
+//
+// close() stops intake, runs every queued job and joins the workers.  Jobs
+// are expected to handle their own failures; an exception that escapes a
+// submitted job anyway is swallowed and counted
+// (exec.pool.escaped_exceptions), so worker threads never terminate the
+// process.
 #ifndef FCQSS_EXEC_EXECUTOR_HPP
 #define FCQSS_EXEC_EXECUTOR_HPP
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -31,30 +37,43 @@ namespace fcqss::exec {
 
 class executor {
 public:
-    /// Spawns `jobs` workers (0 picks std::thread::hardware_concurrency).
+    /// Spawns `jobs` workers (0 picks std::thread::hardware_concurrency)
+    /// over a queue of 2 × workers.
     explicit executor(std::size_t jobs);
 
-    /// Closes the queue and joins the workers (jthread joins on destruction).
+    /// Spawns `jobs` workers over a queue bounded at `queue_capacity`
+    /// pending jobs (0 is taken as 1).
+    executor(std::size_t jobs, std::size_t queue_capacity);
+
+    /// Closes (see close()).
     ~executor();
 
     executor(const executor&) = delete;
     executor& operator=(const executor&) = delete;
 
-    [[nodiscard]] std::size_t jobs() const noexcept { return workers_.size(); }
+    [[nodiscard]] std::size_t jobs() const noexcept { return job_count_; }
 
     /// Runs fn(0) .. fn(count - 1) on the pool and blocks until every call
     /// has finished.  Rethrows the first escaped job exception, if any.
-    /// Not reentrant: one batch at a time per executor.
+    /// Must not be called from one of this pool's own jobs.
     void for_each_index(std::size_t count, const std::function<void(std::size_t)>& fn);
+
+    /// Enqueues without blocking; false when the queue is full or closed.
+    [[nodiscard]] bool try_submit(std::function<void()> job);
+
+    /// Stops intake, runs every queued job, joins the workers.  Safe to
+    /// call more than once and from concurrent threads.
+    void close();
+
+    /// Jobs currently queued (not yet picked up by a worker).
+    [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
 private:
     void worker_loop(std::size_t index);
 
     job_queue<std::function<void()>> queue_;
-    std::mutex done_mutex_;
-    std::condition_variable done_;
-    std::size_t pending_ = 0;
-    std::exception_ptr first_failure_;
+    std::size_t job_count_ = 0; // fixed at construction
+    std::mutex close_mutex_;
     std::vector<std::jthread> workers_;
 };
 

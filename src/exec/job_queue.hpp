@@ -102,19 +102,11 @@ public:
         not_full_.notify_all();
     }
 
-    [[nodiscard]] bool closed() const
-    {
-        std::lock_guard lock(mutex_);
-        return closed_;
-    }
-
     [[nodiscard]] std::size_t size() const
     {
         std::lock_guard lock(mutex_);
         return items_.size();
     }
-
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
 private:
     const std::size_t capacity_;

@@ -117,17 +117,17 @@ std::size_t thread_stripe() noexcept
 
 void set_stats_enabled(bool on) noexcept
 {
-    detail::g_stats.store(compiled_in && on, std::memory_order_relaxed);
+    detail::g_stats.store(on, std::memory_order_relaxed);
 }
 
 void set_tracing_enabled(bool on) noexcept
 {
-    if (compiled_in && on) {
+    if (on) {
         std::uint64_t expected = 0;
         g_trace_epoch_ns.compare_exchange_strong(expected, now_ns(),
                                                  std::memory_order_relaxed);
     }
-    detail::g_tracing.store(compiled_in && on, std::memory_order_relaxed);
+    detail::g_tracing.store(on, std::memory_order_relaxed);
 }
 
 std::uint64_t now_ns() noexcept

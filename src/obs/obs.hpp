@@ -34,11 +34,10 @@
 //       reads are relaxed atomic loads); chrome_trace_json() may run
 //       concurrently too but only sees fully published events.
 //
-// Toggles: compile-time FCQSS_OBS_ENABLED (defining it to 0 compiles every
-// instrumentation body out entirely) and the runtime flags
-// set_stats_enabled / set_tracing_enabled, both default-off.  With both
-// flags off the per-site cost is the branch alone — the CI bench gate holds
-// the on-but-idle build to < 2% states/s overhead on top of that.
+// Toggles: the runtime flags set_stats_enabled / set_tracing_enabled, both
+// default-off.  With both flags off the per-site cost is the branch alone
+// — the CI bench gate holds the on-but-idle build to < 2% states/s
+// overhead on top of that.
 #ifndef FCQSS_OBS_OBS_HPP
 #define FCQSS_OBS_OBS_HPP
 
@@ -48,13 +47,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef FCQSS_OBS_ENABLED
-#define FCQSS_OBS_ENABLED 1
-#endif
-
 namespace fcqss::obs {
-
-inline constexpr bool compiled_in = FCQSS_OBS_ENABLED != 0;
 
 namespace detail {
 
@@ -69,13 +62,13 @@ inline std::atomic<bool> g_tracing{false};
 /// True when counter/gauge/histogram updates are being collected.
 [[nodiscard]] inline bool stats_enabled() noexcept
 {
-    return compiled_in && detail::g_stats.load(std::memory_order_relaxed);
+    return detail::g_stats.load(std::memory_order_relaxed);
 }
 
 /// True when spans are being recorded into the trace rings.
 [[nodiscard]] inline bool tracing_enabled() noexcept
 {
-    return compiled_in && detail::g_tracing.load(std::memory_order_relaxed);
+    return detail::g_tracing.load(std::memory_order_relaxed);
 }
 
 void set_stats_enabled(bool on) noexcept;

@@ -68,8 +68,6 @@ service::service(service_options options)
           // A service reply without the code would force clients to re-run
           // codegen; retain it whenever codegen runs at all.
           options.pipeline.keep_code = options.pipeline.generate_code;
-          // run_one runs on service workers; its own pool must stay unused.
-          options.pipeline.jobs = 1;
           return options;
       }()),
       pipe_(options_.pipeline), pool_(options_.jobs, options_.max_queue)

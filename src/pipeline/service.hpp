@@ -10,10 +10,12 @@
 // Semantics:
 //
 //   submission    submit() hands one net_source plus a reply callback to
-//                 the worker pool.  Admission is bounded: when the job
-//                 queue is full the submission is rejected immediately
-//                 with submit_status::overloaded (explicit backpressure —
-//                 the caller retries or sheds load; nothing blocks).
+//                 the service's exec::executor, the same pool type batch
+//                 synthesis and the parallel engine use.  Admission is
+//                 bounded: when the pool's queue is full, try_submit fails
+//                 and the submission is rejected immediately with
+//                 submit_status::overloaded (explicit backpressure — the
+//                 caller retries or sheds load; nothing blocks).
 //
 //   dedupe        Work is deduplicated by a content hash of the *parsed*
 //                 net (its canonical `.pn` serialization), not of the
@@ -56,7 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/work_pool.hpp"
+#include "exec/executor.hpp"
 #include "pipeline/synthesis_pipeline.hpp"
 
 namespace fcqss::pipeline {
@@ -64,8 +66,8 @@ namespace fcqss::pipeline {
 struct service_options {
     /// Worker threads; 0 picks std::thread::hardware_concurrency().
     std::size_t jobs = 0;
-    /// Bound on queued-but-unstarted requests; admission past it is
-    /// rejected with submit_status::overloaded.
+    /// Bound on queued-but-unstarted requests (0 is taken as 1); admission
+    /// past it is rejected with submit_status::overloaded.
     std::size_t max_queue = 256;
     /// Completed syntheses kept for dedupe (FIFO eviction); 0 disables the
     /// cache (in-flight dedupe still applies).
@@ -169,7 +171,7 @@ private:
 
     service_options options_;
     synthesis_pipeline pipe_;
-    exec::work_pool pool_;
+    exec::executor pool_;
 
     std::mutex dedupe_mutex_;
     std::unordered_map<std::uint64_t, inflight> inflight_;
@@ -178,7 +180,9 @@ private:
 
     std::mutex done_mutex_;
     std::condition_variable all_done_;
-    std::size_t outstanding_ = 0; // accepted, not yet replied
+    /// Accepted, not yet replied.  The pool cannot count this: an attached
+    /// duplicate is answered by its leader's job and holds no job itself.
+    std::size_t outstanding_ = 0;
     /// Guarded by done_mutex_: admission (submit) and shutdown (drain)
     /// decide against one consistent {draining_, outstanding_} state, so a
     /// submit racing drain is either rejected as draining with no side

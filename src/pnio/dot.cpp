@@ -12,7 +12,7 @@ std::string to_dot(const pn::petri_net& net, const dot_options& options)
 
     for (pn::place_id p : net.places()) {
         out += "  \"" + net.place_name(p) + "\" [shape=circle";
-        if (options.show_tokens && net.initial_tokens(p) > 0) {
+        if (net.initial_tokens(p) > 0) {
             out += ", label=\"" + net.place_name(p) + "\\n" +
                    std::to_string(net.initial_tokens(p)) + "\"";
         }

@@ -14,7 +14,6 @@ namespace fcqss::pnio {
 /// filled (used to visualize a T-allocation over the original net).
 struct dot_options {
     bool show_weights = true;
-    bool show_tokens = true;
     std::vector<pn::transition_id> highlight_transitions;
 };
 

@@ -31,10 +31,9 @@ struct executability_failure {
 };
 
 struct executability_options {
-    /// Rounds of seeded random cycle mixes to execute after the exhaustive
-    /// pairwise pass.
+    /// Rounds of random cycle mixes (from a fixed seed, so the check is
+    /// deterministic) to execute after the exhaustive pairwise pass.
     int random_rounds = 64;
-    std::uint64_t seed = 1;
 };
 
 /// Checks executability of a schedulable result.  Returns nullopt when every

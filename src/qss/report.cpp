@@ -41,9 +41,7 @@ std::string synthesis_report(const pn::petri_net& net, const report_options& opt
     }
     line("VERDICT: schedulable");
 
-    const std::size_t shown =
-        options.all_cycles ? result.entries.size()
-                           : std::min(options.cycle_preview, result.entries.size());
+    const std::size_t shown = std::min(options.cycle_preview, result.entries.size());
     line("valid schedule (" + std::to_string(result.entries.size()) +
          " finite complete cycles" +
          (shown < result.entries.size()

@@ -13,9 +13,8 @@
 namespace fcqss::qss {
 
 struct report_options {
-    /// Print every finite complete cycle (can be long: the ATM server has
-    /// 120); when false only the first few are shown.
-    bool all_cycles = false;
+    /// Finite complete cycles listed (the list can be long: the ATM server
+    /// has 120); the heading always gives the total.
     std::size_t cycle_preview = 4;
     /// Run the executability cross-check (footnote 2) on schedulable nets.
     bool check_executability = true;

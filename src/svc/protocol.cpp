@@ -102,7 +102,8 @@ session_verdict session::handle_line(std::string_view line)
 
     json request;
     try {
-        request = json::parse(line, options_.max_json_depth);
+        // The parser's default nesting bound (32) guards against deep input.
+        request = json::parse(line);
     } catch (const json_error& error) {
         send_error(error.what());
         return session_verdict::keep_open;

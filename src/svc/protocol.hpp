@@ -79,8 +79,6 @@ struct session_options {
     /// Allow {"op":"synthesize","path":...} to read server-side files.
     /// Off (e.g. for TCP) rejects path requests with an error event.
     bool allow_paths = true;
-    /// Nesting bound handed to the JSON parser.
-    std::size_t max_json_depth = 32;
     /// Server-side exploration policy for {"op":"explore"}.  `max_markings`
     /// and `max_tokens_per_place` are ceilings a client may tighten but
     /// never raise; `threads` and `max_bytes` (the resident arena budget —

@@ -1,18 +1,22 @@
 // Tests for the batch-synthesis pipeline subsystem: executor/job-queue
-// plumbing, generator determinism, thread-count-independent batch results,
+// plumbing (the indexed batch and the resident try_submit / close entry
+// points), generator determinism, thread-count-independent batch results,
 // and stage short-circuiting on rejected nets.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "base/error.hpp"
-#include "nets/paper_nets.hpp"
 #include "exec/executor.hpp"
 #include "exec/job_queue.hpp"
+#include "nets/paper_nets.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
 #include "pipeline/synthesis_pipeline.hpp"
 #include "pn/net_class.hpp"
@@ -81,6 +85,87 @@ TEST(executor, propagates_job_exceptions_after_draining)
                                      }),
                  std::runtime_error);
     EXPECT_EQ(ran.load(), 10); // one bad job never cancels the rest
+}
+
+// Occupies the pool's one worker until `gate` opens; returns once the
+// worker has picked the blocker up, so the queue is empty again.  Both
+// latches must outlive the pool's workers.
+void hold_the_worker(executor& pool, std::latch& started, std::latch& gate)
+{
+    ASSERT_TRUE(pool.try_submit([&] {
+        started.count_down();
+        gate.wait();
+    }));
+    started.wait();
+}
+
+TEST(executor, try_submit_fails_fast_when_the_queue_is_full)
+{
+    std::latch started(1);
+    std::latch gate(1);
+    executor pool(1, 1);
+    hold_the_worker(pool, started, gate);
+    std::atomic<int> queued_runs{0};
+    std::atomic<int> refused_runs{0};
+    EXPECT_TRUE(pool.try_submit([&] { queued_runs++; }));
+    EXPECT_EQ(pool.queue_depth(), 1u);
+    // The slot is taken: this returns false at once instead of waiting.
+    EXPECT_FALSE(pool.try_submit([&] { refused_runs++; }));
+    gate.count_down();
+    pool.close();
+    EXPECT_EQ(queued_runs.load(), 1);
+    EXPECT_EQ(refused_runs.load(), 0);
+}
+
+TEST(executor, close_runs_every_queued_job_then_refuses_work)
+{
+    std::latch started(1);
+    std::latch gate(1);
+    executor pool(1, 8);
+    hold_the_worker(pool, started, gate);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(pool.try_submit([&] { ran++; }));
+    }
+    gate.count_down();
+    pool.close();
+    EXPECT_EQ(ran.load(), 5);
+    EXPECT_FALSE(pool.try_submit([&] { ran++; }));
+    pool.close(); // a second close is a no-op
+    EXPECT_EQ(pool.jobs(), 1u);
+
+    executor shared(2, 4);
+    {
+        std::jthread a([&] { shared.close(); });
+        std::jthread b([&] { shared.close(); });
+    }
+    EXPECT_FALSE(shared.try_submit([] {}));
+}
+
+TEST(executor, counts_a_submitted_job_that_throws_and_keeps_running)
+{
+    obs::set_stats_enabled(true);
+    obs::counter& escaped = obs::get_counter("exec.pool.escaped_exceptions");
+    const std::uint64_t before = escaped.value();
+    {
+        std::latch next_ran(1);
+        executor pool(1, 4);
+        ASSERT_TRUE(pool.try_submit([] { throw std::runtime_error("leak"); }));
+        ASSERT_TRUE(pool.try_submit([&] { next_ran.count_down(); }));
+        next_ran.wait();
+    }
+    EXPECT_EQ(escaped.value(), before + 1);
+    obs::set_stats_enabled(false);
+}
+
+TEST(executor, for_each_index_blocks_on_a_queue_smaller_than_the_batch)
+{
+    executor pool(2, 1);
+    std::vector<std::atomic<int>> hits(100);
+    pool.for_each_index(hits.size(), [&](std::size_t i) { hits[i]++; });
+    for (const auto& hit : hits) {
+        EXPECT_EQ(hit.load(), 1);
+    }
 }
 
 TEST(net_generator, deterministic_under_fixed_seed)

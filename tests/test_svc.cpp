@@ -249,6 +249,23 @@ TEST(session, malformed_lines_produce_error_events_and_keep_the_stream)
     EXPECT_EQ(pong[0].find("id")->as_string(), "alive");
 }
 
+TEST(session, request_nesting_is_bounded_at_32)
+{
+    // A ping whose "pad" field holds `levels` nested arrays: with the
+    // request object at depth 0, the innermost value sits at levels + 1.
+    const auto padded_ping = [](std::size_t levels) {
+        return R"({"op":"ping","pad":)" + std::string(levels, '[') + "1" +
+               std::string(levels, ']') + "}";
+    };
+    session_harness h;
+    EXPECT_EQ(h.sess.handle_line(padded_ping(32)), session_verdict::keep_open);
+    EXPECT_EQ(h.events("error").size(), 1u);
+    EXPECT_TRUE(h.events("pong").empty());
+    EXPECT_EQ(h.sess.handle_line(padded_ping(31)), session_verdict::keep_open);
+    EXPECT_EQ(h.events("error").size(), 1u);
+    EXPECT_EQ(h.events("pong").size(), 1u);
+}
+
 TEST(session, blank_lines_are_ignored)
 {
     session_harness h;
