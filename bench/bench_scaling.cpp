@@ -35,7 +35,9 @@ pn::petri_net parallel_choices(int choices)
     pn::net_builder b("choices_" + std::to_string(choices));
     const auto src = b.add_transition("src");
     for (int i = 0; i < choices; ++i) {
-        const auto p = b.add_place("c" + std::to_string(i));
+        std::string place = "c";
+        place += std::to_string(i);
+        const auto p = b.add_place(place);
         b.add_arc(src, p);
         const auto yes = b.add_transition("yes" + std::to_string(i));
         const auto no = b.add_transition("no" + std::to_string(i));
@@ -52,9 +54,13 @@ pn::petri_net pipeline(int length)
     pn::net_builder b("pipe_" + std::to_string(length));
     auto prev = b.add_transition("src");
     for (int i = 0; i < length; ++i) {
-        const auto p = b.add_place("p" + std::to_string(i));
+        std::string place = "p";
+        place += std::to_string(i);
+        std::string transition = "t";
+        transition += std::to_string(i);
+        const auto p = b.add_place(place);
         b.add_arc(prev, p);
-        prev = b.add_transition("t" + std::to_string(i));
+        prev = b.add_transition(transition);
         b.add_arc(p, prev);
     }
     return std::move(b).build();
@@ -390,9 +396,9 @@ void report_stubborn_reduction()
                             .emit_full_states = true});
 }
 
-// ltl_x rows: the liveness-preserving reduction — visibility + ignoring
-// fix-up on top of the deadlock stubborn sets — against the full
-// exploration, on the same nets.  CI gates on the choice-heavy "ltlx ratio"
+// ltl_x rows: the liveness-preserving reduction — the ignoring fix-up on
+// top of the deadlock stubborn sets — against the full exploration, on
+// the same nets.  CI gates on the choice-heavy "ltlx ratio"
 // row staying >= 1.5x: the fix-up may only re-expand states in
 // cycle-capable SCCs, so on these (acyclic-state-graph) workloads it must
 // not give back the deadlock reduction's savings.  "live red st/s" is the

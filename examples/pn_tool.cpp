@@ -17,10 +17,9 @@
 //                                  stubborn subset per state: deadlock
 //                                  verdicts are exact, state counts shrink,
 //                                  but the reachability set is partial.
-//                                  stubborn-ltlx (ltl_x) adds the visibility
-//                                  and no-ignoring conditions, so liveness
-//                                  and stutter-invariant verdicts stay exact
-//                                  too.
+//                                  stubborn-ltlx (ltl_x) adds the
+//                                  no-ignoring fix-up, so transition
+//                                  liveness stays exact too.
 //                                  --max-bytes caps the resident marking-
 //                                  arena bytes: chunks spill to an mmap'd
 //                                  temp file and cold ones are evicted; the

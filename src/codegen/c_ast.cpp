@@ -64,14 +64,6 @@ stmt make_label(std::string label)
     return s;
 }
 
-stmt make_comment(std::string text)
-{
-    stmt s;
-    s.k = stmt::kind::comment;
-    s.text = std::move(text);
-    return s;
-}
-
 std::size_t statement_count(const block& b)
 {
     std::size_t count = 0;

@@ -75,7 +75,6 @@ struct stmt {
                                std::vector<block> branches);
 [[nodiscard]] stmt make_goto(std::string label);
 [[nodiscard]] stmt make_label(std::string label);
-[[nodiscard]] stmt make_comment(std::string text);
 
 /// A persistent counting variable: static long count_<place> = init;
 struct counter_decl {

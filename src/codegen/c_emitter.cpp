@@ -157,7 +157,8 @@ private:
         case stmt::kind::choice: {
             const std::string& hook = program_.choice_names[s.choice_place.index()];
             // Query the control hook exactly once per decision.
-            const std::string var = "c" + std::to_string(choice_serial_++);
+            std::string var = "c";
+            var += std::to_string(choice_serial_++);
             line("{");
             ++indent_;
             line("const int " + var + " = " + hook + "();");

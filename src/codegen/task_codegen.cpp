@@ -17,7 +17,6 @@ namespace {
 struct generation_context {
     const pn::petri_net& net;
     const std::vector<qss::choice_cluster>& clusters;
-    codegen_options options;
 
     // cluster_of[p] = index into clusters, or SIZE_MAX.
     std::vector<std::size_t> cluster_of;
@@ -30,9 +29,8 @@ struct generation_context {
     // Transitions reachable downstream of each place (emission ordering).
     std::vector<std::size_t> downstream_size;
 
-    generation_context(const pn::petri_net& n, const std::vector<qss::choice_cluster>& cl,
-                       const codegen_options& opt)
-        : net(n), clusters(cl), options(opt)
+    generation_context(const pn::petri_net& n, const std::vector<qss::choice_cluster>& cl)
+        : net(n), clusters(cl)
     {
         cluster_of.assign(net.place_count(), SIZE_MAX);
         for (std::size_t i = 0; i < clusters.size(); ++i) {
@@ -43,9 +41,7 @@ struct generation_context {
         counter_used.assign(net.place_count(), false);
         downstream_size.assign(net.place_count(), 0);
         for (pn::place_id p : net.places()) {
-            if (options.elide_trivial_counters) {
-                elidable[p.index()] = compute_elidable(p);
-            }
+            elidable[p.index()] = compute_elidable(p);
             needs_while[p.index()] = compute_needs_while(p);
             downstream_size[p.index()] = compute_downstream_size(p);
         }
@@ -233,7 +229,8 @@ private:
         const bool use_while =
             ctx_.needs_while[p.index()] || produced_forces_while(p, produced);
 
-        const std::string unit_key = "p" + std::to_string(p.value());
+        std::string unit_key = "p";
+        unit_key += std::to_string(p.value());
         const auto on_path = on_path_label_.find(unit_key);
         if (on_path != on_path_label_.end()) {
             used_labels_.insert(on_path->second);
@@ -361,14 +358,13 @@ private:
 
 generated_program generate_program(const pn::petri_net& net,
                                    const qss::qss_result& result,
-                                   const qss::task_partition& partition,
-                                   const codegen_options& options)
+                                   const qss::task_partition& partition)
 {
     if (!result.schedulable) {
         throw domain_error("generate_program: net is not quasi-statically schedulable");
     }
 
-    generation_context ctx(net, result.clusters, options);
+    generation_context ctx(net, result.clusters);
 
     // Autonomous drivers consume through explicit counters; make sure their
     // input places are never elided (an elided producer site would bypass
@@ -417,19 +413,14 @@ generated_program generate_program(const pn::petri_net& net,
 
     // Counter declarations for every counter the code references, annotated
     // with the peak fill the valid schedule exhibits (buffer sizing).
-    std::vector<std::int64_t> peaks;
-    if (options.annotate_counter_bounds) {
-        peaks = qss::schedule_buffer_bounds(net, result);
-    }
+    const std::vector<std::int64_t> peaks = qss::schedule_buffer_bounds(net, result);
     for (pn::place_id p : net.places()) {
         if (ctx.counter_used[p.index()]) {
             counter_decl decl;
             decl.place = p;
             decl.name = "count_" + sanitize_c_identifier(net.place_name(p));
             decl.initial = net.initial_tokens(p);
-            if (!peaks.empty()) {
-                decl.peak_bound = peaks[p.index()];
-            }
+            decl.peak_bound = peaks[p.index()];
             program.counters.push_back(std::move(decl));
         }
     }

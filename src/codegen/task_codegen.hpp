@@ -28,23 +28,16 @@
 
 namespace fcqss::cgen {
 
-/// Code-generation options.
-struct codegen_options {
-    /// Elide the counter of a place whose tokens can never persist across an
-    /// activation (all producers deliver exactly what the single consumer
-    /// takes).  Matches the paper's listing, which keeps no counter for p1.
-    bool elide_trivial_counters = true;
-    /// Annotate each counter with its peak token count under the valid
-    /// schedule (buffer sizing information in the emitted C).
-    bool annotate_counter_bounds = true;
-};
-
 /// Generates the program for a schedulable QSS result and its task
-/// partition.  Throws domain_error when result.schedulable is false.
+/// partition.  Throws domain_error when result.schedulable is false.  A
+/// place whose tokens can never persist across an activation (all producers
+/// deliver exactly what the single consumer takes) gets no counter, as in
+/// the paper's listing, which keeps none for p1; every other counter carries
+/// its peak token count under the valid schedule (buffer sizing for the
+/// emitted C).
 [[nodiscard]] generated_program
 generate_program(const pn::petri_net& net, const qss::qss_result& result,
-                 const qss::task_partition& partition,
-                 const codegen_options& options = {});
+                 const qss::task_partition& partition);
 
 } // namespace fcqss::cgen
 

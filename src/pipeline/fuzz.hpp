@@ -50,7 +50,7 @@ struct fuzz_options {
     /// Families to cycle through (mutant i uses families[i % size]).
     /// Empty means all six.
     std::vector<net_family> families{};
-    /// Mutation-plan knobs (mutations per mutant, weight/token ranges).
+    /// Mutation-plan knob: mutations per mutant.
     pn::mutation_options mutation{};
     /// Per-cell exploration budget.  Tight on purpose: mutants are routinely
     /// unbounded, and truncation is part of the surface under test.

@@ -31,6 +31,14 @@ const char* to_string(net_family family)
 
 namespace {
 
+/// Percent of grown free_choice places that become choice clusters
+/// (marked_graph uses 0, choice_heavy 70).
+constexpr int fc_choice_share = 35;
+/// Upper bound on choice-cluster fan-out and on layered_pipeline width.
+constexpr int max_branches = 3;
+/// Arc weights are drawn uniformly from [1, max_weight].
+constexpr int max_weight = 2;
+
 // Grows one net: layered chains below each source, every path ending in a
 // sink transition so the net is consistent (and schedulable) by design.
 class grower {
@@ -40,24 +48,24 @@ public:
     {
         switch (options_.family) {
         case net_family::marked_graph:
-            choice_percent_ = 0;
-            fork_percent_ = 30;
+            choice_share_ = 0;
+            fork_share_ = 30;
             break;
         case net_family::free_choice:
-            choice_percent_ = options_.choice_percent;
-            fork_percent_ = 20;
+            choice_share_ = fc_choice_share;
+            fork_share_ = 20;
             break;
         case net_family::choice_heavy:
-            choice_percent_ = 70;
-            fork_percent_ = 10;
+            choice_share_ = 70;
+            fork_share_ = 10;
             break;
         case net_family::client_server:
         case net_family::layered_pipeline:
         case net_family::bursty_multirate:
             // The production-shaped families are built by dedicated
             // builders below; the grower only serves defect injection.
-            choice_percent_ = 0;
-            fork_percent_ = 0;
+            choice_share_ = 0;
+            fork_share_ = 0;
             break;
         }
     }
@@ -68,9 +76,9 @@ public:
             return; // `from` stays a sink transition
         }
         const auto roll = static_cast<int>(rng_.below(100));
-        if (roll < choice_percent_) {
+        if (roll < choice_share_) {
             grow_choice(from, depth_left);
-        } else if (roll < choice_percent_ + fork_percent_) {
+        } else if (roll < choice_share_ + fork_share_) {
             grow_fork_join(from, depth_left);
         } else {
             grow_chain(from, depth_left);
@@ -114,7 +122,7 @@ private:
         return std::string(prefix) + std::to_string(serial_++);
     }
 
-    std::int64_t weight() { return rng_.range(1, options_.max_weight); }
+    std::int64_t weight() { return rng_.range(1, max_weight); }
 
     void maybe_load_tokens(pn::place_id p)
     {
@@ -143,8 +151,7 @@ private:
         }
         const std::int64_t w = weight();
         builder_.add_arc(from, p, w);
-        const int alternatives =
-            static_cast<int>(rng_.range(2, std::max(2, options_.max_alternatives)));
+        const auto alternatives = static_cast<int>(rng_.range(2, max_branches));
         for (int i = 0; i < alternatives; ++i) {
             const auto alt = builder_.add_transition(fresh("t"));
             builder_.add_arc(p, alt, w); // equal conflict: identical Pre vectors
@@ -171,8 +178,8 @@ private:
     pn::net_builder& builder_;
     prng& rng_;
     const generator_options& options_;
-    int choice_percent_ = 0;
-    int fork_percent_ = 0;
+    int choice_share_ = 0;
+    int fork_share_ = 0;
     int serial_ = 0;
     pn::place_id first_choice_;
     std::vector<pn::transition_id> extra_sources_;
@@ -245,15 +252,14 @@ void build_layered_pipeline(pn::net_builder& builder, prng& rng,
         for (int layer = 0; layer < options.depth; ++layer) {
             if (stage.size() == 1) {
                 // Fan out: one transition feeds `width` parallel branches.
-                const auto width = static_cast<int>(
-                    rng.range(2, std::max(2, options.max_alternatives)));
+                const auto width = static_cast<int>(rng.range(2, max_branches));
                 std::vector<pn::transition_id> next;
                 next.reserve(static_cast<std::size_t>(width));
                 for (int i = 0; i < width; ++i) {
                     const std::string id = std::to_string(serial++);
                     const auto p = builder.add_place("lp" + id);
                     const auto t = builder.add_transition("lt" + id);
-                    const std::int64_t w = rng.range(1, options.max_weight);
+                    const std::int64_t w = rng.range(1, max_weight);
                     builder.add_arc(stage.front(), p, w);
                     builder.add_arc(p, t, w);
                     maybe_load(builder, rng, options, p);
@@ -266,7 +272,7 @@ void build_layered_pipeline(pn::net_builder& builder, prng& rng,
                     builder.add_transition("lj" + std::to_string(serial++));
                 for (const pn::transition_id t : stage) {
                     const auto p = builder.add_place("lp" + std::to_string(serial++));
-                    const std::int64_t w = rng.range(1, options.max_weight);
+                    const std::int64_t w = rng.range(1, max_weight);
                     builder.add_arc(t, p, w);
                     builder.add_arc(p, join, w);
                 }
@@ -284,7 +290,7 @@ void build_bursty_multirate(pn::net_builder& builder, prng& rng,
                             const generator_options& options,
                             std::vector<pn::transition_id>& sources)
 {
-    const std::int64_t burst = std::max<std::int64_t>(2, 2 * options.max_weight);
+    const std::int64_t burst = 2 * max_weight;
     int serial = 0;
     for (int s = 0; s < options.sources; ++s) {
         const std::string id = std::to_string(s);
@@ -299,8 +305,8 @@ void build_bursty_multirate(pn::net_builder& builder, prng& rng,
             const std::string sid = std::to_string(serial++);
             const auto p = builder.add_place("bp" + sid);
             const auto t = builder.add_transition("bt" + sid);
-            builder.add_arc(prev, p, rng.range(1, options.max_weight));
-            builder.add_arc(p, t, rng.range(1, options.max_weight));
+            builder.add_arc(prev, p, rng.range(1, max_weight));
+            builder.add_arc(p, t, rng.range(1, max_weight));
             maybe_load(builder, rng, options, p);
             prev = t;
         }
@@ -312,14 +318,11 @@ void build_bursty_multirate(pn::net_builder& builder, prng& rng,
 net_generator::net_generator(std::uint64_t seed, generator_options options)
     : seed_(seed), options_(options), state_(seed ? seed : 0x9e3779b97f4a7c15ULL)
 {
-    if (options_.sources < 1 || options_.depth < 1 || options_.max_weight < 1 ||
-        options_.max_alternatives < 2) {
-        throw model_error("net_generator: sources/depth/max_weight must be >= 1 "
-                          "and max_alternatives >= 2");
+    if (options_.sources < 1 || options_.depth < 1) {
+        throw model_error("net_generator: sources/depth must be >= 1");
     }
-    if (options_.choice_percent < 0 || options_.choice_percent > 100 ||
-        options_.defect_percent < 0 || options_.defect_percent > 100) {
-        throw model_error("net_generator: percentages must be in [0, 100]");
+    if (options_.defect_percent < 0 || options_.defect_percent > 100) {
+        throw model_error("net_generator: defect_percent must be in [0, 100]");
     }
     if (options_.source_credit < 0) {
         throw model_error("net_generator: source_credit must be >= 0");

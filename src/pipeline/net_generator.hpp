@@ -11,6 +11,11 @@
 // fraction of the nets so batch runs exercise the pipeline's rejection
 // paths.  Everything is driven by one xorshift* PRNG: the same seed and
 // options always reproduce byte-identical nets, independent of platform.
+// The shape constants are fixed: free_choice places become choices with
+// probability 35%, choices and layered fan-outs have two or three
+// branches, and arc weights are 1 or 2.  perfbench, the fuzz seed range
+// and tests/corpus are all built from these streams, so test_pipeline pins
+// their content hashes.
 #ifndef FCQSS_PIPELINE_NET_GENERATOR_HPP
 #define FCQSS_PIPELINE_NET_GENERATOR_HPP
 
@@ -31,8 +36,8 @@ enum class net_family {
     marked_graph,
     /// The default mix: choices, fork/joins, and plain chains.
     free_choice,
-    /// Conflict-dominated: most places become choice clusters, with up to
-    /// four alternatives each — stresses the allocation enumeration.
+    /// Conflict-dominated: most places become choice clusters, with two or
+    /// three alternatives each — stresses the allocation enumeration.
     choice_heavy,
     /// The ATM app generalized: `sources` request classes contending for a
     /// shared pool of tellers (a resource place holding `depth` tokens).
@@ -41,14 +46,14 @@ enum class net_family {
     /// the engines still explore its (finite, credit-bounded) state space.
     client_server,
     /// Staged dataflow: `depth` alternating fan-out/fan-in layers of width
-    /// up to `max_alternatives`.  Every place keeps one producer and one
-    /// consumer, so the family is a marked graph — schedulable by design,
-    /// with much wider levels than the chain-shaped mg family.
+    /// two or three.  Every place keeps one producer and one consumer, so
+    /// the family is a marked graph — schedulable by design, with much
+    /// wider levels than the chain-shaped mg family.
     layered_pipeline,
-    /// Bursty multirate feeds: each source emits bursts of `max_weight`
-    /// tokens into a buffer drained one token at a time through a chain of
-    /// rate-changing stages (weight-a in, weight-b out).  Consistent by
-    /// construction, with rate mismatches the scheduler must cover.
+    /// Bursty multirate feeds: each source emits bursts of 4 tokens into a
+    /// buffer drained one token at a time through a chain of rate-changing
+    /// stages (weight-a in, weight-b out).  Consistent by construction,
+    /// with rate mismatches the scheduler must cover.
     bursty_multirate,
 };
 
@@ -60,13 +65,6 @@ struct generator_options {
     int sources = 2;
     /// Layers of processing grown below each source.
     int depth = 4;
-    /// Probability (percent) that a grown place becomes a choice cluster.
-    /// Ignored for marked_graph (0) and choice_heavy (70).
-    int choice_percent = 35;
-    /// Upper bound on choice-cluster fan-out (alternatives per choice).
-    int max_alternatives = 3;
-    /// Arc weights drawn uniformly from [1, max_weight].
-    int max_weight = 2;
     /// When > 0, chain places receive up to this many initial tokens (30%
     /// of them).  Token load shifts the markings the schedule cycles
     /// through without changing the net's structure.

@@ -10,6 +10,7 @@
 #include "base/error.hpp"
 #include "base/strings.hpp"
 #include "codegen/c_emitter.hpp"
+#include "codegen/task_codegen.hpp"
 #include "exec/executor.hpp"
 #include "obs/obs.hpp"
 #include "pn/structure.hpp"
@@ -407,7 +408,7 @@ pipeline_result synthesis_pipeline::run_one(const net_source& source,
         if (options_.generate_code) {
             timed(result, pipeline_stage::codegen, [&] {
                 const cgen::generated_program program =
-                    cgen::generate_program(net, schedule, partition, options_.codegen);
+                    cgen::generate_program(net, schedule, partition);
                 std::string code = cgen::emit_c(program);
                 result.code_bytes = code.size();
                 result.code_lines = count_nonblank_lines(code);

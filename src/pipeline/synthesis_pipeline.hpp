@@ -29,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "codegen/task_codegen.hpp"
 #include "pn/net_class.hpp"
 #include "pn/petri_net.hpp"
 #include "pnio/lexer.hpp"
@@ -172,7 +171,6 @@ struct pipeline_options {
     /// Bounds on parsed text inputs; trips become status resource_limit.
     pnio::parse_limits limits{};
     qss::scheduler_options scheduler{};
-    cgen::codegen_options codegen{};
 };
 
 /// Per-stage progress callback: invoked after each stage completes (in

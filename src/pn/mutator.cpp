@@ -35,6 +35,11 @@ const char* to_string(mutation_kind kind)
 
 namespace {
 
+/// Perturbed and new arc weights land in [1, max_weight].
+constexpr std::int64_t max_weight = 4;
+/// Perturbed initial markings land in [0, max_tokens].
+constexpr std::int64_t max_tokens = 3;
+
 /// Mutable intermediate form: names, tokens, and a flat deduplicated arc
 /// list.  Mutations edit the sketch; the finished net is rebuilt through
 /// net_builder, so every mutant passes the same validation as any other
@@ -373,10 +378,10 @@ std::vector<mutation> plan_mutations(const petri_net& base, std::uint64_t seed,
         switch (m.kind) {
         case mutation_kind::add_arc:
         case mutation_kind::perturb_weight:
-            m.value = rng.range(1, std::max<std::int64_t>(1, options.max_weight));
+            m.value = rng.range(1, max_weight);
             break;
         case mutation_kind::perturb_marking:
-            m.value = rng.range(0, std::max<std::int64_t>(0, options.max_tokens));
+            m.value = rng.range(0, max_tokens);
             break;
         default:
             m.value = 1;

@@ -8,8 +8,9 @@
 //
 //   structure-preserving   perturb_weight, perturb_marking.  The arc set
 //                          and node set are untouched: weights move within
-//                          [1, max_weight], initial markings within
-//                          [0, max_tokens].  Connectivity can never change.
+//                          [1, 4] (add_arc draws new weights from the same
+//                          range), initial markings within [0, 3].
+//                          Connectivity can never change.
 //
 //   structure-mutating     add_arc, remove_arc, redirect_arc, merge_places,
 //                          split_place, drop_transition,
@@ -73,10 +74,6 @@ struct mutation {
 struct mutation_options {
     /// Mutations drawn per plan.
     int count = 4;
-    /// Perturbed/new arc weights land in [1, max_weight].
-    std::int64_t max_weight = 4;
-    /// Perturbed initial markings land in [0, max_tokens].
-    std::int64_t max_tokens = 3;
 };
 
 /// A mutant plus the mutations that actually applied, in application order.

@@ -30,49 +30,6 @@ verdict check_safe(const petri_net& net)
     return check_k_bounded(net, 1);
 }
 
-verdict check_k_bounded_explicit(const petri_net& net, std::int64_t k,
-                                 const reachability_options& options)
-{
-    // "Some place exceeds k" is a stutter-invariant reachability query, so
-    // a stubborn reduction must observe the queried places — but only the
-    // *growable* ones (some transition has a positive net delta there): a
-    // place no firing grows never exceeds its initial count, which the
-    // root-marking scan below settles directly.  Under reduction each
-    // growable place is then queried in its own exploration with
-    // observed_places = {that place} — the weakest exact visibility set —
-    // instead of observing all growable places at once, which makes every
-    // transition touching any of them visible and can degenerate the ltl_x
-    // reduction to (nearly) the full graph.  Each per-place run preserves
-    // reachability of "p exceeds k" exactly, so an over-k bound is a
-    // definite no and a clean (untruncated) sweep is a definite yes.
-    for (const std::int64_t count : net.initial_marking_vector()) {
-        if (count > k) {
-            return verdict::no; // the root marking itself is the witness
-        }
-    }
-    if (options.reduction == reduction_kind::none) {
-        const state_space space = explore_space(net, options);
-        for (const std::int64_t bound : place_bounds(space)) {
-            if (bound > k) {
-                return verdict::no; // a witness marking is definite either way
-            }
-        }
-        return space.truncated() ? verdict::unknown : verdict::yes;
-    }
-    bool truncated = false;
-    for (const place_id p : growable_places(net)) {
-        reachability_options opts = options;
-        opts.reduction = reduction_kind::ltl_x;
-        opts.observed_places = {p};
-        const state_space space = explore_space(net, opts);
-        if (place_bounds(space)[p.index()] > k) {
-            return verdict::no;
-        }
-        truncated |= space.truncated();
-    }
-    return truncated ? verdict::unknown : verdict::yes;
-}
-
 verdict check_deadlock_free(const petri_net& net, const reachability_options& options)
 {
     // Served straight off the compact state space: no marking-object graph
@@ -88,13 +45,11 @@ verdict check_live(const petri_net& net, const reachability_options& options)
 {
     // Liveness quantifies over every transition from every reachable
     // marking, which deadlock stubborn sets do not preserve — but ltl_x ones
-    // do (the SCC-local non-ignoring proviso keeps fireability exact; no
-    // place needs observing).  A caller-requested reduction is therefore
-    // upgraded, not forced off.
+    // do (the SCC-local non-ignoring proviso keeps fireability exact).  A
+    // caller-requested reduction is therefore upgraded, not forced off.
     reachability_options opts = options;
     if (opts.reduction != reduction_kind::none) {
         opts.reduction = reduction_kind::ltl_x;
-        opts.observed_places.clear();
     }
     const state_space space = explore_space(net, opts);
     if (space.truncated()) {

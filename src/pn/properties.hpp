@@ -1,7 +1,10 @@
 // fcqss — pn/properties.hpp
 // Behavioural property checks from Sec. 2: boundedness, safeness,
-// deadlock-freedom, liveness.  All are decided on the explicit reachability
-// graph (exact for bounded nets) or the coverability tree.
+// deadlock-freedom, liveness.  Boundedness and safeness are decided on the
+// coverability tree (Karp–Miller, exact); deadlock-freedom and liveness on
+// the explicit reachability graph (exact for bounded nets).  A stubborn
+// reduction in the options keeps both graph verdicts exact: deadlock-freedom
+// runs it as given, liveness upgrades it to ltl_x.
 #ifndef FCQSS_PN_PROPERTIES_HPP
 #define FCQSS_PN_PROPERTIES_HPP
 
@@ -25,19 +28,6 @@ enum class verdict {
 
 /// k-boundedness over the reachable markings (Sec. 2).  Exact via Karp–Miller.
 [[nodiscard]] verdict check_k_bounded(const petri_net& net, std::int64_t k);
-
-/// k-boundedness decided on the explicit reachability graph instead of the
-/// coverability tree (useful when the caller already pays for exploration,
-/// or wants the engines' thread/reduction knobs).  An over-k witness is
-/// definite even on a truncated exploration; "yes" needs the full graph.
-/// A `deadlock` or `ltl_x` reduction runs as ltl_x, and each
-/// *growable* place is queried in its own exploration observing just that
-/// place (the weakest exact visibility set); non-growable places are
-/// settled by a root-marking scan.  Definite verdicts match the
-/// unreduced check exactly; only which truncated runs come back unknown
-/// can differ (see the README reduction-guarantees table).
-[[nodiscard]] verdict check_k_bounded_explicit(const petri_net& net, std::int64_t k,
-                                              const reachability_options& options = {});
 
 /// Safeness = 1-boundedness.  Lin's method (Sec. 1) assumes this; the paper's
 /// point is that QSS does not.

@@ -137,13 +137,10 @@ std::optional<stubborn_reduction> make_reduction(const petri_net& net,
     if (options.reduction == reduction_kind::none) {
         return std::nullopt;
     }
-    if (options.reduction == reduction_kind::deadlock) {
-        return stubborn_reduction(net);
-    }
-    return stubborn_reduction(net, options.observed_places);
+    return stubborn_reduction(net);
 }
 
-// The ltl_x ignoring fix-up.  The reduced graph built by D1/D2 (+V/I) sets
+// The ltl_x ignoring fix-up.  The reduced graph built by D1/D2 sets
 // alone can starve a transition forever: a cycle of cheap closures keeps
 // expanding one process while another stays enabled and untouched, which
 // breaks liveness and fireability verdicts.  Ignoring can only happen along

@@ -59,18 +59,11 @@ struct reachability_options {
     /// Per-state partial-order reduction (pn/stubborn.hpp).  `deadlock`
     /// applies the stubborn D1/D2 rules only: has-deadlock and the set of
     /// reachable dead markings match the full graph (exactly, when neither
-    /// run is truncated).  `ltl_x` adds the visibility conditions over
-    /// `observed_places` and the SCC-local "no transition ignored forever"
-    /// post-pass, so transition liveness and stutter-invariant queries over
-    /// `observed_places` are preserved too.  The reachability *set* is never
-    /// preserved — keep `none` for is_reachable / shortest_path /
-    /// place_bounds-style queries.
+    /// run is truncated).  `ltl_x` adds the SCC-local "no transition ignored
+    /// forever" post-pass, so transition liveness is preserved too.  Nothing
+    /// over places is preserved — keep `none` for is_reachable /
+    /// shortest_path / place_bounds-style queries.
     reduction_kind reduction = reduction_kind::none;
-    /// Places the query observes: the visibility set of an `ltl_x`
-    /// reduction, ignored under `none` and `deadlock`.  Empty is right for
-    /// deadlock and liveness queries; boundedness-style queries observe the
-    /// places they bound.
-    std::vector<place_id> observed_places{};
 };
 
 namespace detail {
@@ -98,9 +91,8 @@ void merge_enabled(const petri_net& net, std::span<const transition_id> parent_e
                    std::vector<transition_id>& out);
 
 /// The per-state stubborn reducer both engines apply for
-/// `options.reduction`, or nullopt under `none`.  Observed places count only
-/// under `ltl_x`: a `deadlock` reducer sees no visible transition whatever
-/// `options.observed_places` holds.
+/// `options.reduction`, or nullopt under `none`.  `deadlock` and `ltl_x`
+/// share one reducer; only ltl_x runs enforce_nonignoring after it.
 [[nodiscard]] std::optional<stubborn_reduction>
 make_reduction(const petri_net& net, const reachability_options& options);
 

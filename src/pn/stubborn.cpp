@@ -27,37 +27,7 @@ void flush_reduce_obs(std::size_t enabled, std::size_t reduced, std::size_t tria
 
 } // namespace
 
-std::vector<place_id> growable_places(const petri_net& net)
-{
-    std::vector<std::int64_t> delta(net.place_count(), 0);
-    std::vector<std::uint8_t> growable(net.place_count(), 0);
-    for (transition_id t : net.transitions()) {
-        for (const place_weight& out : net.outputs(t)) {
-            delta[out.place.index()] += out.weight;
-        }
-        for (const place_weight& in : net.inputs(t)) {
-            delta[in.place.index()] -= in.weight;
-        }
-        for (const place_weight& out : net.outputs(t)) {
-            growable[out.place.index()] |= delta[out.place.index()] > 0 ? 1 : 0;
-            delta[out.place.index()] = 0;
-        }
-        for (const place_weight& in : net.inputs(t)) {
-            delta[in.place.index()] = 0;
-        }
-    }
-    std::vector<place_id> places;
-    for (const place_id p : net.places()) {
-        if (growable[p.index()]) {
-            places.push_back(p);
-        }
-    }
-    return places;
-}
-
-stubborn_reduction::stubborn_reduction(const petri_net& net,
-                                       std::span<const place_id> observed_places)
-    : net_(&net)
+stubborn_reduction::stubborn_reduction(const petri_net& net) : net_(&net)
 {
     conflicts_.resize(net.transition_count());
     for (transition_id t : net.transitions()) {
@@ -71,46 +41,6 @@ stubborn_reduction::stubborn_reduction(const petri_net& net,
         }
         std::sort(list.begin(), list.end());
         list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
-
-    if (!observed_places.empty()) {
-        std::vector<std::uint8_t> observed(net.place_count(), 0);
-        for (const place_id p : observed_places) {
-            observed[p.index()] = 1;
-        }
-        // t is visible iff its *net* token delta on some observed place is
-        // non-zero — a self-loop arc pair that cancels out never changes
-        // what the query sees.
-        std::vector<std::int64_t> delta(net.place_count(), 0);
-        std::vector<std::size_t> touched;
-        visible_.assign(net.transition_count(), 0);
-        for (transition_id t : net.transitions()) {
-            touched.clear();
-            for (const place_weight& in : net.inputs(t)) {
-                if (delta[in.place.index()] == 0) {
-                    touched.push_back(in.place.index());
-                }
-                delta[in.place.index()] -= in.weight;
-            }
-            for (const place_weight& out : net.outputs(t)) {
-                if (delta[out.place.index()] == 0 && out.weight != 0) {
-                    touched.push_back(out.place.index());
-                }
-                delta[out.place.index()] += out.weight;
-            }
-            for (const std::size_t place : touched) {
-                if (observed[place] != 0 && delta[place] != 0) {
-                    visible_[t.index()] = 1;
-                }
-                delta[place] = 0;
-            }
-            if (visible_[t.index()] != 0) {
-                visible_list_.push_back(t);
-            }
-        }
-        if (visible_list_.empty()) {
-            visible_.clear(); // nothing visible: keep the O(1) fast path
-        }
     }
 }
 
@@ -149,7 +79,6 @@ std::size_t stubborn_reduction::closure(const std::int64_t* tokens, transition_i
     };
     add(seed);
     std::size_t enabled_members = 0;
-    bool visible_pulled = false;
     while (!ws.stack.empty()) {
         const transition_id t = ws.stack.back();
         ws.stack.pop_back();
@@ -159,15 +88,6 @@ std::size_t stubborn_reduction::closure(const std::int64_t* tokens, transition_i
             }
             for (const transition_id other : conflicts_[t.index()]) {
                 add(other);
-            }
-            // Condition V: an enabled visible member drags every visible
-            // transition into the set (disabled ones D1-close as usual), so
-            // visible firings are only ever stuttered, never reordered.
-            if (!visible_pulled && visible(t)) {
-                visible_pulled = true;
-                for (const transition_id v : visible_list_) {
-                    add(v);
-                }
             }
         } else {
             for (const transition_weight& producer :
@@ -200,24 +120,6 @@ void stubborn_reduction::reduce(const std::int64_t* tokens,
         ws.is_enabled[t.index()] = 1;
     }
 
-    // Condition I (with a non-empty visibility set): when an
-    // invisible enabled transition exists, only invisible seeds are tried —
-    // the chosen closure then contains its (enabled, invisible) seed, so
-    // the reduction never forces visible-only progress it could stutter.
-    // When every enabled transition is visible, condition V makes any seed
-    // close over all of them, so the seed choice is moot.
-    const bool restrict_to_invisible = [&] {
-        if (visible_list_.empty()) {
-            return false;
-        }
-        for (const transition_id t : enabled) {
-            if (!visible(t)) {
-                return true;
-            }
-        }
-        return false;
-    }();
-
     // Every candidate seed's closure competes; keep the seed whose closure
     // contains the fewest enabled transitions (ties to the lowest seed id,
     // since later seeds only win strictly).  A singleton is optimal, so
@@ -227,9 +129,6 @@ void stubborn_reduction::reduce(const std::int64_t* tokens,
     std::size_t obs_trials = 0;
     ws.best.clear();
     for (const transition_id seed : enabled) {
-        if (restrict_to_invisible && visible(seed)) {
-            continue;
-        }
         ++obs_trials;
         const std::size_t count = closure(tokens, seed, best_count, ws);
         if (count < best_count) {

@@ -18,21 +18,14 @@
 // reduction_kind::deadlock — the full reachability *set* is NOT preserved,
 // and neither are liveness or other temporal properties.
 //
-// reduction_kind::ltl_x layers the classical extra conditions on top,
-// so liveness and stutter-invariant reachability queries stay exact too:
+// reduction_kind::ltl_x expands the same per-state sets and relies on two
+// more conditions, so transition liveness stays exact too:
 //
 //   (key)  every stubborn set is built by D2-closing an *enabled* seed, so
 //          every enabled member is a key transition: the transitions that
 //          could consume from its input places are all inside S, hence no
 //          firing sequence outside S can ever disable it.  This holds by
 //          construction under both reductions (reduce() guarantees it).
-//   (V)    visibility: if S contains an enabled transition that changes the
-//          token count of an observed place, S contains every such
-//          "visible" transition — visible firings are never reordered past
-//          each other, only stuttered.
-//   (I)    when an invisible enabled transition exists, the chosen set
-//          contains one (seeds are restricted to invisible transitions), so
-//          the reduction never forces visible progress it could stutter.
 //   (no ignoring)  in every cycle-capable SCC of the reduced graph, every
 //          transition enabled somewhere in the SCC fires *from* some state
 //          of the SCC (Varpaaniemi's "t occurs in C"; the successor may
@@ -45,6 +38,10 @@
 //          incrementally.  Note the condition is per-SCC, not per-path: it
 //          guarantees t stays *fireable* from every explored state, not
 //          that every infinite run eventually fires t.
+//
+// Neither reduction has a visibility condition, so neither preserves
+// anything over place counts (bounds, reachability of a marking).
+// Karp–Miller (pn/coverability.hpp) decides boundedness exactly.
 //
 // Both per-state rules are precomputed once per net from the incidence data
 // (the conflict relation is the same consumer index behind the engines'
@@ -73,26 +70,14 @@ enum class reduction_kind {
     /// of reachable dead markings; does NOT preserve the reachability set,
     /// liveness, or any other temporal property.
     deadlock,
-    /// D1/D2 plus visibility (V/I over the observed places) and the
-    /// SCC-local "no transition ignored forever" post-pass.  Additionally
-    /// preserves transition liveness (every transition's fireability from
-    /// every explored state) and stutter-invariant *reachability* queries
-    /// over the observed places ("some reachable marking satisfies φ", the
-    /// EF fragment of LTL-X — what check_live / check_k_bounded_explicit
-    /// need).  Full trace-level LTL-X model checking would need a stronger
-    /// per-cycle proviso than the per-SCC one enforced here.
+    /// The deadlock reducer plus the SCC-local "no transition ignored
+    /// forever" post-pass.  Additionally preserves transition liveness
+    /// (every transition's fireability from every explored state — what
+    /// check_live needs); nothing over places.  Full trace-level LTL-X model
+    /// checking would need visibility conditions and a stronger per-cycle
+    /// proviso than the per-SCC one enforced here.
     ltl_x,
 };
-
-/// Places some firing can *grow*: those where at least one transition has a
-/// positive folded net delta (outputs minus inputs), ascending.  A place no
-/// transition grows can never exceed its count in the initial marking, so
-/// boundedness queries need only observe the growable places — and each
-/// per-place EF query stays exact observing just *its* place, the weakest
-/// visibility set, which is how check_k_bounded_explicit keeps the ltl_x
-/// reduction effective: it explores once per growable place instead of once
-/// with every growable place visible.
-[[nodiscard]] std::vector<place_id> growable_places(const petri_net& net);
 
 /// Per-thread scratch for stubborn_reduction::reduce(): flag arrays sized
 /// |T| plus the closure work lists.  Reusing one workspace across states
@@ -107,24 +92,11 @@ struct stubborn_workspace {
 };
 
 /// Structural stubborn-set computer for one net.  Construction precomputes
-/// the conflict relation and the visibility set; reduce() is const and safe
-/// to call concurrently with per-thread workspaces.
+/// the conflict relation; reduce() is const and safe to call concurrently
+/// with per-thread workspaces.
 class stubborn_reduction {
 public:
-    /// `observed_places` is the visibility set: transitions whose firing
-    /// changes the token count of an observed place are *visible* and
-    /// subject to conditions V and I.  Empty — the right choice for
-    /// deadlock and liveness queries — makes every transition invisible,
-    /// which is the D1/D2-only reducer of reduction_kind::deadlock.
-    explicit stubborn_reduction(const petri_net& net,
-                                std::span<const place_id> observed_places = {});
-
-    /// True when t changes the token count of an observed place (always
-    /// false with no observed places).
-    [[nodiscard]] bool visible(transition_id t) const noexcept
-    {
-        return !visible_.empty() && visible_[t.index()] != 0;
-    }
+    explicit stubborn_reduction(const petri_net& net);
 
     /// Computes the stubborn subset of `enabled` (the exact enabled set of
     /// `tokens`, ascending) to expand at this marking.  Writes the subset to
@@ -135,11 +107,10 @@ public:
                 stubborn_workspace& ws, std::vector<transition_id>& out) const;
 
 private:
-    /// Closes over {seed} under D1/D2 (plus V when places are observed) at
-    /// `tokens`, marking members in ws.in_set / ws.members.  Returns the
-    /// number of enabled members, or `bail_out` as soon as that many are
-    /// seen (the caller already has a set this small, so the rest of the
-    /// closure cannot matter).
+    /// Closes over {seed} under D1/D2 at `tokens`, marking members in
+    /// ws.in_set / ws.members.  Returns the number of enabled members, or
+    /// `bail_out` as soon as that many are seen (the caller already has a
+    /// set this small, so the rest of the closure cannot matter).
     [[nodiscard]] std::size_t closure(const std::int64_t* tokens, transition_id seed,
                                       std::size_t bail_out,
                                       stubborn_workspace& ws) const;
@@ -153,12 +124,6 @@ private:
     /// conflicts_[t]: transitions other than t sharing an input place with t
     /// (the consumers of •t), ascending — the D2 rule, precomputed.
     std::vector<std::vector<transition_id>> conflicts_;
-    /// visible_[t] != 0 when t changes an observed place; empty when nothing
-    /// is observed, so visible() is O(1) either way.
-    std::vector<std::uint8_t> visible_;
-    /// The visible transitions, ascending — condition V pulls this whole
-    /// list into any set holding an enabled visible member.
-    std::vector<transition_id> visible_list_;
 };
 
 } // namespace fcqss::pn

@@ -1,10 +1,8 @@
 #include "pnio/dot.hpp"
 
-#include <algorithm>
-
 namespace fcqss::pnio {
 
-std::string to_dot(const pn::petri_net& net, const dot_options& options)
+std::string to_dot(const pn::petri_net& net)
 {
     std::string out;
     out += "digraph \"" + net.name() + "\" {\n";
@@ -20,19 +18,11 @@ std::string to_dot(const pn::petri_net& net, const dot_options& options)
     }
 
     for (pn::transition_id t : net.transitions()) {
-        const bool highlighted =
-            std::find(options.highlight_transitions.begin(),
-                      options.highlight_transitions.end(),
-                      t) != options.highlight_transitions.end();
-        out += "  \"" + net.transition_name(t) + "\" [shape=box";
-        if (highlighted) {
-            out += ", style=filled, fillcolor=lightblue";
-        }
-        out += "];\n";
+        out += "  \"" + net.transition_name(t) + "\" [shape=box];\n";
     }
 
-    const auto weight_label = [&](std::int64_t weight) -> std::string {
-        if (!options.show_weights || weight == 1) {
+    const auto weight_label = [](std::int64_t weight) -> std::string {
+        if (weight == 1) {
             return "";
         }
         return " [label=\"" + std::to_string(weight) + "\"]";

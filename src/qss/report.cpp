@@ -10,7 +10,14 @@
 
 namespace fcqss::qss {
 
-std::string synthesis_report(const pn::petri_net& net, const report_options& options)
+namespace {
+
+/// Finite complete cycles the report lists.
+constexpr std::size_t cycle_preview = 4;
+
+} // namespace
+
+std::string synthesis_report(const pn::petri_net& net)
 {
     std::string out;
     const auto line = [&out](const std::string& text) {
@@ -41,7 +48,7 @@ std::string synthesis_report(const pn::petri_net& net, const report_options& opt
     }
     line("VERDICT: schedulable");
 
-    const std::size_t shown = std::min(options.cycle_preview, result.entries.size());
+    const std::size_t shown = std::min(cycle_preview, result.entries.size());
     line("valid schedule (" + std::to_string(result.entries.size()) +
          " finite complete cycles" +
          (shown < result.entries.size()
@@ -56,11 +63,9 @@ std::string synthesis_report(const pn::petri_net& net, const report_options& opt
     line("Definition 3.1 validity: " +
          (violation ? "VIOLATED — " + violation->describe(net) : std::string("ok")));
 
-    if (options.check_executability) {
-        const auto failure = qss::check_executability(net, result);
-        line("executability (footnote 2): " +
-             (failure ? "BLOCKS — " + failure->context : std::string("ok")));
-    }
+    const auto failure = check_executability(net, result);
+    line("executability (footnote 2): " +
+         (failure ? "BLOCKS — " + failure->context : std::string("ok")));
 
     const task_partition partition = partition_tasks(net, result);
     line("tasks (" + std::to_string(partition.tasks.size()) + "):");

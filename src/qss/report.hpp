@@ -12,17 +12,11 @@
 
 namespace fcqss::qss {
 
-struct report_options {
-    /// Finite complete cycles listed (the list can be long: the ATM server
-    /// has 120); the heading always gives the total.
-    std::size_t cycle_preview = 4;
-    /// Run the executability cross-check (footnote 2) on schedulable nets.
-    bool check_executability = true;
-};
-
-/// Renders the full report for a net.  Runs the scheduler internally.
-[[nodiscard]] std::string synthesis_report(const pn::petri_net& net,
-                                           const report_options& options = {});
+/// Renders the full report for a net.  Runs the scheduler internally, and
+/// on a schedulable net the executability cross-check (footnote 2).  It
+/// lists the first 4 finite complete cycles (the list can be long: the ATM
+/// server has 120); the heading always gives the total.
+[[nodiscard]] std::string synthesis_report(const pn::petri_net& net);
 
 } // namespace fcqss::qss
 

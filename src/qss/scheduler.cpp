@@ -26,8 +26,8 @@ namespace {
 class reduction_enumerator {
 public:
     reduction_enumerator(const pn::petri_net& net,
-                         const std::vector<choice_cluster>& clusters, bool record_traces)
-        : net_(net), clusters_(clusters), record_traces_(record_traces)
+                         const std::vector<choice_cluster>& clusters)
+        : net_(net), clusters_(clusters)
     {
         allocation_.chosen.resize(clusters.size());
     }
@@ -80,7 +80,7 @@ private:
     void emit()
     {
         ++leaf_reductions;
-        t_reduction reduction = reduce(net_, clusters_, allocation_, record_traces_);
+        t_reduction reduction = reduce(net_, clusters_, allocation_);
         std::vector<bool> key = reduction.keep_transition;
         key.insert(key.end(), reduction.keep_place.begin(), reduction.keep_place.end());
         if (seen_.insert(std::move(key)).second) {
@@ -90,7 +90,6 @@ private:
 
     const pn::petri_net& net_;
     const std::vector<choice_cluster>& clusters_;
-    bool record_traces_;
     t_allocation allocation_;
     /// Unchosen alternatives of the decided prefix.
     std::vector<pn::transition_id> excluded_;
@@ -133,7 +132,7 @@ qss_result quasi_static_schedule(const pn::petri_net& net, const net_analysis& a
 
     const bool stats = obs::stats_enabled();
     const std::uint64_t start_ns = stats ? obs::now_ns() : 0;
-    reduction_enumerator enumerator(net, result.clusters, options.record_traces);
+    reduction_enumerator enumerator(net, result.clusters);
     {
         obs::span span("qss.enumerate", "allocations",
                        static_cast<std::int64_t>(result.allocations_enumerated));

@@ -47,8 +47,6 @@ struct scheduler_options {
     /// The cap bounds the space, not the distinct reductions actually
     /// enumerated, so verdicts do not depend on how well choices prune.
     std::size_t max_allocations = 1u << 20;
-    /// Record reduction traces (Fig. 6 style) into the result.
-    bool record_traces = false;
 };
 
 /// One entry of the valid schedule: a distinct T-reduction (generated by its

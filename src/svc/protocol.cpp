@@ -23,8 +23,7 @@ json event_header(std::string_view event, const std::string& client_id)
     return reply;
 }
 
-} // namespace
-
+/// Renders one terminal reply as a protocol event object.
 json done_event(const std::string& client_id, const pipeline::synthesis_reply& reply,
                 bool include_code)
 {
@@ -58,6 +57,8 @@ json done_event(const std::string& client_id, const pipeline::synthesis_reply& r
     }
     return event;
 }
+
+} // namespace
 
 session::session(pipeline::service& service, line_sink sink, session_options options)
     : service_(service), sink_(std::move(sink)), options_(options)

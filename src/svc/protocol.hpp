@@ -132,12 +132,6 @@ private:
     std::size_t open_requests_ = 0;
 };
 
-/// Renders one terminal reply as a protocol event object — exposed so the
-/// CLI batch path and tests can produce/verify the exact wire form.
-[[nodiscard]] json done_event(const std::string& client_id,
-                              const pipeline::synthesis_reply& reply,
-                              bool include_code);
-
 } // namespace fcqss::svc
 
 #endif // FCQSS_SVC_PROTOCOL_HPP

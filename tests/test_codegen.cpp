@@ -16,13 +16,12 @@
 namespace fcqss::cgen {
 namespace {
 
-generated_program program_for(const pn::petri_net& net,
-                              const codegen_options& options = {})
+generated_program program_for(const pn::petri_net& net)
 {
     const qss::qss_result result = qss::quasi_static_schedule(net);
     EXPECT_TRUE(result.schedulable);
     const qss::task_partition partition = qss::partition_tasks(net, result);
-    return generate_program(net, result, partition, options);
+    return generate_program(net, result, partition);
 }
 
 TEST(c_ast, statement_count)
@@ -253,19 +252,6 @@ TEST(codegen, requires_schedulable_input)
     const qss::qss_result result = qss::quasi_static_schedule(net);
     qss::task_partition empty;
     EXPECT_THROW((void)generate_program(net, result, empty), domain_error);
-}
-
-TEST(codegen, no_elision_option)
-{
-    codegen_options options;
-    options.elide_trivial_counters = false;
-    const generated_program program = program_for(nets::figure_3a(), options);
-    // With elision off, every touched place gets a counter — including p1.
-    bool has_p1 = false;
-    for (const counter_decl& counter : program.counters) {
-        has_p1 = has_p1 || counter.name == "count_p1";
-    }
-    EXPECT_TRUE(has_p1);
 }
 
 } // namespace

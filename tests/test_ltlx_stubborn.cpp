@@ -1,8 +1,8 @@
 // The differential liveness test net for the ltl_x stubborn-set reduction
 // (pn/stubborn.hpp): randomized sweeps over every generator family x defect
-// x token load x source credit assert that check_live / boundedness
-// verdicts decided on the ltl_x-reduced graph equal the unreduced engine's
-// exactly, at threads 1/2/4 and under tight truncating budgets, and that
+// x token load x source credit assert that check_live verdicts decided on
+// the ltl_x-reduced graph equal the unreduced engine's exactly, at threads
+// 1/2/4 and under tight truncating budgets, and that
 // the reduced spaces themselves stay bit-identical across thread counts
 // (the ignoring fix-up is a deterministic sequential post-pass).  The file
 // also carries the ignoring-regression fixture — a cycle of choices that a
@@ -330,67 +330,12 @@ TEST(ltlx_stubborn, fixup_work_is_pinned_where_it_re_expands)
     }
 }
 
-// -- Visibility (conditions V and I) ----------------------------------------
-
-TEST(ltlx_stubborn, invisible_seeds_are_preferred_and_visible_sets_merge)
-{
-    const petri_net net = independent_chains();
-    const place_id p1 = net.find_place("p1");
-    const place_id q1 = net.find_place("q1");
-    const std::vector<std::int64_t>& m0 = net.initial_marking_vector();
-    const std::vector<transition_id> enabled = scan_enabled(net, m0.data());
-    ASSERT_EQ(enabled.size(), 2u);
-    stubborn_workspace ws;
-    std::vector<transition_id> out;
-
-    // Observing p1 makes t0 visible and u0 invisible: condition I restricts
-    // the seeds to u0, so the reduction defers the visible firing.
-    const std::vector<place_id> observe_p1{p1};
-    const stubborn_reduction observe_one(net, observe_p1);
-    EXPECT_TRUE(observe_one.visible(enabled[0]));  // t0
-    EXPECT_FALSE(observe_one.visible(enabled[1])); // u0
-    observe_one.reduce(m0.data(), enabled, ws, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out.front(), enabled[1]);
-
-    // Observing both chains makes both transitions visible: condition V
-    // pulls every visible transition into any candidate set, so nothing can
-    // be deferred and the state is fully expanded.
-    const std::vector<place_id> observe_p1_q1{p1, q1};
-    const stubborn_reduction observe_both(net, observe_p1_q1);
-    observe_both.reduce(m0.data(), enabled, ws, out);
-    EXPECT_EQ(out, enabled);
-}
-
-TEST(ltlx_stubborn, deadlock_reduction_ignores_observed_places)
-{
-    // Observed places count only under ltl_x: the deadlock reduction with
-    // both chains observed explores exactly what it explores without them,
-    // on both engines, while ltl_x with the same set expands the root fully.
-    const petri_net net = independent_chains();
-    const std::vector<place_id> observed{net.find_place("p1"), net.find_place("q1")};
-    const state_space plain =
-        explore_state_space(net, {.reduction = reduction_kind::deadlock});
-    EXPECT_EQ(plain.state_count(), 3u);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        const reachability_options options{.threads = threads,
-                                           .reduction = reduction_kind::deadlock,
-                                           .observed_places = observed};
-        expect_identical_spaces(plain, explore_space(net, options));
-    }
-    EXPECT_EQ(explore_state_space(
-                  net, {.reduction = reduction_kind::ltl_x, .observed_places = observed})
-                  .state_count(),
-              4u);
-}
-
 // -- Randomized differential sweeps ----------------------------------------
 
-/// One net's worth of the differential: liveness and explicit boundedness
-/// verdicts on the ltl_x-reduced graph must equal the unreduced engine's at
-/// every thread count, and the reduced spaces themselves must be
-/// bit-identical across threads.
+/// One net's worth of the differential: liveness verdicts on the
+/// ltl_x-reduced graph must equal the unreduced engine's at every thread
+/// count, and the reduced spaces themselves must be bit-identical across
+/// threads.
 void expect_ltlx_verdicts_match(const petri_net& net)
 {
     reachability_options full;
@@ -404,13 +349,6 @@ void expect_ltlx_verdicts_match(const petri_net& net)
         SCOPED_TRACE("threads " + std::to_string(threads));
         reduced.threads = threads;
         EXPECT_EQ(check_live(net, reduced), live_full);
-        for (const std::int64_t k : {std::int64_t{1}, std::int64_t{4}}) {
-            full.threads = threads;
-            EXPECT_EQ(check_k_bounded_explicit(net, k, reduced),
-                      check_k_bounded_explicit(net, k, full))
-                << "k " << k;
-        }
-        full.threads = 1;
     }
 
     const state_space sequential = explore_state_space(
@@ -545,79 +483,6 @@ TEST(ltlx_stubborn, proviso_holds_in_every_cyclic_scc)
                 expect_proviso_holds(net, reduced);
             }
         }
-    }
-}
-
-// The boundedness-visibility regression: check_k_bounded_explicit observes
-// only the growable places.  Observing every place makes every token-moving
-// transition visible and degenerates the ltl_x reduction to (nearly) the
-// full graph; growable-only visibility must genuinely prune while the
-// verdict stays exact at every k.
-/// The boundedness-visibility fixture: `lanes` independent countdown lanes,
-/// each a fuel place holding `fuel` tokens drained one token at a time by a
-/// pure-consumer transition.  No place ever grows, so growable_places() is
-/// empty and every drain is invisible to the boundedness query — the drains
-/// commute and an ltl_x reduction may serialize them into a near-linear
-/// graph.  Observing every place instead (the pre-fix behaviour) gives each
-/// drain a non-zero delta on an observed place, condition V pulls all of
-/// them into every stubborn set, and the full (fuel+1)^lanes interleaving
-/// product comes back.
-petri_net countdown_lanes(std::size_t lanes, std::int64_t fuel)
-{
-    net_builder b("countdown_lanes");
-    for (std::size_t i = 0; i < lanes; ++i) {
-        const auto f = b.add_place("fuel" + std::to_string(i), fuel);
-        const auto d = b.add_transition("drain" + std::to_string(i));
-        b.add_arc(f, d);
-    }
-    return std::move(b).build();
-}
-
-// The boundedness-visibility regression: check_k_bounded_explicit observes
-// only the growable places.  Observing every place makes every token-moving
-// transition visible and degenerates the ltl_x reduction to the full
-// interleaving product; growable-only visibility must genuinely prune while
-// the verdict stays exact at every k.
-TEST(ltlx_stubborn, boundedness_visibility_keeps_the_reduction_effective)
-{
-    const petri_net net = countdown_lanes(3, 4);
-    EXPECT_TRUE(growable_places(net).empty());
-
-    reachability_options full;
-    full.max_markings = 300000;
-    const state_space unreduced = explore_space(net, full);
-    ASSERT_FALSE(unreduced.truncated());
-    EXPECT_EQ(unreduced.state_count(), 125u); // (4+1)^3 interleavings
-
-    // The exploration the fixed query runs: ltl_x with growable visibility.
-    reachability_options reduced = full;
-    reduced.reduction = reduction_kind::ltl_x;
-    reduced.observed_places = growable_places(net);
-    const state_space pruned = explore_space(net, reduced);
-    ASSERT_FALSE(pruned.truncated());
-
-    // The pre-fix exploration: every place observed.
-    reduced.observed_places.assign(net.places().begin(), net.places().end());
-    const state_space degenerate = explore_space(net, reduced);
-    ASSERT_FALSE(degenerate.truncated());
-    EXPECT_EQ(degenerate.state_count(), unreduced.state_count());
-
-    // Ratio assertion: growable-only visibility explores at most half of
-    // what the degenerate visibility visits (in practice near-linear,
-    // 13 vs 125 states here).
-    EXPECT_LE(pruned.state_count() * 2, degenerate.state_count())
-        << "reduction is degenerate: " << pruned.state_count() << " vs "
-        << degenerate.state_count() << " states";
-
-    // And the verdict stays exact against the unreduced engine: the lanes
-    // start at 4 tokens and only drain, so the bound is exactly 4.
-    reachability_options query = full;
-    query.reduction = reduction_kind::deadlock;
-    for (const std::int64_t k :
-         {std::int64_t{1}, std::int64_t{3}, std::int64_t{4}, std::int64_t{8}}) {
-        const verdict expected = k >= 4 ? verdict::yes : verdict::no;
-        EXPECT_EQ(check_k_bounded_explicit(net, k, full), expected) << "k " << k;
-        EXPECT_EQ(check_k_bounded_explicit(net, k, query), expected) << "k " << k;
     }
 }
 

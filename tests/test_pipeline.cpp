@@ -18,6 +18,7 @@
 #include "nets/paper_nets.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/net_generator.hpp"
+#include "pipeline/service.hpp"
 #include "pipeline/synthesis_pipeline.hpp"
 #include "pn/net_class.hpp"
 #include "pnio/writer.hpp"
@@ -184,6 +185,75 @@ TEST(net_generator, deterministic_under_fixed_seed)
             EXPECT_EQ(pnio::write_net(a.next()), pnio::write_net(b.next()))
                 << "family " << to_string(family) << ", net " << i;
         }
+    }
+}
+
+// Pins the generated streams across commits, not only within one run:
+// perfbench's workloads, the fuzz seed range and tests/corpus are all built
+// from them, so a change to a shape constant or to the order of PRNG draws
+// must show up here.  The hashes are content_hash (FNV-1a of write_net) of
+// the first 5 nets of each family at seed 7.
+TEST(net_generator, streams_are_pinned_across_commits)
+{
+    struct pinned_stream {
+        net_family family;
+        std::uint64_t hashes[5];
+    };
+    const pinned_stream defaults[] = {
+        {net_family::marked_graph,
+         {0xce6a2d2ef28a6e67ULL, 0xd84c7e47f99d8a37ULL, 0xbc0a51ab1dcc0337ULL,
+          0xe9ed687f213b09a5ULL, 0x9168cebe5e88af16ULL}},
+        {net_family::free_choice,
+         {0x283b76dac8b02b42ULL, 0x330158941dd89a39ULL, 0x727f4cdbf1eabcf7ULL,
+          0x771a84f3346f1e9bULL, 0x4f1c5d85baddfdb4ULL}},
+        {net_family::choice_heavy,
+         {0x52003ce669f69b95ULL, 0x5fe476eaef111d4cULL, 0xa87158c528c84e84ULL,
+          0x9cbfafb1c096b900ULL, 0x91cb875c6de23261ULL}},
+        {net_family::client_server,
+         {0xf8b2922d3cbc22edULL, 0xf40f28abb8936e44ULL, 0x8afcc2bb50a9a8afULL,
+          0x8c2f8f1a98b93716ULL, 0x1be13ac455071359ULL}},
+        {net_family::layered_pipeline,
+         {0x6859812cfeb0de7bULL, 0x3e9325ae80c67dd2ULL, 0x48cd5ce87da1fc69ULL,
+          0x343dc1f9d6a32a3cULL, 0x4724b423dd7ed5afULL}},
+        {net_family::bursty_multirate,
+         {0xed562e34e53d22bbULL, 0xcd01825a09fe1e52ULL, 0x8dd0bfe752ea72a1ULL,
+          0xcf233cb2db565938ULL, 0xafdc14a8dec3ad47ULL}},
+    };
+    const pinned_stream loaded[] = {
+        {net_family::marked_graph,
+         {0x334efe07a1d18bcdULL, 0x50d5be8a15538ca9ULL, 0x639609b8f952a4e0ULL,
+          0x9011eb30439f4cb1ULL, 0x9f6c0ae7c9ad070dULL}},
+        {net_family::free_choice,
+         {0x01e0be014257a409ULL, 0xde826e70ece7236eULL, 0x35e5840d41b03cccULL,
+          0x52dfa155265aa662ULL, 0x23f4ca1b3a7ce8bcULL}},
+        {net_family::choice_heavy,
+         {0xdf8c2570492b18d3ULL, 0x33c94b5ffabc097eULL, 0x9142e3c6ed463b91ULL,
+          0x6cc69b36a460e588ULL, 0xc1cd4cfaccf092f7ULL}},
+        {net_family::client_server,
+         {0xb9216b2793b2e8c4ULL, 0xca8595e1b3cade29ULL, 0x25cdad56cd7caec6ULL,
+          0xc321c828c9e6ef34ULL, 0x743d1d7bc3df6e30ULL}},
+        {net_family::layered_pipeline,
+         {0x3746bcdfa08a3f92ULL, 0xda5e757a38059075ULL, 0xafa419d5ba7ef113ULL,
+          0xcf91a858bdca32f0ULL, 0xb6e37171cd7dfeb0ULL}},
+        {net_family::bursty_multirate,
+         {0x64642d4dc3dc1481ULL, 0x337a718de4b2150aULL, 0xcc8e206699192904ULL,
+          0x02704575146ffbbdULL, 0xe9db32258a2a06f2ULL}},
+    };
+    const auto expect_stream = [](const pinned_stream& pin, generator_options options,
+                                  const char* label) {
+        options.family = pin.family;
+        net_generator generator(7, options);
+        for (int i = 0; i < 5; ++i) {
+            EXPECT_EQ(content_hash(generator.next()), pin.hashes[i])
+                << label << " " << to_string(pin.family) << ", net " << i;
+        }
+    };
+    for (const pinned_stream& pin : defaults) {
+        expect_stream(pin, {}, "defaults");
+    }
+    for (const pinned_stream& pin : loaded) {
+        expect_stream(pin, {.token_load = 2, .defect_percent = 10, .source_credit = 1},
+                      "loaded");
     }
 }
 

@@ -272,19 +272,6 @@ TEST(scheduler, options_cap_allocations)
     EXPECT_TRUE(quasi_static_schedule(nets::figure_3a(), options).schedulable);
 }
 
-TEST(scheduler, records_traces_on_request)
-{
-    scheduler_options options;
-    options.record_traces = true;
-    const qss_result result = quasi_static_schedule(nets::figure_5(), options);
-    ASSERT_TRUE(result.schedulable);
-    bool some_trace = false;
-    for (const schedule_entry& entry : result.entries) {
-        some_trace = some_trace || !entry.reduction.trace.empty();
-    }
-    EXPECT_TRUE(some_trace);
-}
-
 TEST(task_partition, independent_sources_get_separate_tasks)
 {
     // Two disjoint source->sink chains: two tasks.

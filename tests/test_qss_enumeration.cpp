@@ -4,7 +4,7 @@
 // allocation, keep first occurrences) on every net the oracle can finish —
 // the paper nets, the ATM net, the fuzz corpus, the free-choice generator
 // families at two token loads, and the random nets of test_util: the same
-// entries (subnets, representative allocations, order, traces), verdict,
+// entries (subnets, representative allocations, order), verdict,
 // failure class and diagnosis, and for schedulable nets the same cycles and
 // the same emitted C.  Property tests pin the premises the pruning rests
 // on: the reduction is monotone in the removed set, and a choice whose place
@@ -72,8 +72,8 @@ std::optional<qss::qss_result> run_capturing(Fn&& schedule, std::string& error)
 /// or "" when they agree.  Sets `compared` to false (and returns "") when the
 /// allocation space is too large for the oracle.  When the net is compared
 /// and scheduled, `scheduled` (if given) receives the scheduler's result.
-std::string first_difference(const pn::petri_net& net, bool record_traces,
-                             bool& compared, qss::qss_result* scheduled = nullptr)
+std::string first_difference(const pn::petri_net& net, bool& compared,
+                             qss::qss_result* scheduled = nullptr)
 {
     compared = false;
     try {
@@ -87,12 +87,10 @@ std::string first_difference(const pn::petri_net& net, bool record_traces,
 
     std::string oracle_error;
     std::string fast_error;
-    const auto oracle = run_capturing(
-        [&] { return testutil::brute_force_schedule(net, record_traces); }, oracle_error);
-    qss::scheduler_options options;
-    options.record_traces = record_traces;
+    const auto oracle =
+        run_capturing([&] { return testutil::brute_force_schedule(net); }, oracle_error);
     const auto fast =
-        run_capturing([&] { return qss::quasi_static_schedule(net, options); }, fast_error);
+        run_capturing([&] { return qss::quasi_static_schedule(net); }, fast_error);
     if (oracle_error != fast_error) {
         return "errors differ: oracle '" + oracle_error + "', scheduler '" + fast_error + "'";
     }
@@ -123,9 +121,6 @@ std::string first_difference(const pn::petri_net& net, bool record_traces,
                    " vs oracle " +
                    qss::to_string(net, oracle->clusters, want.reduction.allocation);
         }
-        if (got.reduction.trace != want.reduction.trace) {
-            return where + "trace differs";
-        }
         if (got.analysis.failure != want.analysis.failure ||
             got.analysis.offending != want.analysis.offending ||
             got.analysis.invariants != want.analysis.invariants ||
@@ -147,13 +142,12 @@ std::string first_difference(const pn::petri_net& net, bool record_traces,
 
 /// Compares every net, failing with the net's name on a difference; returns
 /// how many nets the oracle could finish.
-std::size_t expect_oracle_agreement(const std::vector<pn::petri_net>& nets,
-                                    bool record_traces)
+std::size_t expect_oracle_agreement(const std::vector<pn::petri_net>& nets)
 {
     std::size_t compared_count = 0;
     for (const pn::petri_net& net : nets) {
         bool compared = false;
-        EXPECT_EQ(first_difference(net, record_traces, compared), "") << net.name();
+        EXPECT_EQ(first_difference(net, compared), "") << net.name();
         compared_count += compared ? 1 : 0;
     }
     return compared_count;
@@ -223,23 +217,22 @@ std::vector<pn::petri_net> property_nets()
 
 // ------------------------------------------------------ differential --
 
-TEST(qss_enumeration, paper_nets_match_the_oracle_with_traces)
+TEST(qss_enumeration, paper_nets_match_the_oracle)
 {
-    EXPECT_EQ(expect_oracle_agreement(paper_nets(), true), 8u);
-    EXPECT_EQ(expect_oracle_agreement(paper_nets(), false), 8u);
+    EXPECT_EQ(expect_oracle_agreement(paper_nets()), 8u);
 }
 
-TEST(qss_enumeration, atm_net_matches_the_oracle_with_traces)
+TEST(qss_enumeration, atm_net_matches_the_oracle)
 {
     const std::vector<pn::petri_net> atm{atm::build_atm_net()};
-    EXPECT_EQ(expect_oracle_agreement(atm, true), 1u);
+    EXPECT_EQ(expect_oracle_agreement(atm), 1u);
 }
 
 TEST(qss_enumeration, corpus_matches_the_oracle)
 {
     const std::vector<pn::petri_net> corpus = corpus_nets();
     ASSERT_GE(corpus.size(), 20u);
-    EXPECT_EQ(expect_oracle_agreement(corpus, true), corpus.size());
+    EXPECT_EQ(expect_oracle_agreement(corpus), corpus.size());
 }
 
 TEST(qss_enumeration, generator_families_match_the_oracle)
@@ -254,7 +247,7 @@ TEST(qss_enumeration, generator_families_match_the_oracle)
                 for (const int depth : {3, 4}) {
                     const std::vector<pn::petri_net> stream =
                         generated_nets(family, seed, token_load, depth, 12);
-                    compared += expect_oracle_agreement(stream, seed % 2 == 0);
+                    compared += expect_oracle_agreement(stream);
                     nets += stream.size();
                 }
             }
@@ -273,7 +266,7 @@ TEST(qss_enumeration, random_nets_match_the_oracle)
         options.choice_percent = 25 + static_cast<int>(seed % 4) * 10;
         nets.push_back(testutil::random_free_choice_net(seed * 7919 + 13, options));
     }
-    EXPECT_GE(expect_oracle_agreement(nets, false), 200u);
+    EXPECT_GE(expect_oracle_agreement(nets), 200u);
 }
 
 // --------------------------------------------------- pruning premises --
@@ -512,7 +505,7 @@ TEST(qss_enumeration, mutants_match_the_oracle_in_every_verdict_class)
     for (std::size_t i = 0; i < mutants.size(); ++i) {
         bool compared = false;
         qss::qss_result scheduled;
-        EXPECT_EQ(first_difference(mutants[i], false, compared, &scheduled), "")
+        EXPECT_EQ(first_difference(mutants[i], compared, &scheduled), "")
             << "mutant " << i << " of " << mutants[i].name();
         compared_count += compared ? 1 : 0;
         for (const qss::schedule_entry& entry : scheduled.entries) {

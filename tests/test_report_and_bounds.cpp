@@ -40,11 +40,11 @@ TEST(report, unschedulable_net_content)
 
 TEST(report, cycle_preview_limits_output)
 {
-    qss::report_options options;
-    options.cycle_preview = 2;
-    options.check_executability = false; // 120 cycles: keep the test quick
-    const std::string report = qss::synthesis_report(atm::build_atm_net(), options);
-    EXPECT_NE(report.find("120 finite complete cycles, showing 2"), std::string::npos);
+    // The ATM server's schedule has 120 cycles: the report lists 4 and
+    // runs the executability check over all of them.
+    const std::string report = qss::synthesis_report(atm::build_atm_net());
+    EXPECT_NE(report.find("120 finite complete cycles, showing 4"), std::string::npos);
+    EXPECT_NE(report.find("executability (footnote 2): ok"), std::string::npos);
 }
 
 TEST(structural_bounds, conservative_ring_bounded)
@@ -110,21 +110,6 @@ TEST(counter_annotations, peaks_emitted_into_c)
     }
     const std::string code = cgen::emit_c(program);
     EXPECT_NE(code.find("/* peak 2 under the schedule */"), std::string::npos);
-}
-
-TEST(counter_annotations, can_be_disabled)
-{
-    const pn::petri_net net = nets::figure_4();
-    const qss::qss_result result = qss::quasi_static_schedule(net);
-    const qss::task_partition partition = qss::partition_tasks(net, result);
-    cgen::codegen_options options;
-    options.annotate_counter_bounds = false;
-    const cgen::generated_program program =
-        cgen::generate_program(net, result, partition, options);
-    for (const cgen::counter_decl& counter : program.counters) {
-        EXPECT_EQ(counter.peak_bound, -1);
-    }
-    EXPECT_EQ(cgen::emit_c(program).find("peak"), std::string::npos);
 }
 
 TEST(atm_wrap_paths, restamp_wrap_branch)

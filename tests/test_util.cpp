@@ -232,7 +232,7 @@ enumerate_allocations(const std::vector<qss::choice_cluster>& clusters)
     }
 }
 
-qss::qss_result brute_force_schedule(const pn::petri_net& net, bool record_traces)
+qss::qss_result brute_force_schedule(const pn::petri_net& net)
 {
     qss::qss_result result;
     result.clusters = qss::choice_clusters(net);
@@ -240,8 +240,7 @@ qss::qss_result brute_force_schedule(const pn::petri_net& net, bool record_trace
         enumerate_allocations(result.clusters);
     result.allocations_enumerated = allocations.size();
     for (const qss::t_allocation& allocation : allocations) {
-        qss::t_reduction reduction =
-            qss::reduce(net, result.clusters, allocation, record_traces);
+        qss::t_reduction reduction = qss::reduce(net, result.clusters, allocation);
         const bool seen = std::any_of(
             result.entries.begin(), result.entries.end(),
             [&](const qss::schedule_entry& e) { return e.reduction.same_subnet(reduction); });

@@ -71,8 +71,7 @@ enumerate_allocations(const std::vector<qss::choice_cluster>& clusters);
 /// cap: reduces every allocation, keeps the first occurrence of each subnet
 /// (linear same_subnet scan), checks Def. 3.5 on each and assembles the
 /// verdict and diagnosis as the scheduler does.
-[[nodiscard]] qss::qss_result brute_force_schedule(const pn::petri_net& net,
-                                                   bool record_traces = false);
+[[nodiscard]] qss::qss_result brute_force_schedule(const pn::petri_net& net);
 
 } // namespace fcqss::testutil
 
