@@ -318,31 +318,22 @@ void report_spill()
     benchutil::row("spill identical @0.5", identical ? "1" : "0");
 }
 
-// Row labels of one reduction report block; the label strings are load-
-// bearing — CI gates and tools/bench_diff.py grep them verbatim.
-struct reduction_row_labels {
-    const char* rate_column;  ///< human-readable throughput column header
-    const char* states_label; ///< reduced-state-count row ("<family> " prefixed)
-    const char* ratio_label;  ///< ratio row; emitted only on complete reduced runs
-    const char* rate_label;   ///< reduced-throughput row
-    bool emit_full_states;    ///< emit the "<family> full states" rows too
-};
-
-// Shared body of the two reduction report blocks: full vs reduced state
-// counts and reduced-engine throughput under `reduction`, on >= 500-transition
-// credit-bounded nets.  The ratio is only emitted when the *reduced* run
-// completed: it then reads "the reduction covers the whole space in
-// 1/ratio of the states the full exploration burns before the budget" (a
-// lower bound whenever the full side truncates).  A reduced run that also
-// truncates would make the row a meaningless 1.00, so it is reported as
-// n/a instead — bench_diff tracks the ratio rows, and a degenerate value
-// would read as a real trajectory.
-void report_reduction_block(const char* heading, pn::reduction_kind reduction,
-                            const reduction_row_labels& labels)
+// Stubborn-set reduction rows: full vs deadlock-reduced state counts and
+// reduced-engine throughput on >= 500-transition credit-bounded nets.  The
+// row labels are load-bearing — CI gates on the choice-heavy "reduction
+// ratio" row staying >= 2x, and tools/bench_diff.py greps them verbatim.
+// The ratio is only emitted when the *reduced* run completed: it then reads
+// "the reduction covers the whole space in 1/ratio of the states the full
+// exploration burns before the budget" (a lower bound whenever the full
+// side truncates).  A reduced run that also truncates would make the row a
+// meaningless 1.00, so it is reported as n/a instead — bench_diff tracks
+// the ratio rows, and a degenerate value would read as a real trajectory.
+void report_stubborn_reduction()
 {
-    benchutil::heading(heading);
+    benchutil::heading("stubborn-set reduction (full vs deadlock-preserving "
+                       "reduced exploration)");
     std::printf("  %8s %8s %10s %10s %9s %12s\n", "family", "|T|", "full st",
-                "reduced st", "ratio", labels.rate_column);
+                "reduced st", "ratio", "red st/s");
     pn::reachability_options options{.max_markings = 60000,
                                      .max_tokens_per_place = 1 << 20};
     for (const pipeline::net_family family :
@@ -354,7 +345,7 @@ void report_reduction_block(const char* heading, pn::reduction_kind reduction,
         bool reduced_truncated = false;
         options.reduction = pn::reduction_kind::none;
         engine_states_per_second(net, options, 1, full_states);
-        options.reduction = reduction;
+        options.reduction = pn::reduction_kind::deadlock;
         const double reduced_rate = engine_states_per_second(
             net, options, 3, reduced_states, &reduced_truncated);
         const double ratio =
@@ -370,50 +361,14 @@ void report_reduction_block(const char* heading, pn::reduction_kind reduction,
                     pipeline::to_string(family), net.transition_count(), full_states,
                     reduced_states, ratio_text, reduced_rate);
         const std::string prefix = std::string(pipeline::to_string(family)) + " ";
-        if (labels.emit_full_states) {
-            benchutil::row(prefix + "full states", std::to_string(full_states));
-        }
-        benchutil::row(prefix + labels.states_label, std::to_string(reduced_states));
+        benchutil::row(prefix + "full states", std::to_string(full_states));
+        benchutil::row(prefix + "reduced states", std::to_string(reduced_states));
         if (!reduced_truncated) {
-            benchutil::row(prefix + labels.ratio_label, ratio_text);
+            benchutil::row(prefix + "reduction ratio", ratio_text);
         }
-        benchutil::row(prefix + labels.rate_label,
+        benchutil::row(prefix + "reduced states/s",
                        std::to_string(static_cast<long long>(reduced_rate)));
     }
-}
-
-// Stubborn-set reduction rows (PR 4's tentpole): CI gates on the
-// choice-heavy "reduction ratio" row staying >= 2x.
-void report_stubborn_reduction()
-{
-    report_reduction_block("stubborn-set reduction (full vs deadlock-preserving "
-                           "reduced exploration)",
-                           pn::reduction_kind::deadlock,
-                           {.rate_column = "red st/s",
-                            .states_label = "reduced states",
-                            .ratio_label = "reduction ratio",
-                            .rate_label = "reduced states/s",
-                            .emit_full_states = true});
-}
-
-// ltl_x rows: the liveness-preserving reduction — the ignoring fix-up on
-// top of the deadlock stubborn sets — against the full exploration, on
-// the same nets.  CI gates on the choice-heavy "ltlx ratio"
-// row staying >= 1.5x: the fix-up may only re-expand states in
-// cycle-capable SCCs, so on these (acyclic-state-graph) workloads it must
-// not give back the deadlock reduction's savings.  "live red st/s" is the
-// throughput of the exploration check_live now runs (reduction included),
-// tracked by bench_diff alongside the ratio.
-void report_ltlx_reduction()
-{
-    report_reduction_block("ltl_x stubborn reduction (liveness-preserving "
-                           "fragment vs full exploration)",
-                           pn::reduction_kind::ltl_x,
-                           {.rate_column = "live st/s",
-                            .states_label = "ltlx states",
-                            .ratio_label = "ltlx ratio",
-                            .rate_label = "live red st/s",
-                            .emit_full_states = false});
 }
 
 // Karp–Miller timing row: build_coverability_tree now reuses the engines'
@@ -480,18 +435,19 @@ void report_obs_overhead()
     benchutil::row("obs idle overhead pct", pct_text);
 }
 
-// Engine-internals rows from the obs counters: one ltl_x-reduced 4-thread
-// exploration of a choice-heavy net, then derived health metrics.  These
+// Engine-internals rows from the obs counters: one deadlock-reduced
+// 4-thread exploration of a choice-heavy net, then derived health metrics.  These
 // are informational for tools/bench_diff.py (--info-metric): probe rate can
 // legitimately move either way, so it must never trip --fail-below.
 void report_obs_counters()
 {
-    benchutil::heading("engine telemetry (obs counters, choice-heavy ltl_x run)");
+    benchutil::heading("engine telemetry (obs counters, choice-heavy deadlock-reduced "
+                       "run)");
     const pn::petri_net net = generated_net(pipeline::net_family::choice_heavy, 500, 1);
     pn::reachability_options options{.max_markings = 60000,
                                      .max_tokens_per_place = 1 << 20};
     options.threads = 4;
-    options.reduction = pn::reduction_kind::ltl_x;
+    options.reduction = pn::reduction_kind::deadlock;
     obs::reset();
     obs::set_stats_enabled(true);
     std::size_t states = 0;
@@ -561,7 +517,6 @@ void report()
     report_parallel_engine();
     report_spill();
     report_stubborn_reduction();
-    report_ltlx_reduction();
     report_coverability();
     report_obs_overhead();
     report_obs_counters();
@@ -641,19 +596,6 @@ void bm_explore_stubborn(benchmark::State& state)
     }
 }
 BENCHMARK(bm_explore_stubborn)->Arg(20000);
-
-void bm_explore_stubborn_ltlx(benchmark::State& state)
-{
-    const auto net = generated_net(pipeline::net_family::choice_heavy, 500, 2);
-    const pn::reachability_options options{
-        .max_markings = static_cast<std::size_t>(state.range(0)),
-        .max_tokens_per_place = 1 << 20,
-        .reduction = pn::reduction_kind::ltl_x};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pn::explore_state_space(net, options));
-    }
-}
-BENCHMARK(bm_explore_stubborn_ltlx)->Arg(20000);
 
 void bm_qss_vs_choices(benchmark::State& state)
 {

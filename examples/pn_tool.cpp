@@ -7,7 +7,7 @@
 //   pn_tool dot      model.pn      emit graphviz
 //   pn_tool explore  [--threads N] [--max-states S] [--max-tokens K]
 //                    [--max-bytes B[K|M|G]]
-//                    [--reduce none|stubborn|stubborn-ltlx]
+//                    [--reduce none|stubborn]
 //                    [--stats[=FILE]] [--trace=FILE]
 //                    model.pn      explicit state-space exploration on the
 //                                  engine (N != 1 runs the sharded parallel
@@ -17,9 +17,6 @@
 //                                  stubborn subset per state: deadlock
 //                                  verdicts are exact, state counts shrink,
 //                                  but the reachability set is partial.
-//                                  stubborn-ltlx (ltl_x) adds the
-//                                  no-ignoring fix-up, so transition
-//                                  liveness stays exact too.
 //                                  --max-bytes caps the resident marking-
 //                                  arena bytes: chunks spill to an mmap'd
 //                                  temp file and cold ones are evicted; the
@@ -46,8 +43,8 @@
 //                                  differential fuzzing: mutate generated
 //                                  nets (pn/mutator.hpp) and require
 //                                  agreeing verdicts across {sequential,
-//                                  parallel} x {none, deadlock, ltl_x} plus
-//                                  a clean synthesis verdict; disagreements
+//                                  parallel} x {none, deadlock} plus a
+//                                  clean synthesis verdict; disagreements
 //                                  are shrunk to minimal .pn reproducers in
 //                                  DIR (default fuzz-reproducers/), exit 1
 //   pn_tool serve    [--jobs N] [--queue N] [--cache N]
@@ -235,7 +232,6 @@ int cmd_dot(int argc, char** argv)
 constexpr cli::enum_choice<pn::reduction_kind> reduce_choices[] = {
     {"none", pn::reduction_kind::none},
     {"stubborn", pn::reduction_kind::deadlock},
-    {"stubborn-ltlx", pn::reduction_kind::ltl_x},
 };
 
 constexpr cli::enum_choice<pipeline::net_family> family_choices[] = {
@@ -290,10 +286,7 @@ int cmd_explore(int argc, char** argv)
     const pn::state_space space = pn::explore_space(net, options);
     std::printf("net '%s': explored %zu states, %zu edges%s%s\n", net.name().c_str(),
                 space.state_count(), space.edge_count(),
-                !reduced ? ""
-                : options.reduction == pn::reduction_kind::ltl_x
-                    ? " (stubborn reduction: liveness-preserving ltl_x fragment)"
-                    : " (stubborn reduction: deadlock-preserving fragment)",
+                reduced ? " (stubborn reduction: deadlock-preserving fragment)" : "",
                 space.truncated() ? " (truncated by budget)" : "");
     std::printf("  store: %.2f MiB arena+table\n",
                 static_cast<double>(space.store().memory_bytes()) / (1024.0 * 1024.0));
@@ -598,7 +591,7 @@ constexpr cli::command commands[] = {
     {"dot", "model.pn", cmd_dot},
     {"explore",
      "[--threads N] [--max-states S] [--max-tokens K] [--max-bytes B]\n"
-     "                  [--reduce none|stubborn|stubborn-ltlx]\n"
+     "                  [--reduce none|stubborn]\n"
      "                  [--stats[=FILE]] [--trace=FILE] model.pn",
      cmd_explore},
     {"batch",

@@ -3,7 +3,7 @@
 // generator family, mutated by pn/mutator.hpp, driven through the full
 // verdict matrix
 //
-//   {sequential, parallel} x {none, deadlock, ltl_x} reduction
+//   {sequential, parallel} x {none, deadlock} reduction
 //
 // under tight exploration budgets, plus one synthesis-pipeline pass.  The
 // invariants checked per mutant:
@@ -15,7 +15,7 @@
 //   reduction soundness  a stubborn-reduced exploration never visits more
 //                        states than the full one (both untruncated), every
 //                        definite has-deadlock verdict agrees across all
-//                        six cells, and untruncated cells agree on the
+//                        four cells, and untruncated cells agree on the
 //                        exact set of reachable dead markings.
 //   rejection, not UB    the synthesis path (classify -> structural -> QSS
 //                        -> codegen) either succeeds or rejects with a
@@ -52,10 +52,10 @@ struct fuzz_options {
     std::vector<net_family> families{};
     /// Mutation-plan knob: mutations per mutant.
     pn::mutation_options mutation{};
-    /// Per-cell exploration budget.  Tight on purpose: mutants are routinely
-    /// unbounded, and truncation is part of the surface under test.
+    /// Per-cell state budget.  Tight on purpose: mutants are routinely
+    /// unbounded, and truncation is part of the surface under test.  The
+    /// per-place token cap is fixed at 64 (fuzz.cpp).
     std::size_t max_states = 4000;
-    std::int64_t max_tokens_per_place = 64;
     /// Resident marking-arena budget per cell (0 = unlimited, all in RAM).
     /// Non-zero routes every cell through the mmap spill path, so the fuzz
     /// matrix doubles as a differential test of the external-memory store.

@@ -802,12 +802,6 @@ state_space explore_parallel(const petri_net& net, const reachability_options& o
         }
     }
 
-    if (options.reduction == reduction_kind::ltl_x) {
-        // The base graph above is bit-identical to the sequential engine's,
-        // and the fix-up is a deterministic sequential pass over it, so the
-        // thread-count-independence guarantee carries through.
-        detail::enforce_nonignoring(net, *stubborn, result, options);
-    }
     flush_progress();
     detail::flush_store_obs(rstore);
     if (pager != nullptr) {

@@ -25,10 +25,7 @@ namespace fcqss::pn {
 /// single worker (the differential tests rely on exercising the same code
 /// path at every thread count).  Returns the same states, ids, edges and
 /// truncation verdict as explore_state_space() with the same budgets and
-/// reduction, at any thread count.  Under reduction_kind::ltl_x the
-/// ignoring fix-up then runs on the calling thread, as the same
-/// deterministic sequential post-pass the sequential engine runs
-/// (detail::enforce_nonignoring), so the guarantee covers it too.
+/// reduction, at any thread count.
 [[nodiscard]] state_space explore_parallel(const petri_net& net,
                                            const reachability_options& options = {});
 

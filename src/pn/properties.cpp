@@ -44,13 +44,11 @@ verdict check_deadlock_free(const petri_net& net, const reachability_options& op
 verdict check_live(const petri_net& net, const reachability_options& options)
 {
     // Liveness quantifies over every transition from every reachable
-    // marking, which deadlock stubborn sets do not preserve — but ltl_x ones
-    // do (the SCC-local non-ignoring proviso keeps fireability exact).  A
-    // caller-requested reduction is therefore upgraded, not forced off.
+    // marking, which no reduction here preserves (a stubborn-reduced graph
+    // can ignore an enabled transition forever), so a requested reduction
+    // is dropped; the budgets and thread count are kept.
     reachability_options opts = options;
-    if (opts.reduction != reduction_kind::none) {
-        opts.reduction = reduction_kind::ltl_x;
-    }
+    opts.reduction = reduction_kind::none;
     const state_space space = explore_space(net, opts);
     if (space.truncated()) {
         return verdict::unknown;

@@ -2,9 +2,9 @@
 // Behavioural property checks from Sec. 2: boundedness, safeness,
 // deadlock-freedom, liveness.  Boundedness and safeness are decided on the
 // coverability tree (Karp–Miller, exact); deadlock-freedom and liveness on
-// the explicit reachability graph (exact for bounded nets).  A stubborn
-// reduction in the options keeps both graph verdicts exact: deadlock-freedom
-// runs it as given, liveness upgrades it to ltl_x.
+// the explicit reachability graph (exact for bounded nets).  Deadlock-freedom
+// runs a requested stubborn reduction as given; check_live always explores
+// unreduced, since no reduction here preserves liveness.
 #ifndef FCQSS_PN_PROPERTIES_HPP
 #define FCQSS_PN_PROPERTIES_HPP
 

@@ -4,8 +4,6 @@
 #include <optional>
 
 #include "exec/chunk_pager.hpp"
-#include "graph/digraph.hpp"
-#include "graph/scc.hpp"
 #include "obs/obs.hpp"
 
 namespace fcqss::pn {
@@ -138,244 +136,6 @@ std::optional<stubborn_reduction> make_reduction(const petri_net& net,
         return std::nullopt;
     }
     return stubborn_reduction(net);
-}
-
-// The ltl_x ignoring fix-up.  The reduced graph built by D1/D2 sets
-// alone can starve a transition forever: a cycle of cheap closures keeps
-// expanding one process while another stays enabled and untouched, which
-// breaks liveness and fireability verdicts.  Ignoring can only happen along
-// an infinite path, and every infinite path of a finite graph is eventually
-// trapped in one cycle-capable SCC, so the SCC-local proviso below — every
-// transition enabled somewhere in such an SCC fires somewhere in it — is
-// exactly "no transition is ignored forever".  (Trivial SCCs without a
-// self-loop cannot trap a path and are exempt, which is what keeps the
-// reduction intact on acyclic regions.)  The pass works on mutable
-// per-state edge rows and rebuilds the CSR once at the end; it expands one
-// state per offending SCC per round and re-explores only the freshly
-// discovered states, never restarting from scratch.
-void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const reachability_options& options)
-{
-    obs::span pass_span("explore.nonignoring");
-    std::uint64_t obs_rounds = 0;
-    std::uint64_t obs_reexpansions = 0;
-    const std::size_t width = net.place_count();
-    const std::int64_t cap = options.max_tokens_per_place;
-    marking_store& store = space.store_;
-
-    // Mutable per-state edge rows, materialized lazily on the first
-    // offender; until then every read goes straight to the engine's CSR.
-    // The common case — an acyclic reduced graph, or one whose
-    // cycle-capable SCCs already fire everything — pays one Tarjan and no
-    // copy at all.  Once materialized, rows.size() is the number of
-    // *expanded* states; trailing freshly-interned states are pending.
-    std::vector<std::vector<state_space_edge>> rows;
-    bool materialized = false;
-    const auto successors_of =
-        [&](state_id s) -> std::span<const state_space_edge> {
-        if (materialized) {
-            return {rows[s].data(), rows[s].size()};
-        }
-        return space.successors(s);
-    };
-
-    // Enabled sets, computed lazily and cached — a state's tokens never
-    // change, and only cycle-capable SCC members and re-expanded states
-    // ever need theirs, so acyclic regions cost nothing here.
-    std::vector<std::vector<transition_id>> enabled_cache(space.state_count());
-    std::vector<std::uint8_t> enabled_known(space.state_count(), 0);
-    std::vector<std::int64_t> probe(width);
-    const auto enabled_of =
-        [&](state_id s) -> const std::vector<transition_id>& {
-        if (!enabled_known[s]) {
-            enabled_known[s] = 1;
-            store.load(s, probe.data());
-            for (transition_id t : net.transitions()) {
-                if (enabled_in(net, probe.data(), t)) {
-                    enabled_cache[s].push_back(t);
-                }
-            }
-        }
-        return enabled_cache[s];
-    };
-
-    std::vector<std::uint8_t> fully_expanded(space.state_count(), 0);
-
-    // Fires t from s, whose counts the caller has loaded into `tokens`,
-    // and interns the successor at once, appending the edge to rows[s].
-    // Callers fire in (state id, transition id) order, which fixes the ids
-    // of fresh states.  Budget-dropped successors (token cap, state budget)
-    // mark the space truncated, exactly like in-engine expansion.  The
-    // full-vector cap scan is equivalent to the engines' per-touched-place
-    // check (every interned parent except possibly the root already obeys
-    // the cap) and also covers the over-cap-root case.
-    std::vector<std::int64_t> tokens(width);
-    std::vector<std::int64_t> next(width);
-    const auto fire_and_intern = [&](state_id s, transition_id t) {
-        next = tokens;
-        for (const place_weight& in : net.inputs(t)) {
-            next[in.place.index()] -= in.weight;
-        }
-        for (const place_weight& out : net.outputs(t)) {
-            next[out.place.index()] += out.weight;
-        }
-        for (const std::int64_t count : next) {
-            if (count > cap) {
-                space.truncated_ = true;
-                return;
-            }
-        }
-        const state_id to =
-            store
-                .intern(next.data(), marking_store::hash_tokens(next.data(), width),
-                        options.max_markings)
-                .first;
-        if (to == invalid_state) {
-            space.truncated_ = true;
-            return;
-        }
-        rows[s].push_back({t, to});
-    };
-
-    // Expands every pending state (freshly interned, no row yet) with the
-    // normal per-state reduction, in id order; expansion may intern more,
-    // which the next pass of the loop picks up.
-    stubborn_workspace ws;
-    std::vector<transition_id> reduced;
-    const auto expand_tail = [&] {
-        while (rows.size() < store.size()) {
-            const std::size_t begin = rows.size();
-            const std::size_t end = store.size();
-            rows.resize(end);
-            enabled_cache.resize(end);
-            enabled_known.resize(end, 0);
-            fully_expanded.resize(end, 0);
-            for (state_id s = static_cast<state_id>(begin);
-                 s < static_cast<state_id>(end); ++s) {
-                const std::vector<transition_id>& enabled = enabled_of(s);
-                store.load(s, tokens.data());
-                reduction.reduce(tokens.data(), enabled, ws, reduced);
-                for (const transition_id t : reduced) {
-                    fire_and_intern(s, t);
-                }
-                fully_expanded[s] = reduced.size() == enabled.size() ? 1 : 0;
-            }
-        }
-    };
-
-    std::vector<std::uint8_t> fired(net.transition_count(), 0);
-    for (;;) {
-        ++obs_rounds;
-        const std::size_t states = materialized ? rows.size() : space.state_count();
-        graph::digraph state_graph(states);
-        for (state_id s = 0; s < static_cast<state_id>(states); ++s) {
-            for (const state_space_edge& edge : successors_of(s)) {
-                state_graph.add_edge(s, edge.to);
-            }
-        }
-        const graph::scc_result sccs =
-            graph::strongly_connected_components(state_graph);
-
-        std::vector<state_id> offenders;
-        for (std::size_t c = 0; c < sccs.component_count(); ++c) {
-            const std::vector<std::size_t>& members = sccs.members[c];
-            bool cyclic = members.size() > 1;
-            if (!cyclic) {
-                for (const state_space_edge& edge :
-                     successors_of(static_cast<state_id>(members.front()))) {
-                    cyclic |= static_cast<std::size_t>(edge.to) == members.front();
-                }
-            }
-            if (!cyclic) {
-                continue;
-            }
-            std::fill(fired.begin(), fired.end(), 0);
-            for (const std::size_t v : members) {
-                for (const state_space_edge& edge :
-                     successors_of(static_cast<state_id>(v))) {
-                    fired[edge.via.index()] = 1;
-                }
-            }
-            // The offender: the smallest-id member enabling an ignored
-            // transition that is not fully expanded yet.  When every such
-            // member is already fully expanded, the missing edges were
-            // budget-dropped — the space is truncated and the verdicts
-            // downstream are unknown anyway, so the SCC is left alone.
-            state_id pick = invalid_state;
-            for (const std::size_t v : members) {
-                if (fully_expanded[v]) {
-                    continue;
-                }
-                for (const transition_id t : enabled_of(static_cast<state_id>(v))) {
-                    if (!fired[t.index()]) {
-                        pick = static_cast<state_id>(v);
-                        break;
-                    }
-                }
-                if (pick != invalid_state) {
-                    break;
-                }
-            }
-            if (pick != invalid_state) {
-                offenders.push_back(pick);
-            }
-        }
-        if (offenders.empty()) {
-            break;
-        }
-        obs_reexpansions += offenders.size();
-        if (!materialized) {
-            rows.resize(space.state_count());
-            for (state_id s = 0; s < static_cast<state_id>(rows.size()); ++s) {
-                const std::span<const state_space_edge> edges = space.successors(s);
-                rows[s].assign(edges.begin(), edges.end());
-            }
-            materialized = true;
-        }
-        std::sort(offenders.begin(), offenders.end());
-        // Fire every offender's missing transitions (its enabled set is
-        // already cached — the pick above computed it), in (offender id,
-        // transition id) order.
-        for (const state_id s : offenders) {
-            fully_expanded[s] = 1;
-            store.load(s, tokens.data());
-            for (const transition_id t : enabled_cache[s]) {
-                bool present = false;
-                for (const state_space_edge& edge : rows[s]) {
-                    present |= edge.via == t;
-                }
-                if (!present) {
-                    fire_and_intern(s, t);
-                }
-            }
-            std::sort(rows[s].begin(), rows[s].end(),
-                      [](const state_space_edge& a, const state_space_edge& b) {
-                          return a.via < b.via;
-                      });
-        }
-        expand_tail();
-    }
-
-    if (obs::stats_enabled()) {
-        static obs::counter& rounds = obs::get_counter("pn.ltlx.rounds");
-        static obs::counter& reexpansions = obs::get_counter("pn.ltlx.reexpansions");
-        rounds.add(obs_rounds);
-        reexpansions.add(obs_reexpansions);
-    }
-    pass_span.arg("rounds", static_cast<std::int64_t>(obs_rounds));
-    pass_span.arg("reexpansions", static_cast<std::int64_t>(obs_reexpansions));
-
-    if (!materialized) {
-        return; // nothing was ever ignored: the engine's CSR stands as-is
-    }
-    // Rebuild the CSR from the final rows.
-    space.edges_.clear();
-    space.edge_offsets_.clear();
-    space.edge_offsets_.push_back(0);
-    for (const std::vector<state_space_edge>& row : rows) {
-        space.edges_.append(row.data(), row.size());
-        space.edge_offsets_.push_back(space.edges_.size());
-    }
 }
 
 } // namespace detail
@@ -533,10 +293,6 @@ state_space explore_state_space(const petri_net& net, const reachability_options
         if ((s & 0x1fff) == 0x1fff) {
             flush_progress();
         }
-    }
-    if (options.reduction == reduction_kind::ltl_x) {
-        flush_progress();
-        detail::enforce_nonignoring(net, *stubborn, result, options);
     }
     flush_progress();
     detail::flush_store_obs(result.store_);

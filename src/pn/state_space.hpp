@@ -57,12 +57,11 @@ struct reachability_options {
     /// value.
     std::size_t threads = 1;
     /// Per-state partial-order reduction (pn/stubborn.hpp).  `deadlock`
-    /// applies the stubborn D1/D2 rules only: has-deadlock and the set of
+    /// applies the stubborn D1/D2 rules: has-deadlock and the set of
     /// reachable dead markings match the full graph (exactly, when neither
-    /// run is truncated).  `ltl_x` adds the SCC-local "no transition ignored
-    /// forever" post-pass, so transition liveness is preserved too.  Nothing
-    /// over places is preserved — keep `none` for is_reachable /
-    /// shortest_path / place_bounds-style queries.
+    /// run is truncated).  Nothing else is preserved — neither transition
+    /// liveness nor anything over places — so keep `none` for check_live,
+    /// is_reachable, shortest_path and place_bounds-style queries.
     reduction_kind reduction = reduction_kind::none;
 };
 
@@ -91,25 +90,9 @@ void merge_enabled(const petri_net& net, std::span<const transition_id> parent_e
                    std::vector<transition_id>& out);
 
 /// The per-state stubborn reducer both engines apply for
-/// `options.reduction`, or nullopt under `none`.  `deadlock` and `ltl_x`
-/// share one reducer; only ltl_x runs enforce_nonignoring after it.
+/// `options.reduction`, or nullopt under `none`.
 [[nodiscard]] std::optional<stubborn_reduction>
 make_reduction(const petri_net& net, const reachability_options& options);
-
-/// The ltl_x "no transition ignored forever" post-pass shared by both
-/// engines: over the finished reduced graph, every SCC that can sustain a
-/// cycle (two or more states, or a self-loop) and ignores a transition —
-/// enabled at some member state but fired from none — gets its smallest
-/// such state fully expanded; freshly discovered states are then explored
-/// with the normal per-state reduction, and the check repeats until no SCC
-/// ignores anything.  Every successor is interned as soon as it is fired,
-/// in (state id, transition id) order, so the pass is deterministic in
-/// (net, reduction, space, options) alone and running it after either
-/// engine keeps the bit-identical-at-any-thread-count guarantee.  Budgets
-/// are respected exactly like in-engine expansion (dropped successors mark
-/// the space truncated).
-void enforce_nonignoring(const petri_net& net, const stubborn_reduction& reduction,
-                         state_space& space, const reachability_options& options);
 
 /// Adds dedup-work tallies (probes, dedup hits, inserts, budget rejects,
 /// table resizes, widenings) and `bytes` of footprint to the global
@@ -176,10 +159,6 @@ public:
 private:
     friend state_space explore_state_space(const petri_net& net,
                                            const reachability_options& options);
-    friend void detail::enforce_nonignoring(const petri_net& net,
-                                            const stubborn_reduction& reduction,
-                                            state_space& space,
-                                            const reachability_options& options);
     friend struct detail::space_access;
 
     marking_store store_{0};

@@ -16,40 +16,20 @@
 // dead marking stays reachable in the reduced graph, so deadlock verdicts
 // (and the set of reachable dead markings) are preserved exactly.  That is
 // reduction_kind::deadlock — the full reachability *set* is NOT preserved,
-// and neither are liveness or other temporal properties.
+// and neither are liveness or other temporal properties: a cycle of cheap
+// closures can keep expanding one process while another stays enabled and
+// is never fired (the "ignoring" problem), so pn::check_live always
+// explores unreduced.
 //
-// reduction_kind::ltl_x expands the same per-state sets and relies on two
-// more conditions, so transition liveness stays exact too:
-//
-//   (key)  every stubborn set is built by D2-closing an *enabled* seed, so
-//          every enabled member is a key transition: the transitions that
-//          could consume from its input places are all inside S, hence no
-//          firing sequence outside S can ever disable it.  This holds by
-//          construction under both reductions (reduce() guarantees it).
-//   (no ignoring)  in every cycle-capable SCC of the reduced graph, every
-//          transition enabled somewhere in the SCC fires *from* some state
-//          of the SCC (Varpaaniemi's "t occurs in C"; the successor may
-//          leave the SCC — every member still reaches the firing state
-//          inside C, which is exactly what fireability preservation
-//          needs).  This is not a per-state rule: the engines enforce it
-//          with a deterministic post-pass over the finished reduced graph
-//          (detail::enforce_nonignoring in pn/state_space.hpp) that fully
-//          expands one state per offending SCC and re-explores
-//          incrementally.  Note the condition is per-SCC, not per-path: it
-//          guarantees t stays *fireable* from every explored state, not
-//          that every infinite run eventually fires t.
-//
-// Neither reduction has a visibility condition, so neither preserves
-// anything over place counts (bounds, reachability of a marking).
-// Karp–Miller (pn/coverability.hpp) decides boundedness exactly.
+// The reduction has no visibility condition, so it preserves nothing over
+// place counts (bounds, reachability of a marking).  Karp–Miller
+// (pn/coverability.hpp) decides boundedness exactly.
 //
 // Both per-state rules are precomputed once per net from the incidence data
 // (the conflict relation is the same consumer index behind the engines'
 // incremental enabled sets); the per-state closure is a deterministic
 // function of the marking alone, which keeps the parallel engine's
-// bit-identical-at-any-thread-count guarantee intact — the ignoring
-// post-pass is sequential and runs on the (already identical) leveled
-// graph, so the guarantee survives ltl_x too.
+// bit-identical-at-any-thread-count guarantee intact.
 #ifndef FCQSS_PN_STUBBORN_HPP
 #define FCQSS_PN_STUBBORN_HPP
 
@@ -66,17 +46,10 @@ namespace fcqss::pn {
 enum class reduction_kind {
     /// Expand every enabled transition: the full state graph.
     none,
-    /// Stubborn sets under D1/D2 only.  Preserves has-deadlock and the set
-    /// of reachable dead markings; does NOT preserve the reachability set,
+    /// Stubborn sets under D1/D2.  Preserves has-deadlock and the set of
+    /// reachable dead markings; does NOT preserve the reachability set,
     /// liveness, or any other temporal property.
     deadlock,
-    /// The deadlock reducer plus the SCC-local "no transition ignored
-    /// forever" post-pass.  Additionally preserves transition liveness
-    /// (every transition's fireability from every explored state — what
-    /// check_live needs); nothing over places.  Full trace-level LTL-X model
-    /// checking would need visibility conditions and a stronger per-cycle
-    /// proviso than the per-SCC one enforced here.
-    ltl_x,
 };
 
 /// Per-thread scratch for stubborn_reduction::reduce(): flag arrays sized

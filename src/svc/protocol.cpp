@@ -194,11 +194,8 @@ void session::handle_explore(const json& request)
             explore.reduction = pn::reduction_kind::none;
         } else if (reduce->as_string() == "stubborn") {
             explore.reduction = pn::reduction_kind::deadlock;
-        } else if (reduce->as_string() == "stubborn-ltlx") {
-            explore.reduction = pn::reduction_kind::ltl_x;
         } else {
-            send_error("explore \"reduce\" must be \"none\", \"stubborn\" or "
-                       "\"stubborn-ltlx\"");
+            send_error("explore \"reduce\" must be \"none\" or \"stubborn\"");
             return;
         }
     }

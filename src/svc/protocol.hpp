@@ -24,7 +24,7 @@
 //   `explore` runs state-space exploration synchronously on the session
 //   thread and replies with one `explored` event.  The client may tighten
 //   `max_states` / `max_tokens` (clamped to the server's ceilings, never
-//   widened) and pick `reduce` (none|stubborn|stubborn-ltlx); thread count
+//   widened) and pick `reduce` (none|stubborn); thread count
 //   and the resident-memory budget (--max-bytes) are server policy and not
 //   negotiable over the wire.  Wire change: an `order` field is ignored
 //   like any unknown field (there is one exploration order), and

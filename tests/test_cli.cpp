@@ -1,7 +1,8 @@
-// apps/cli flag parsing: int_option and byte_option accept what they
-// document and exit 2 with their usual message on anything else —
+// apps/cli flag parsing: int_option, byte_option and enum_option accept
+// what they document and exit 2 with their usual message on anything else —
 // including numbers that parse but do not fit (strtol/strtoull ERANGE),
-// which would otherwise saturate into a silently unbounded budget.
+// which would otherwise saturate into a silently unbounded budget, and
+// enum spellings outside the flag's table, which list the accepted ones.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -47,6 +48,23 @@ unsigned long long parse_bytes(const char* value)
     return out;
 }
 
+enum class letter { a, b };
+
+constexpr enum_choice<letter> letter_choices[] = {
+    {"a", letter::a},
+    {"b", letter::b},
+};
+
+letter parse_letter(const char* value)
+{
+    args a("--x", value);
+    int i = 1;
+    letter out = letter::a;
+    EXPECT_TRUE(enum_option(a.argc(), a.argv.data(), i, "--x", letter_choices, out));
+    EXPECT_EQ(i, 2);
+    return out;
+}
+
 TEST(cli, int_option_parses_the_full_long_range)
 {
     EXPECT_EQ(parse_int("42"), 42);
@@ -61,6 +79,19 @@ TEST(cli, byte_option_parses_sizes_up_to_64_bits)
     EXPECT_EQ(parse_bytes("64MiB"), 64ULL << 20);
     EXPECT_EQ(parse_bytes("18446744073709551615"), ULLONG_MAX);
     EXPECT_EQ(parse_bytes("17179869183G"), 17179869183ULL << 30);
+}
+
+TEST(cli, enum_option_maps_each_spelling_and_skips_other_flags)
+{
+    EXPECT_EQ(parse_letter("a"), letter::a);
+    EXPECT_EQ(parse_letter("b"), letter::b);
+    args other("--y", "z");
+    int i = 1;
+    letter out = letter::b;
+    EXPECT_FALSE(enum_option(other.argc(), other.argv.data(), i, "--x", letter_choices,
+                             out));
+    EXPECT_EQ(i, 1);
+    EXPECT_EQ(out, letter::b);
 }
 
 TEST(cli_death, int_option_rejects_out_of_range_and_malformed_values)
@@ -83,6 +114,14 @@ TEST(cli_death, byte_option_rejects_out_of_range_and_malformed_values)
                 "--b needs a byte size");
     EXPECT_EXIT(parse_bytes("-1"), ::testing::ExitedWithCode(2), "--b needs a byte size");
     EXPECT_EXIT(parse_bytes("1T"), ::testing::ExitedWithCode(2), "--b needs a byte size");
+}
+
+TEST(cli_death, enum_option_rejects_unknown_spellings_and_lists_the_accepted_ones)
+{
+    EXPECT_EXIT(parse_letter("z"), ::testing::ExitedWithCode(2),
+                "unknown --x value 'z': accepted values are a, b");
+    EXPECT_EXIT(parse_letter("A"), ::testing::ExitedWithCode(2),
+                "unknown --x value 'A': accepted values are a, b");
 }
 
 TEST(cli_death, a_flag_without_its_value_exits_2)

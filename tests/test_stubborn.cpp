@@ -6,10 +6,13 @@
 // graph (strictly fewer on the choice-heavy family), and is bit-identical
 // across threads 1/2/4 — including under tight truncating budgets, where
 // the per-state-local reduction must keep the parallel engine's
-// determinism guarantee intact.  The file also carries the property test
-// for the incremental enabled-set machinery the reduction is built on:
-// after any random firing sequence, detail::merge_enabled over affected[t]
-// equals a from-scratch recomputation.  Runs under the TSan CI job.
+// determinism guarantee intact.  It pins what the reduction does NOT
+// preserve — on a cycle of choices it ignores enabled transitions forever,
+// so pn::check_live must explore unreduced whatever reduction is asked
+// for.  The file also carries the property test for the incremental
+// enabled-set machinery the reduction is built on: after any random firing
+// sequence, detail::merge_enabled over affected[t] equals a from-scratch
+// recomputation.  Runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "pn/builder.hpp"
 #include "pn/marking.hpp"
 #include "pn/parallel_explore.hpp"
+#include "pn/properties.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
 #include "pn/stubborn.hpp"
@@ -274,6 +278,77 @@ TEST(stubborn, explore_space_dispatch_carries_the_reduction)
     EXPECT_EQ(explore_space(net, options).state_count(), 3u);
     options.threads = 4;
     EXPECT_EQ(explore_space(net, options).state_count(), 3u);
+}
+
+// -- The ignoring problem ----------------------------------------------------
+
+/// A tight two-state cycle (a1/a2) next to a cycle of choices: from y1
+/// either branch b or branch c loops back.  The whole net is live, but a
+/// deadlock stubborn reduction forever prefers the conflict-free
+/// a-cycle — the singleton closure {a1} or {a2} always beats the choice
+/// cluster — so every b/c transition stays enabled and is never fired: the
+/// textbook ignoring problem.
+petri_net cycle_of_choices()
+{
+    net_builder b("cycle_of_choices");
+    const auto x1 = b.add_place("x1", 1);
+    const auto x2 = b.add_place("x2");
+    const auto y1 = b.add_place("y1", 1);
+    const auto y2 = b.add_place("y2");
+    const auto y3 = b.add_place("y3");
+    const auto a1 = b.add_transition("a1");
+    const auto a2 = b.add_transition("a2");
+    const auto b1 = b.add_transition("b1");
+    const auto b2 = b.add_transition("b2");
+    const auto c1 = b.add_transition("c1");
+    const auto c2 = b.add_transition("c2");
+    b.add_arc(x1, a1);
+    b.add_arc(a1, x2);
+    b.add_arc(x2, a2);
+    b.add_arc(a2, x1);
+    b.add_arc(y1, b1);
+    b.add_arc(b1, y2);
+    b.add_arc(y2, b2);
+    b.add_arc(b2, y1);
+    b.add_arc(y1, c1);
+    b.add_arc(c1, y3);
+    b.add_arc(y3, c2);
+    b.add_arc(c2, y1);
+    return std::move(b).build();
+}
+
+TEST(stubborn, deadlock_reduction_starves_the_choice_cycle)
+{
+    const petri_net net = cycle_of_choices();
+    const state_space full = explore_state_space(net, {});
+    ASSERT_FALSE(full.truncated());
+    EXPECT_EQ(full.state_count(), 6u);
+
+    // Deadlock reduction: the a-cycle is expanded alone forever.  The graph
+    // is deadlock-correct (no deadlock to find) but every b/c transition is
+    // ignored, so liveness cannot be read off it.
+    const state_space starved =
+        explore_state_space(net, {.reduction = reduction_kind::deadlock});
+    ASSERT_FALSE(starved.truncated());
+    EXPECT_EQ(starved.state_count(), 2u);
+    EXPECT_TRUE(deadlock_markings(net, starved).empty());
+    std::set<std::string> fired;
+    for (state_id s = 0; s < static_cast<state_id>(starved.state_count()); ++s) {
+        for (const state_space_edge& edge : starved.successors(s)) {
+            fired.insert(net.transition_name(edge.via));
+        }
+    }
+    EXPECT_EQ(fired, (std::set<std::string>{"a1", "a2"}))
+        << "only the a-cycle should ever fire under the deadlock reduction";
+
+    // check_live drops the requested reduction, so it decides on the full
+    // graph on either engine: the starved graph would read "not live".
+    for (const std::size_t threads : {1, 2, 4}) {
+        EXPECT_EQ(check_live(net, {.threads = threads,
+                                   .reduction = reduction_kind::deadlock}),
+                  verdict::yes)
+            << threads << " threads";
+    }
 }
 
 // -- The incremental enabled-set machinery itself ---------------------------

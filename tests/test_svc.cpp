@@ -415,10 +415,11 @@ TEST(session, explore_ignores_an_order_field)
 
 TEST(session, explore_reduce_spellings_pick_the_reduction)
 {
-    // Three toggles beside a four-place fuse (test_ltlx_stubborn pins the
-    // fix-up's work on it): 48 states and 184 edges in full; the deadlock
-    // reduction expands one toggle cycle (2 states, 2 edges); ltl_x
-    // re-expands down the fuse to all 48 states over 116 edges.
+    // Three toggles beside a four-place fuse: 48 states and 184 edges in
+    // full; the deadlock reduction expands one toggle cycle (2 states,
+    // 2 edges).  Any other spelling, including that of the deleted
+    // liveness-preserving mode, is an error event on a session that stays
+    // open (explore_net checks keep_open).
     session_harness h;
     const pn::petri_net net =
         testutil::counter_net("fuse_beside_toggles", 0, 0, 3, 4, 0, 1);
@@ -426,7 +427,7 @@ TEST(session, explore_reduce_spellings_pick_the_reduction)
         const char* reduce;
         double states;
         double edges;
-    } cases[] = {{"none", 48, 184}, {"stubborn", 2, 2}, {"stubborn-ltlx", 48, 116}};
+    } cases[] = {{"none", 48, 184}, {"stubborn", 2, 2}};
     for (const auto& c : cases) {
         const json reply = explore_net(h, net, {{"reduce", c.reduce}});
         ASSERT_EQ(reply.find("event")->as_string(), "explored") << c.reduce;
@@ -434,9 +435,14 @@ TEST(session, explore_reduce_spellings_pick_the_reduction)
         EXPECT_EQ(reply.find("edges")->as_number(), c.edges) << c.reduce;
         EXPECT_FALSE(reply.find("truncated")->as_bool(true)) << c.reduce;
     }
-    const json bogus = explore_net(h, net, {{"reduce", "bogus"}});
-    EXPECT_EQ(bogus.find("event")->as_string(), "error");
-    EXPECT_EQ(h.events("explored").size(), 3u);
+    for (const char* rejected : {"stubborn-ltlx", "bogus"}) {
+        const json reply = explore_net(h, net, {{"reduce", rejected}});
+        ASSERT_EQ(reply.find("event")->as_string(), "error") << rejected;
+        EXPECT_EQ(reply.find("message")->as_string(),
+                  "explore \"reduce\" must be \"none\" or \"stubborn\"")
+            << rejected;
+    }
+    EXPECT_EQ(h.events("explored").size(), 2u);
 }
 
 TEST(serve_stdio, answers_a_jsonl_batch_and_drains_cleanly)

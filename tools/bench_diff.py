@@ -74,13 +74,11 @@ def main() -> int:
         "--metric",
         default=(
             r"(states/s|nets/s|nodes/s|st/s|requests/s|mutants/s|nets/second"
-            r"|/second|speedup|throughput|reduction ratio|ltlx ratio"
-            r"|spill identical)"
+            r"|/second|speedup|throughput|reduction ratio|spill identical)"
         ),
         help="regex selecting the labels to track (default: throughput-ish rows "
         "— which includes the external-memory 'spill states/s @…' series — "
-        "the stubborn-reduction and ltl_x ratios, and the spill bit-identity "
-        "row)",
+        "the stubborn-reduction ratios, and the spill bit-identity row)",
     )
     parser.add_argument(
         "--info-metric",
