@@ -116,61 +116,18 @@ pn::petri_net generated_net(pipeline::net_family family, std::size_t min_transit
     }
 }
 
-// Best-of-`runs` wall-clock states/second of one exploration function.
-template <typename Explore>
-double states_per_second(const pn::petri_net& net,
-                         const pn::reachability_options& options, Explore&& explore_fn,
-                         int runs, std::size_t& states_out)
+// Wall-clock states/second of one pn::explore_reference run.
+double reference_states_per_second(const pn::petri_net& net,
+                                   const pn::reachability_options& options,
+                                   std::size_t& states_out)
 {
-    double best_seconds = 0.0;
-    for (int run = 0; run < runs; ++run) {
-        const auto start = std::chrono::steady_clock::now();
-        const pn::reachability_graph graph = explore_fn(net, options);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        states_out = graph.size();
-        benchmark::DoNotOptimize(graph);
-        if (run == 0 || elapsed.count() < best_seconds) {
-            best_seconds = elapsed.count();
-        }
-    }
-    return static_cast<double>(states_out) / best_seconds;
-}
-
-// Before/after rows for the arena-interned state-space engine (this PR's
-// tentpole): explore() now runs on pn/state_space.hpp, explore_reference()
-// is the pre-refactor naive BFS kept for exactly this comparison.
-void report_state_space_engine()
-{
-    benchutil::heading("state-space engine states/second (arena vs naive reference)");
-    std::printf("  %8s %8s %8s %12s %12s %9s\n", "family", "|T|", "states", "ref st/s",
-                "arena st/s", "speedup");
-    const pn::reachability_options options{.max_markings = 4000,
-                                           .max_tokens_per_place = 1 << 20};
-    for (const pipeline::net_family family :
-         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
-          pipeline::net_family::marked_graph}) {
-        const pn::petri_net net = generated_net(family, 500);
-        std::size_t states = 0;
-        // One reference run (it is the slow side by orders of magnitude),
-        // best-of-three for the arena engine.
-        const double reference =
-            states_per_second(net, options, pn::explore_reference, 1, states);
-        const double arena = states_per_second(net, options, pn::explore, 3, states);
-        std::printf("  %8s %8zu %8zu %12.0f %12.0f %8.1fx\n",
-                    pipeline::to_string(family), net.transition_count(), states,
-                    reference, arena, arena / reference);
-        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
-        benchutil::row(prefix + "transitions", std::to_string(net.transition_count()));
-        benchutil::row(prefix + "states explored", std::to_string(states));
-        benchutil::row(prefix + "reference states/s",
-                       std::to_string(static_cast<long long>(reference)));
-        benchutil::row(prefix + "arena states/s",
-                       std::to_string(static_cast<long long>(arena)));
-        char speedup[32];
-        std::snprintf(speedup, sizeof speedup, "%.2f", arena / reference);
-        benchutil::row(prefix + "speedup", speedup);
-    }
+    const auto start = std::chrono::steady_clock::now();
+    const pn::reachability_graph graph = pn::explore_reference(net, options);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    states_out = graph.size();
+    benchmark::DoNotOptimize(graph);
+    return static_cast<double>(states_out) / elapsed.count();
 }
 
 // Best-of-`runs` wall-clock states/second of the engine itself (compact
@@ -197,6 +154,41 @@ double engine_states_per_second(const pn::petri_net& net,
         }
     }
     return static_cast<double>(states_out) / best_seconds;
+}
+
+// The arena-interned engine (pn::explore_space, compact result) against
+// pn::explore_reference, the naive BFS that builds a graph of marking
+// objects and is kept for exactly this comparison.
+void report_state_space_engine()
+{
+    benchutil::heading("state-space engine states/second (arena vs naive reference)");
+    std::printf("  %8s %8s %8s %12s %12s %9s\n", "family", "|T|", "states", "ref st/s",
+                "arena st/s", "speedup");
+    const pn::reachability_options options{.max_markings = 4000,
+                                           .max_tokens_per_place = 1 << 20};
+    for (const pipeline::net_family family :
+         {pipeline::net_family::free_choice, pipeline::net_family::choice_heavy,
+          pipeline::net_family::marked_graph}) {
+        const pn::petri_net net = generated_net(family, 500);
+        std::size_t states = 0;
+        // One reference run (it is the slow side by orders of magnitude),
+        // best-of-three for the arena engine.
+        const double reference = reference_states_per_second(net, options, states);
+        const double arena = engine_states_per_second(net, options, 3, states);
+        std::printf("  %8s %8zu %8zu %12.0f %12.0f %8.1fx\n",
+                    pipeline::to_string(family), net.transition_count(), states,
+                    reference, arena, arena / reference);
+        const std::string prefix = std::string(pipeline::to_string(family)) + " ";
+        benchutil::row(prefix + "transitions", std::to_string(net.transition_count()));
+        benchutil::row(prefix + "states explored", std::to_string(states));
+        benchutil::row(prefix + "reference states/s",
+                       std::to_string(static_cast<long long>(reference)));
+        benchutil::row(prefix + "arena states/s",
+                       std::to_string(static_cast<long long>(arena)));
+        char speedup[32];
+        std::snprintf(speedup, sizeof speedup, "%.2f", arena / reference);
+        benchutil::row(prefix + "speedup", speedup);
+    }
 }
 
 // Thread-scaling rows for the sharded parallel engine (PR 3 tentpole): the
@@ -552,7 +544,7 @@ void bm_explore_arena(benchmark::State& state)
                                                static_cast<std::size_t>(state.range(0)),
                                            .max_tokens_per_place = 1 << 20};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(pn::explore(net, options));
+        benchmark::DoNotOptimize(pn::explore_space(net, options));
     }
 }
 BENCHMARK(bm_explore_arena)->Arg(1000)->Arg(4000);

@@ -300,7 +300,7 @@ int cmd_explore(int argc, char** argv)
     const auto dead = pn::find_deadlock(net, space);
     if (dead) {
         std::printf("  deadlock: state %u reachable via %zu firings\n", *dead,
-                    pn::shortest_path_to(net, space, space.marking_of(*dead))
+                    pn::shortest_path_to(space, space.marking_of(*dead))
                         .value_or(pn::firing_sequence{})
                         .size());
     } else {

@@ -1,7 +1,6 @@
 // fcqss — linalg/rational.hpp
 // Exact rational numbers over checked 64-bit integers, always kept in lowest
-// terms with a positive denominator.  Used by the SDF balance equations and
-// by Gaussian elimination over the incidence matrix.
+// terms with a positive denominator.  Used by the SDF balance equations.
 #ifndef FCQSS_LINALG_RATIONAL_HPP
 #define FCQSS_LINALG_RATIONAL_HPP
 

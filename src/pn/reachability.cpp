@@ -14,25 +14,6 @@ state_space explore_space(const petri_net& net, const reachability_options& opti
                                 : explore_parallel(net, options);
 }
 
-reachability_graph explore(const petri_net& net, const reachability_options& options)
-{
-    const state_space space = explore_space(net, options);
-
-    reachability_graph graph;
-    graph.truncated = space.truncated();
-    graph.nodes.reserve(space.state_count());
-    for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        reachability_node node{space.marking_of(s), {}};
-        const std::span<const state_space_edge> edges = space.successors(s);
-        node.successors.reserve(edges.size());
-        for (const state_space_edge& edge : edges) {
-            node.successors.emplace_back(edge.via, static_cast<std::size_t>(edge.to));
-        }
-        graph.nodes.push_back(std::move(node));
-    }
-    return graph;
-}
-
 reachability_graph explore_reference(const petri_net& net,
                                      const reachability_options& options)
 {
@@ -105,11 +86,9 @@ bool is_reachable(const reachability_graph& graph, const marking& target)
     return false;
 }
 
-std::optional<firing_sequence> shortest_path_to(const petri_net& net,
-                                                const reachability_graph& graph,
+std::optional<firing_sequence> shortest_path_to(const reachability_graph& graph,
                                                 const marking& target)
 {
-    (void)net;
     if (graph.nodes.empty()) {
         return std::nullopt;
     }
@@ -219,11 +198,9 @@ bool is_reachable(const state_space& space, const marking& target)
            invalid_state;
 }
 
-std::optional<firing_sequence> shortest_path_to(const petri_net& net,
-                                                const state_space& space,
+std::optional<firing_sequence> shortest_path_to(const state_space& space,
                                                 const marking& target)
 {
-    static_cast<void>(net);
     const std::vector<std::int64_t>& tokens = target.vector();
     if (space.state_count() == 0 || tokens.size() != space.store().width()) {
         return std::nullopt;

@@ -1,8 +1,10 @@
 // fcqss — pn/reachability.hpp
-// Explicit-state reachability graph with an exploration budget.  Used for
-// deadlock checks, liveness of bounded nets and for cross-validating the
-// structural analyses in tests.  Every entry point takes the one option
-// struct, reachability_options (pn/state_space.hpp).
+// Explicit-state exploration with a budget, and the queries over its
+// result.  explore_space() runs the engine and returns the compact
+// state_space; explore_reference() is the naive BFS that builds a
+// reachability_graph of marking objects, kept as the reference the engine
+// is compared against.  Every entry point takes the one option struct,
+// reachability_options (pn/state_space.hpp).
 #ifndef FCQSS_PN_REACHABILITY_HPP
 #define FCQSS_PN_REACHABILITY_HPP
 
@@ -36,24 +38,17 @@ struct reachability_graph {
     [[nodiscard]] std::size_t size() const noexcept { return nodes.size(); }
 };
 
-/// Breadth-first exploration from the net's initial marking.  Runs on the
-/// arena-interned state-space engine (pn/state_space.hpp) — sequential or
-/// sharded parallel per options.threads; the graph is materialized from the
-/// engine's compact representation at the end.
-[[nodiscard]] reachability_graph explore(const petri_net& net,
-                                         const reachability_options& options = {});
-
-/// The engine exploration behind explore(): dispatches on options.threads
-/// between explore_state_space() and explore_parallel() and returns the
-/// compact form directly.  Prefer this + the compact-form queries below over
-/// explore() when the marking-object graph is not needed — it avoids the
-/// O(states x places) materialization copy entirely.
+/// Breadth-first exploration from the net's initial marking on the
+/// arena-interned engine: dispatches on options.threads between
+/// explore_state_space() and explore_parallel() and returns the compact
+/// form, which the queries below answer from without building marking
+/// objects.
 [[nodiscard]] state_space explore_space(const petri_net& net,
                                         const reachability_options& options = {});
 
 /// The pre-engine exploration: a naive BFS deduplicating through an
 /// unordered_map of marking objects.  Visits exactly the same states and
-/// edges as explore(), in the same order — kept as the reference for
+/// edges as explore_space(), in the same order — kept as the reference for
 /// differential tests and for before/after rows in bench_scaling.
 [[nodiscard]] reachability_graph
 explore_reference(const petri_net& net, const reachability_options& options = {});
@@ -69,8 +64,7 @@ explore_reference(const petri_net& net, const reachability_options& options = {}
 /// A shortest firing sequence from the initial marking to `target`, or
 /// nullopt when not present in the explored region.
 [[nodiscard]] std::optional<firing_sequence>
-shortest_path_to(const petri_net& net, const reachability_graph& graph,
-                 const marking& target);
+shortest_path_to(const reachability_graph& graph, const marking& target);
 
 /// Max token count per place over the explored region (bounds witness).
 [[nodiscard]] std::vector<std::int64_t> place_bounds(const reachability_graph& graph);
@@ -106,7 +100,7 @@ shortest_path_to(const petri_net& net, const reachability_graph& graph,
 /// nullopt when not present in the explored region.  The target is located
 /// with one hash lookup; the BFS runs over the CSR edge list.
 [[nodiscard]] std::optional<firing_sequence>
-shortest_path_to(const petri_net& net, const state_space& space, const marking& target);
+shortest_path_to(const state_space& space, const marking& target);
 
 /// Max token count per place over the explored region (bounds witness).
 [[nodiscard]] std::vector<std::int64_t> place_bounds(const state_space& space);

@@ -49,8 +49,8 @@ struct reachability_options {
     /// evicting cold chunks past the budget.  The explored graph is
     /// bit-identical either way — only residency changes.
     std::size_t max_bytes = 0;
-    /// Worker threads.  explore_space() and explore() run the sequential
-    /// engine at 1 and the sharded parallel engine otherwise;
+    /// Worker threads.  explore_space() runs the sequential engine at 1
+    /// and the sharded parallel engine otherwise;
     /// explore_parallel() takes the value literally (0 = hardware
     /// concurrency, 1 = the sharded engine on one worker);
     /// explore_state_space() ignores it.  Results are bit-identical at any
@@ -60,8 +60,8 @@ struct reachability_options {
     /// applies the stubborn D1/D2 rules: has-deadlock and the set of
     /// reachable dead markings match the full graph (exactly, when neither
     /// run is truncated).  Nothing else is preserved — neither transition
-    /// liveness nor anything over places — so keep `none` for check_live,
-    /// is_reachable, shortest_path and place_bounds-style queries.
+    /// liveness nor anything over places — so keep `none` for is_reachable,
+    /// shortest_path_to and place_bounds.
     reduction_kind reduction = reduction_kind::none;
 };
 

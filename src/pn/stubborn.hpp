@@ -18,8 +18,8 @@
 // reduction_kind::deadlock — the full reachability *set* is NOT preserved,
 // and neither are liveness or other temporal properties: a cycle of cheap
 // closures can keep expanding one process while another stays enabled and
-// is never fired (the "ignoring" problem), so pn::check_live always
-// explores unreduced.
+// is never fired (the "ignoring" problem), so liveness can only be read
+// off an unreduced graph.
 //
 // The reduction has no visibility condition, so it preserves nothing over
 // place counts (bounds, reachability of a marking).  Karp–Miller

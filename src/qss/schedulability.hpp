@@ -122,14 +122,18 @@ struct net_analysis {
 /// no subnet is built and no Farkas enumeration runs.  This is the
 /// scheduler's path.
 ///
-/// The firing policy is deterministic and *choice-first*: among enabled
-/// transitions with remaining firings, an allocated conflict transition
-/// (keyed by its cluster's minimum transition id) fires before any
-/// non-conflict transition (keyed by its own id).  Resolving choices as
-/// early as possible makes cycles of different reductions agree on their
+/// The firing policy is deterministic and *choice-first*.  Among enabled
+/// transitions with remaining firings it fires, in three priority classes:
+/// first an allocated conflict transition (keyed by its cluster's minimum
+/// transition id), then a non-conflict internal transition (keyed by its
+/// own id), and a source transition last, so a new input is admitted only
+/// once the running reaction has quiesced.  Resolving choices as early as
+/// possible aims at cycles of different reductions that agree on their
 /// prefixes until a differently-allocated choice diverges — the property
-/// validity Definition 3.1 demands — and reproduces the paper's published
-/// sequences for Figs. 2, 4 and 5.
+/// validity Definition 3.1 demands, which the policy does not guarantee.
+/// It reproduces the paper's published sequences for Figs. 4 and 5; for
+/// Fig. 2 its cycle is t1 t1 t2 t1 t1 t2 t3, not the eager SDF order
+/// t1 t1 t1 t1 t2 t2 t3 the figure prints.
 [[nodiscard]] reduction_schedule schedule_reduction(const pn::petri_net& net,
                                                     const net_analysis& analysis,
                                                     const t_reduction& reduction);

@@ -1,7 +1,6 @@
 // Cross-analysis agreement properties: independent algorithms deciding the
 // same question must agree — Karp–Miller vs explicit reachability for
-// boundedness, P-invariant structural bounds vs observed peaks, Commoner's
-// siphon condition vs behavioural liveness on free-choice nets, and QSS
+// boundedness, the engine's deadlock scan vs the reference graph's, and QSS
 // schedules staying bounded under their own cycles.  The QSS verdict has no
 // independent oracle yet: the brute-force allocation oracle in
 // test_qss_enumeration.cpp (testutil::brute_force_schedule) enumerates the
@@ -14,10 +13,7 @@
 #include "pn/builder.hpp"
 #include "pn/coverability.hpp"
 #include "pn/invariants.hpp"
-#include "pn/properties.hpp"
 #include "pn/reachability.hpp"
-#include "pn/siphons.hpp"
-#include "pn/structural_bounds.hpp"
 #include "qss/scheduler.hpp"
 #include "test_util.hpp"
 
@@ -55,11 +51,11 @@ TEST_P(ring_sizes, karp_miller_agrees_with_reachability)
     ASSERT_FALSE(tree.truncated);
     EXPECT_TRUE(pn::is_bounded(tree));
 
-    const pn::reachability_graph graph = pn::explore(net);
-    ASSERT_FALSE(graph.truncated);
+    const pn::state_space space = pn::explore_space(net);
+    ASSERT_FALSE(space.truncated());
 
     // The coverability tree's k-bound agrees with the explicit max.
-    const auto bounds = pn::place_bounds(graph);
+    const auto bounds = pn::place_bounds(space);
     std::int64_t max_tokens = 0;
     for (std::int64_t tks : bounds) {
         max_tokens = std::max(max_tokens, tks);
@@ -70,53 +66,9 @@ TEST_P(ring_sizes, karp_miller_agrees_with_reachability)
     }
 }
 
-TEST_P(ring_sizes, structural_bounds_hold_on_reachable_markings)
-{
-    const auto [stages, tokens] = GetParam();
-    const pn::petri_net net = token_ring(stages, tokens);
-    const auto structural = pn::structural_place_bounds(net);
-    EXPECT_TRUE(pn::is_structurally_bounded(net));
-
-    const pn::reachability_graph graph = pn::explore(net);
-    const auto observed = pn::place_bounds(graph);
-    for (std::size_t p = 0; p < observed.size(); ++p) {
-        ASSERT_TRUE(structural[p].has_value());
-        EXPECT_GE(*structural[p], observed[p]);
-        // For a simple ring the P-invariant bound is tight: the whole token
-        // mass can sit in any one place.
-        EXPECT_EQ(*structural[p], tokens);
-    }
-}
-
-TEST_P(ring_sizes, commoner_agrees_with_behavioural_liveness)
-{
-    const auto [stages, tokens] = GetParam();
-    const pn::petri_net net = token_ring(stages, tokens);
-    EXPECT_TRUE(pn::has_commoner_property(net));
-    EXPECT_EQ(pn::check_live(net), pn::verdict::yes);
-}
-
 INSTANTIATE_TEST_SUITE_P(rings, ring_sizes,
                          ::testing::Combine(::testing::Values(2, 3, 5),
                                             ::testing::Values(1, 2, 3)));
-
-TEST(agreement, unmarked_ring_fails_both_liveness_views)
-{
-    const pn::petri_net net = [] {
-        pn::net_builder b("dead_ring");
-        const auto p1 = b.add_place("p1");
-        const auto p2 = b.add_place("p2");
-        const auto a = b.add_transition("a");
-        const auto c = b.add_transition("c");
-        b.add_arc(p1, a);
-        b.add_arc(a, p2);
-        b.add_arc(p2, c);
-        b.add_arc(c, p1);
-        return std::move(b).build();
-    }();
-    EXPECT_FALSE(pn::has_commoner_property(net));
-    EXPECT_EQ(pn::check_live(net), pn::verdict::no);
-}
 
 TEST(agreement, source_nets_unbounded_but_qss_schedulable)
 {
@@ -126,7 +78,6 @@ TEST(agreement, source_nets_unbounded_but_qss_schedulable)
     for (const pn::petri_net& net :
          {nets::figure_3a(), nets::figure_4(), nets::figure_5()}) {
         EXPECT_FALSE(pn::is_bounded(pn::build_coverability_tree(net))) << net.name();
-        EXPECT_FALSE(pn::is_structurally_bounded(net)) << net.name();
         EXPECT_TRUE(qss::quasi_static_schedule(net).schedulable) << net.name();
     }
 }
@@ -167,9 +118,8 @@ TEST(agreement, qss_schedulable_nets_bounded_under_their_schedules)
 TEST(agreement, deadlock_freedom_matches_enabledness_scan)
 {
     const pn::petri_net net = token_ring(3, 1);
-    const pn::reachability_graph graph = pn::explore(net);
-    EXPECT_EQ(pn::find_deadlock(net, graph), std::nullopt);
-    EXPECT_EQ(pn::check_deadlock_free(net), pn::verdict::yes);
+    EXPECT_EQ(pn::find_deadlock(net, pn::explore_space(net)), std::nullopt);
+    EXPECT_EQ(pn::find_deadlock(net, pn::explore_reference(net)), std::nullopt);
 }
 
 } // namespace

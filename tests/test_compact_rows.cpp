@@ -296,25 +296,6 @@ void expect_identical_spaces(const state_space& expected, const state_space& act
     }
 }
 
-/// The compact space against the naive map-based BFS.
-void expect_matches_reference(const state_space& space,
-                              const reachability_graph& reference,
-                              const std::string& where)
-{
-    ASSERT_EQ(space.state_count(), reference.size()) << where;
-    EXPECT_EQ(space.truncated(), reference.truncated) << where;
-    for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        const reachability_node& node = reference.nodes[s];
-        ASSERT_EQ(space.tokens(s), node.state.vector()) << where << ", state " << s;
-        const auto edges = space.successors(s);
-        ASSERT_EQ(edges.size(), node.successors.size()) << where << ", state " << s;
-        for (std::size_t e = 0; e < edges.size(); ++e) {
-            ASSERT_EQ(edges[e].via, node.successors[e].first);
-            ASSERT_EQ(edges[e].to, node.successors[e].second);
-        }
-    }
-}
-
 /// Explores with obs on and returns (space, pn.store.widenings,
 /// pn.store.chunks, gauge).
 struct observed_run {
@@ -346,7 +327,8 @@ TEST(compact_engines, widening_runs_match_the_reference_and_the_sequential_engin
             c.net, {.max_markings = all_states, .max_tokens_per_place = c.cap});
         const observed_run seq =
             observe([&] { return explore_state_space(c.net, c.seq(all_states)); });
-        expect_matches_reference(seq.space, reference, c.name);
+        EXPECT_EQ(testutil::difference_from_reference(seq.space, reference), "")
+            << c.name;
         EXPECT_EQ(seq.space.store().count_bytes(), c.final_bytes) << c.name;
         EXPECT_EQ(seq.widenings, c.seq_widenings) << c.name;
         EXPECT_EQ(seq.count_bytes, c.final_bytes) << c.name;
@@ -411,7 +393,7 @@ TEST(compact_engines, budget_binding_at_the_widening_level_keeps_the_prefix)
                 c.net, {.max_markings = max_states, .max_tokens_per_place = c.cap});
             const state_space seq = explore_state_space(c.net, c.seq(max_states));
             const std::string where = c.name + (" max " + std::to_string(max_states));
-            expect_matches_reference(seq, reference, where);
+            EXPECT_EQ(testutil::difference_from_reference(seq, reference), "") << where;
             for (const std::size_t threads : thread_counts) {
                 expect_identical_spaces(
                     seq, explore_parallel(c.net, c.par(threads, max_states)),

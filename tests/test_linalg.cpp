@@ -1,5 +1,5 @@
 // Unit tests for the exact-arithmetic layer: checked integers, rationals,
-// integer matrices, Gaussian elimination and the Farkas semiflow engine.
+// integer matrices and the Farkas semiflow engine.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,7 +7,6 @@
 #include "base/error.hpp"
 #include "linalg/checked.hpp"
 #include "linalg/farkas.hpp"
-#include "linalg/gauss.hpp"
 #include "linalg/int_matrix.hpp"
 #include "linalg/rational.hpp"
 
@@ -129,68 +128,6 @@ TEST(int_matrix, accessors_and_multiply)
     EXPECT_EQ(t.rows(), 3u);
     EXPECT_EQ(t.cols(), 2u);
     EXPECT_EQ(t.at(2, 0), -2);
-}
-
-TEST(gauss, rank)
-{
-    int_matrix m(3, 3);
-    m.at(0, 0) = 1;
-    m.at(1, 1) = 2;
-    m.at(2, 2) = 3;
-    EXPECT_EQ(rank(m), 3u);
-
-    int_matrix singular(2, 2);
-    singular.at(0, 0) = 1;
-    singular.at(0, 1) = 2;
-    singular.at(1, 0) = 2;
-    singular.at(1, 1) = 4;
-    EXPECT_EQ(rank(singular), 1u);
-    EXPECT_EQ(rank(int_matrix(0, 0)), 0u);
-}
-
-TEST(gauss, null_space)
-{
-    // x - y = 0 and y - z = 0  =>  null space spanned by (1,1,1).
-    int_matrix m(2, 3);
-    m.at(0, 0) = 1;
-    m.at(0, 1) = -1;
-    m.at(1, 1) = 1;
-    m.at(1, 2) = -1;
-    const auto basis = null_space_basis(m);
-    ASSERT_EQ(basis.size(), 1u);
-    EXPECT_EQ(basis.front(), (int_vector{1, 1, 1}));
-}
-
-TEST(gauss, null_space_scales_to_integers)
-{
-    // 2x - 3y = 0 => basis vector (3, 2), not (3/2, 1).
-    int_matrix m(1, 2);
-    m.at(0, 0) = 2;
-    m.at(0, 1) = -3;
-    const auto basis = null_space_basis(m);
-    ASSERT_EQ(basis.size(), 1u);
-    EXPECT_EQ(basis.front(), (int_vector{3, 2}));
-}
-
-TEST(gauss, solve)
-{
-    int_matrix m(2, 2);
-    m.at(0, 0) = 2;
-    m.at(0, 1) = 1;
-    m.at(1, 0) = 1;
-    m.at(1, 1) = -1;
-    const auto x = solve(m, int_vector{5, 1});
-    ASSERT_TRUE(x.has_value());
-    EXPECT_EQ((*x)[0], rational(2));
-    EXPECT_EQ((*x)[1], rational(1));
-}
-
-TEST(gauss, solve_inconsistent)
-{
-    int_matrix m(2, 1);
-    m.at(0, 0) = 1;
-    m.at(1, 0) = 1;
-    EXPECT_EQ(solve(m, int_vector{1, 2}), std::nullopt);
 }
 
 TEST(farkas, chain_semiflow)

@@ -1,12 +1,9 @@
-// Tests for SDF looped-schedule compression / single-appearance schedules
-// and the free-choice Rank Theorem module.
+// Tests for SDF looped-schedule compression and single-appearance
+// schedules.
 #include <gtest/gtest.h>
 
 #include "base/error.hpp"
 #include "nets/paper_nets.hpp"
-#include "pn/builder.hpp"
-#include "pn/properties.hpp"
-#include "pn/rank_theorem.hpp"
 #include "sdf/buffer_bounds.hpp"
 #include "sdf/looped_schedule.hpp"
 #include "sdf/sdf_graph.hpp"
@@ -124,87 +121,6 @@ TEST(looped, admissibility_rejects_underflow)
     wrong.nodes.push_back(node);
     EXPECT_FALSE(sdf::is_admissible(graph, wrong));
     EXPECT_THROW((void)sdf::looped_buffer_bounds(graph, wrong), domain_error);
-}
-
-TEST(rank, clusters_of_figure_3a)
-{
-    const pn::petri_net net = nets::figure_3a();
-    const auto clusters = pn::clusters_of(net);
-    // {p1,t2,t3}, {p2,t4}, {p3,t5}, {t1 alone} = 4 clusters.
-    EXPECT_EQ(clusters.size(), 4u);
-    std::size_t places = 0;
-    std::size_t transitions = 0;
-    for (const pn::cluster& c : clusters) {
-        places += c.places.size();
-        transitions += c.transitions.size();
-    }
-    EXPECT_EQ(places, net.place_count());
-    EXPECT_EQ(transitions, net.transition_count());
-}
-
-TEST(rank, well_formed_live_ring)
-{
-    // Strongly connected free-choice ring with a choice and re-convergence:
-    // live and bounded when marked, so all three conditions hold.
-    pn::net_builder b("wf");
-    const auto p1 = b.add_place("p1", 1);
-    const auto p2 = b.add_place("p2");
-    const auto split = b.add_transition("split");
-    const auto left = b.add_transition("left");
-    const auto right = b.add_transition("right");
-    b.add_arc(p1, split);
-    b.add_arc(split, p2);
-    b.add_arc(p2, left);
-    b.add_arc(p2, right);
-    b.add_arc(left, p1);
-    b.add_arc(right, p1);
-    const pn::petri_net net = std::move(b).build();
-
-    const pn::rank_check check = pn::check_rank_theorem(net);
-    EXPECT_TRUE(check.has_positive_t_invariant);
-    EXPECT_TRUE(check.has_positive_p_invariant);
-    EXPECT_EQ(check.cluster_count, 2u); // {p1,split} and {p2,left,right}
-    EXPECT_EQ(check.rank, check.cluster_count - 1);
-    EXPECT_TRUE(check.well_formed());
-    // Behavioural cross-check: the marked net is indeed live and safe.
-    EXPECT_EQ(pn::check_live(net), pn::verdict::yes);
-    EXPECT_EQ(pn::check_safe(net), pn::verdict::yes);
-}
-
-TEST(rank, join_after_choice_not_well_formed)
-{
-    // Close Fig. 3b into an autonomous net: choice branches joined by t4,
-    // cycled back.  The structural defect (choice feeding a join) violates
-    // the rank condition.
-    pn::net_builder b("bad_wf");
-    const auto p0 = b.add_place("p0", 1);
-    const auto t1 = b.add_transition("t1");
-    const auto p1 = b.add_place("p1");
-    const auto t2 = b.add_transition("t2");
-    const auto t3 = b.add_transition("t3");
-    const auto p2 = b.add_place("p2");
-    const auto p3 = b.add_place("p3");
-    const auto t4 = b.add_transition("t4");
-    b.add_arc(p0, t1);
-    b.add_arc(t1, p1);
-    b.add_arc(p1, t2);
-    b.add_arc(p1, t3);
-    b.add_arc(t2, p2);
-    b.add_arc(t3, p3);
-    b.add_arc(p2, t4);
-    b.add_arc(p3, t4);
-    b.add_arc(t4, p0);
-    const pn::petri_net net = std::move(b).build();
-
-    const pn::rank_check check = pn::check_rank_theorem(net);
-    EXPECT_FALSE(check.well_formed());
-    // And indeed no liveness: one branch starves the join.
-    EXPECT_EQ(pn::check_live(net), pn::verdict::no);
-}
-
-TEST(rank, requires_free_choice)
-{
-    EXPECT_THROW((void)pn::check_rank_theorem(nets::figure_1b()), domain_error);
 }
 
 } // namespace

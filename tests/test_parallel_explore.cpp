@@ -5,9 +5,10 @@
 // generator families with defects and token load — including under tight
 // state and token budgets, where truncation behaviour must also agree —
 // plus equivalence tests pinning the compact-form find_deadlock /
-// shortest_path_to / is_reachable / place_bounds against the old
-// materializing versions.  The whole file runs under the ThreadSanitizer CI
-// job, so the differential sweeps double as a data-race net.
+// shortest_path_to / is_reachable / place_bounds against their
+// reachability_graph versions on explore_reference()'s graph.  The whole
+// file runs under the ThreadSanitizer CI job, so the differential sweeps
+// double as a data-race net.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "pn/parallel_explore.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::pn {
 namespace {
@@ -79,16 +81,6 @@ void expect_same_sets(const state_space& a, const state_space& b)
     EXPECT_EQ(edge_multiset(a), edge_multiset(b));
 }
 
-void expect_same_graph(const reachability_graph& engine, const reachability_graph& naive)
-{
-    ASSERT_EQ(engine.size(), naive.size());
-    EXPECT_EQ(engine.truncated, naive.truncated);
-    for (std::size_t i = 0; i < naive.nodes.size(); ++i) {
-        ASSERT_EQ(engine.nodes[i].state, naive.nodes[i].state) << "node " << i;
-        ASSERT_EQ(engine.nodes[i].successors, naive.nodes[i].successors) << "node " << i;
-    }
-}
-
 constexpr std::size_t thread_counts[] = {1, 2, 4, 8};
 
 TEST(parallel_explore, differential_on_generated_nets_all_families)
@@ -116,8 +108,9 @@ TEST(parallel_explore, differential_on_generated_nets_all_families)
                 expect_identical_spaces(sequential, explore_parallel(net, budget));
             }
             // Anchor the chain all the way down to the naive reference BFS.
-            budget.threads = 1;
-            expect_same_graph(explore(net, budget), explore_reference(net, budget));
+            EXPECT_EQ(testutil::difference_from_reference(
+                          sequential, explore_reference(net, budget)),
+                      "");
         }
     }
 }
@@ -345,10 +338,13 @@ TEST(parallel_explore, explore_dispatches_on_thread_count)
     reachability_options sequential{.max_markings = 1000, .max_tokens_per_place = 64};
     reachability_options parallel = sequential;
     parallel.threads = 4;
-    expect_same_graph(explore(net, parallel), explore(net, sequential));
+    expect_identical_spaces(explore_space(net, sequential), explore_space(net, parallel));
 }
 
-// -- Span-served queries vs the materializing versions ----------------------
+// -- Span-served queries vs the reachability_graph versions -----------------
+//
+// The graph versions run on explore_reference()'s graph, whose node ids are
+// the engine's state ids (the differentials above pin that).
 
 /// A linear chain that genuinely deadlocks: p0 -> t0 -> p1 -> t1 -> p2 with
 /// no consumer of p2 (and no source transitions).
@@ -381,7 +377,7 @@ TEST(span_queries, find_deadlock_matches_materializing_version)
         SCOPED_TRACE(net.name());
         const reachability_options budget{.max_markings = 2000,
                                           .max_tokens_per_place = 64};
-        const reachability_graph graph = explore(net, budget);
+        const reachability_graph graph = explore_reference(net, budget);
         const state_space space = explore_space(net, budget);
 
         const std::optional<marking> old_verdict = find_deadlock(net, graph);
@@ -404,32 +400,32 @@ TEST(span_queries, truncation_does_not_fake_deadlocks)
     const state_space space = explore_space(net, budget);
     EXPECT_TRUE(space.truncated());
     EXPECT_EQ(find_deadlock(net, space), std::nullopt);
-    EXPECT_EQ(find_deadlock(net, explore(net, budget)), std::nullopt);
+    EXPECT_EQ(find_deadlock(net, explore_reference(net, budget)), std::nullopt);
 }
 
 TEST(span_queries, shortest_path_and_reachability_match)
 {
     const petri_net net = dead_end_chain();
     const reachability_options budget{.max_markings = 100};
-    const reachability_graph graph = explore(net, budget);
+    const reachability_graph graph = explore_reference(net, budget);
     const state_space space = explore_space(net, budget);
     ASSERT_EQ(graph.size(), space.state_count());
 
     for (std::size_t s = 0; s < graph.size(); ++s) {
         const marking& target = graph.nodes[s].state;
         EXPECT_TRUE(is_reachable(space, target));
-        EXPECT_EQ(shortest_path_to(net, space, target),
-                  shortest_path_to(net, graph, target));
+        EXPECT_EQ(shortest_path_to(space, target),
+                  shortest_path_to(graph, target));
     }
 
     // Absent targets: right width but unreachable, and wrong width.
     marking absent(std::vector<std::int64_t>{9, 9, 9});
     EXPECT_FALSE(is_reachable(space, absent));
-    EXPECT_EQ(shortest_path_to(net, space, absent), std::nullopt);
-    EXPECT_EQ(shortest_path_to(net, graph, absent), std::nullopt);
+    EXPECT_EQ(shortest_path_to(space, absent), std::nullopt);
+    EXPECT_EQ(shortest_path_to(graph, absent), std::nullopt);
     marking wrong_width(std::vector<std::int64_t>{1});
     EXPECT_FALSE(is_reachable(space, wrong_width));
-    EXPECT_EQ(shortest_path_to(net, space, wrong_width), std::nullopt);
+    EXPECT_EQ(shortest_path_to(space, wrong_width), std::nullopt);
 }
 
 TEST(span_queries, shortest_path_matches_on_generated_nets)
@@ -441,20 +437,20 @@ TEST(span_queries, shortest_path_matches_on_generated_nets)
     const petri_net net = generator.next();
     const reachability_options budget{.max_markings = 800,
                                       .max_tokens_per_place = 64};
-    const reachability_graph graph = explore(net, budget);
+    const reachability_graph graph = explore_reference(net, budget);
     const state_space space = explore_space(net, budget);
     ASSERT_EQ(graph.size(), space.state_count());
 
     // Every 37th explored marking, plus the deepest one.
     for (std::size_t s = 0; s < graph.size(); s += 37) {
         const marking& target = graph.nodes[s].state;
-        EXPECT_EQ(shortest_path_to(net, space, target),
-                  shortest_path_to(net, graph, target))
+        EXPECT_EQ(shortest_path_to(space, target),
+                  shortest_path_to(graph, target))
             << "state " << s;
     }
     const marking& deepest = graph.nodes.back().state;
-    EXPECT_EQ(shortest_path_to(net, space, deepest),
-              shortest_path_to(net, graph, deepest));
+    EXPECT_EQ(shortest_path_to(space, deepest),
+              shortest_path_to(graph, deepest));
 }
 
 TEST(span_queries, place_bounds_match)
@@ -465,7 +461,7 @@ TEST(span_queries, place_bounds_match)
         const reachability_options budget{.max_markings = 500,
                                           .max_tokens_per_place = 32};
         EXPECT_EQ(place_bounds(explore_space(net, budget)),
-                  place_bounds(explore(net, budget)));
+                  place_bounds(explore_reference(net, budget)));
     }
 }
 

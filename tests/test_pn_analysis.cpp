@@ -1,14 +1,12 @@
-// Unit tests for the Petri-net analyses: invariants, explicit reachability,
-// Karp–Miller coverability, behavioural properties and siphons/traps.
+// Unit tests for the Petri-net analyses: invariants, explicit reachability
+// and the queries over it, and Karp–Miller coverability.
 #include <gtest/gtest.h>
 
 #include "nets/paper_nets.hpp"
 #include "pn/builder.hpp"
 #include "pn/coverability.hpp"
 #include "pn/invariants.hpp"
-#include "pn/properties.hpp"
 #include "pn/reachability.hpp"
-#include "pn/siphons.hpp"
 #include "pn/structure.hpp"
 
 namespace fcqss::pn {
@@ -91,20 +89,20 @@ TEST(invariants, uncovered_transitions)
 TEST(reachability, ring_exploration)
 {
     const petri_net net = token_ring();
-    const reachability_graph graph = explore(net);
-    EXPECT_FALSE(graph.truncated);
-    EXPECT_EQ(graph.size(), 2u); // token in p1 / token in p2
-    EXPECT_FALSE(find_deadlock(net, graph).has_value());
+    const state_space space = explore_space(net);
+    EXPECT_FALSE(space.truncated());
+    EXPECT_EQ(space.state_count(), 2u); // token in p1 / token in p2
+    EXPECT_FALSE(find_deadlock(net, space).has_value());
 
     marking target(2);
     target.set_tokens(net.find_place("p2"), 1);
-    EXPECT_TRUE(is_reachable(graph, target));
-    const auto path = shortest_path_to(net, graph, target);
+    EXPECT_TRUE(is_reachable(space, target));
+    const auto path = shortest_path_to(space, target);
     ASSERT_TRUE(path.has_value());
     ASSERT_EQ(path->size(), 1u);
     EXPECT_EQ(net.transition_name(path->front()), "a");
 
-    EXPECT_EQ(place_bounds(graph), (std::vector<std::int64_t>{1, 1}));
+    EXPECT_EQ(place_bounds(space), (std::vector<std::int64_t>{1, 1}));
 }
 
 TEST(reachability, detects_deadlock)
@@ -116,10 +114,29 @@ TEST(reachability, detects_deadlock)
     b.add_arc(p, t);
     b.add_arc(t, q);
     const petri_net net = std::move(b).build();
-    const reachability_graph graph = explore(net);
-    const auto dead = find_deadlock(net, graph);
+    const state_space space = explore_space(net);
+    const auto dead = find_deadlock(net, space);
     ASSERT_TRUE(dead.has_value());
-    EXPECT_EQ(dead->tokens(net.find_place("q")), 1);
+    EXPECT_EQ(space.marking_of(*dead).tokens(net.find_place("q")), 1);
+}
+
+TEST(reachability, dead_transition_is_not_a_deadlock)
+{
+    // `never` can never fire, yet the ring keeps the net moving forever.
+    net_builder b("deadt");
+    const auto p1 = b.add_place("p1", 1);
+    const auto p2 = b.add_place("p2");
+    const auto a = b.add_transition("a");
+    const auto c = b.add_transition("c");
+    const auto never = b.add_transition("never");
+    const auto q = b.add_place("q");
+    b.add_arc(p1, a);
+    b.add_arc(a, p2);
+    b.add_arc(p2, c);
+    b.add_arc(c, p1);
+    b.add_arc(q, never); // q is never marked
+    const petri_net net = std::move(b).build();
+    EXPECT_EQ(find_deadlock(net, explore_space(net)), std::nullopt);
 }
 
 TEST(reachability, truncation_budget)
@@ -129,9 +146,9 @@ TEST(reachability, truncation_budget)
     const petri_net net = nets::figure_2();
     reachability_options options;
     options.max_markings = 50;
-    const reachability_graph graph = explore(net, options);
-    EXPECT_TRUE(graph.truncated);
-    EXPECT_LE(graph.size(), 50u);
+    const state_space space = explore_space(net, options);
+    EXPECT_TRUE(space.truncated());
+    EXPECT_LE(space.state_count(), 50u);
 }
 
 TEST(coverability, bounded_ring)
@@ -173,106 +190,6 @@ TEST(coverability, weighted_self_feeding_growth)
     b.add_arc(t, p, 2);
     const coverability_tree tree = build_coverability_tree(std::move(b).build());
     EXPECT_FALSE(is_bounded(tree));
-}
-
-TEST(properties, verdicts_on_ring)
-{
-    const petri_net net = token_ring();
-    EXPECT_EQ(check_k_bounded(net, 1), verdict::yes);
-    EXPECT_EQ(check_safe(net), verdict::yes);
-    EXPECT_EQ(check_deadlock_free(net), verdict::yes);
-    EXPECT_EQ(check_live(net), verdict::yes);
-    EXPECT_EQ(to_string(verdict::yes), "yes");
-    EXPECT_EQ(to_string(verdict::unknown), "unknown");
-}
-
-TEST(properties, not_safe_when_two_tokens)
-{
-    net_builder b("two");
-    const auto p1 = b.add_place("p1", 2);
-    const auto p2 = b.add_place("p2");
-    const auto a = b.add_transition("a");
-    const auto c = b.add_transition("c");
-    b.add_arc(p1, a);
-    b.add_arc(a, p2);
-    b.add_arc(p2, c);
-    b.add_arc(c, p1);
-    const petri_net net = std::move(b).build();
-    EXPECT_EQ(check_safe(net), verdict::no);
-    EXPECT_EQ(check_k_bounded(net, 2), verdict::yes);
-}
-
-TEST(properties, dead_transition_not_live)
-{
-    net_builder b("deadt");
-    const auto p1 = b.add_place("p1", 1);
-    const auto p2 = b.add_place("p2");
-    const auto a = b.add_transition("a");
-    const auto c = b.add_transition("c");
-    const auto never = b.add_transition("never");
-    const auto q = b.add_place("q");
-    b.add_arc(p1, a);
-    b.add_arc(a, p2);
-    b.add_arc(p2, c);
-    b.add_arc(c, p1);
-    b.add_arc(q, never); // q is never marked
-    const petri_net net = std::move(b).build();
-    EXPECT_EQ(check_live(net), verdict::no);
-    EXPECT_EQ(check_deadlock_free(net), verdict::yes);
-}
-
-TEST(siphons, basic_definitions)
-{
-    const petri_net net = token_ring();
-    const place_set both{net.find_place("p1"), net.find_place("p2")};
-    EXPECT_TRUE(is_siphon(net, both));
-    EXPECT_TRUE(is_trap(net, both));
-    EXPECT_FALSE(is_siphon(net, {net.find_place("p1")}));
-    EXPECT_FALSE(is_siphon(net, {}));
-    EXPECT_TRUE(is_marked_set(net, both));
-}
-
-TEST(siphons, minimal_enumeration)
-{
-    const petri_net net = token_ring();
-    const auto siphons = minimal_siphons(net);
-    ASSERT_EQ(siphons.size(), 1u);
-    EXPECT_EQ(siphons.front().size(), 2u);
-}
-
-TEST(siphons, commoner_on_live_ring)
-{
-    EXPECT_TRUE(has_commoner_property(token_ring()));
-}
-
-TEST(siphons, unmarked_siphon_fails_commoner)
-{
-    net_builder b("starved");
-    const auto p1 = b.add_place("p1"); // empty forever
-    const auto p2 = b.add_place("p2");
-    const auto a = b.add_transition("a");
-    const auto c = b.add_transition("c");
-    b.add_arc(p1, a);
-    b.add_arc(a, p2);
-    b.add_arc(p2, c);
-    b.add_arc(c, p1);
-    EXPECT_FALSE(has_commoner_property(std::move(b).build()));
-}
-
-TEST(siphons, maximal_trap_within)
-{
-    const petri_net net = token_ring();
-    const place_set all{net.find_place("p1"), net.find_place("p2")};
-    EXPECT_EQ(maximal_trap_within(net, all), all);
-
-    // In a pure pipeline the final place alone is not a trap (its consumer
-    // leaves the set) unless it is a sink place.
-    net_builder b("pipe");
-    const auto p = b.add_place("p", 1);
-    const auto t = b.add_transition("t");
-    b.add_arc(p, t);
-    const petri_net pipe = std::move(b).build();
-    EXPECT_TRUE(maximal_trap_within(pipe, {pipe.find_place("p")}).empty());
 }
 
 } // namespace

@@ -72,10 +72,11 @@ TEST(figure2, qss_handles_marked_graphs_too)
     // QSS admits a new input only when the running reaction has quiesced, so
     // its serialization differs from the SDF section's eager order — but the
     // cycle realizes the same T-invariant (4, 2, 1) and restores the marking.
+    const firing_sequence& cycle = result.entries.front().analysis.cycle;
     EXPECT_EQ(result.entries.front().analysis.cycle_vector,
               (linalg::int_vector{4, 2, 1}));
-    EXPECT_TRUE(
-        pn::is_finite_complete_cycle(net, result.entries.front().analysis.cycle));
+    EXPECT_EQ(pn::to_string(net, cycle), "t1 t1 t2 t1 t1 t2 t3");
+    EXPECT_TRUE(pn::is_finite_complete_cycle(net, cycle));
 }
 
 TEST(figure3a, schedulable_with_published_schedule)

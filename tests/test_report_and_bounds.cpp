@@ -1,6 +1,6 @@
-// Tests for the synthesis report, structural place bounds, counter-bound
-// annotations in generated code, and the ATM wrap/priority branches that the
-// default testbench rarely exercises.
+// Tests for the synthesis report, counter-bound annotations in generated
+// code, and the ATM wrap/priority branches that the default testbench rarely
+// exercises.
 #include <gtest/gtest.h>
 
 #include "apps/atm/atm_net.hpp"
@@ -10,7 +10,6 @@
 #include "codegen/task_codegen.hpp"
 #include "nets/paper_nets.hpp"
 #include "pn/builder.hpp"
-#include "pn/structural_bounds.hpp"
 #include "qss/report.hpp"
 #include "qss/scheduler.hpp"
 #include "qss/task_partition.hpp"
@@ -45,57 +44,6 @@ TEST(report, cycle_preview_limits_output)
     const std::string report = qss::synthesis_report(atm::build_atm_net());
     EXPECT_NE(report.find("120 finite complete cycles, showing 4"), std::string::npos);
     EXPECT_NE(report.find("executability (footnote 2): ok"), std::string::npos);
-}
-
-TEST(structural_bounds, conservative_ring_bounded)
-{
-    pn::net_builder b("ring");
-    const auto p1 = b.add_place("p1", 3);
-    const auto p2 = b.add_place("p2");
-    const auto a = b.add_transition("a");
-    const auto c = b.add_transition("c");
-    b.add_arc(p1, a);
-    b.add_arc(a, p2);
-    b.add_arc(p2, c);
-    b.add_arc(c, p1);
-    const pn::petri_net net = std::move(b).build();
-
-    EXPECT_TRUE(pn::is_structurally_bounded(net));
-    const auto bounds = pn::structural_place_bounds(net);
-    EXPECT_EQ(bounds[p1.index()], 3);
-    EXPECT_EQ(bounds[p2.index()], 3);
-}
-
-TEST(structural_bounds, weighted_invariant_divides)
-{
-    // a moves one token from p1 to TWO in p2; y = (2,1) is the invariant:
-    // 2*m(p1) + m(p2) = 2*2 = 4, so p1 <= 2 and p2 <= 4.
-    pn::net_builder b("weighted");
-    const auto p1 = b.add_place("p1", 2);
-    const auto p2 = b.add_place("p2");
-    const auto a = b.add_transition("a");
-    const auto c = b.add_transition("c");
-    b.add_arc(p1, a);
-    b.add_arc(a, p2, 2);
-    b.add_arc(p2, c, 2);
-    b.add_arc(c, p1);
-    const pn::petri_net net = std::move(b).build();
-
-    const auto bounds = pn::structural_place_bounds(net);
-    ASSERT_TRUE(bounds[p1.index()].has_value());
-    ASSERT_TRUE(bounds[p2.index()].has_value());
-    EXPECT_EQ(*bounds[p1.index()], 2);
-    EXPECT_EQ(*bounds[p2.index()], 4);
-}
-
-TEST(structural_bounds, source_fed_place_unbounded)
-{
-    const pn::petri_net net = nets::figure_3a();
-    EXPECT_FALSE(pn::is_structurally_bounded(net));
-    const auto bounds = pn::structural_place_bounds(net);
-    for (const auto& bound : bounds) {
-        EXPECT_FALSE(bound.has_value()); // every place is source-reachable
-    }
 }
 
 TEST(counter_annotations, peaks_emitted_into_c)

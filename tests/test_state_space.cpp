@@ -1,9 +1,10 @@
 // Tests for the arena-interned state-space engine: marking_store interning,
 // the token_game replay helper, the fire_unchecked fast path, the id-range
 // views, and — the load-bearing one — a differential sweep asserting that
-// explore() (engine-backed) visits the identical marking set and edge list
-// as explore_reference() (the naive map-based BFS) on seeded generator nets
-// of all three families, with defects and token load, under every budget.
+// explore_space() visits the identical states (read back through
+// marking_of), edge lists and truncation as explore_reference() (the naive
+// map-based BFS) on seeded generator nets of all three families, with
+// defects and token load, under every budget.
 #include <gtest/gtest.h>
 
 #include "nets/paper_nets.hpp"
@@ -13,6 +14,7 @@
 #include "pn/marking_store.hpp"
 #include "pn/reachability.hpp"
 #include "pn/state_space.hpp"
+#include "test_util.hpp"
 
 namespace fcqss::pn {
 namespace {
@@ -108,14 +110,12 @@ TEST(marking_store, component_mix_updates_hash_incrementally)
     EXPECT_EQ(hash, marking_store::hash_tokens(tokens.data(), tokens.size()));
 }
 
-void expect_same_graph(const reachability_graph& engine, const reachability_graph& naive)
+/// The engine's result equals the reference BFS's, state by state.
+void expect_matches_reference(const petri_net& net, const reachability_options& budget)
 {
-    ASSERT_EQ(engine.size(), naive.size());
-    EXPECT_EQ(engine.truncated, naive.truncated);
-    for (std::size_t i = 0; i < naive.nodes.size(); ++i) {
-        ASSERT_EQ(engine.nodes[i].state, naive.nodes[i].state) << "node " << i;
-        ASSERT_EQ(engine.nodes[i].successors, naive.nodes[i].successors) << "node " << i;
-    }
+    EXPECT_EQ(testutil::difference_from_reference(explore_space(net, budget),
+                                                  explore_reference(net, budget)),
+              "");
 }
 
 TEST(state_space, differential_against_reference_on_generated_nets)
@@ -136,7 +136,7 @@ TEST(state_space, differential_against_reference_on_generated_nets)
                                               .max_tokens_per_place = 64};
             SCOPED_TRACE(std::string("family ") + pipeline::to_string(family) +
                          " net " + std::to_string(i));
-            expect_same_graph(explore(net, budget), explore_reference(net, budget));
+            expect_matches_reference(net, budget);
         }
     }
 }
@@ -152,47 +152,19 @@ TEST(state_space, differential_under_tight_budgets)
     const petri_net net = generator.next();
 
     // Tight state cap: both must truncate at the same point.
-    {
-        const reachability_options budget{.max_markings = 25, .max_tokens_per_place = 64};
-        const auto engine = explore(net, budget);
-        const auto naive = explore_reference(net, budget);
-        EXPECT_TRUE(engine.truncated);
-        expect_same_graph(engine, naive);
-    }
+    const reachability_options tight{.max_markings = 25, .max_tokens_per_place = 64};
+    EXPECT_TRUE(explore_space(net, tight).truncated());
+    expect_matches_reference(net, tight);
     // Tight token cap: the over-cap edge-skipping must agree too.
-    {
-        const reachability_options budget{.max_markings = 5000,
-                                          .max_tokens_per_place = 2};
-        expect_same_graph(explore(net, budget), explore_reference(net, budget));
-    }
+    expect_matches_reference(net, {.max_markings = 5000, .max_tokens_per_place = 2});
 }
 
 TEST(state_space, differential_on_paper_nets)
 {
     for (const auto& build : {nets::figure_1a, nets::figure_2, nets::figure_4}) {
-        const petri_net net = build();
-        const reachability_options budget{.max_markings = 5000,
-                                          .max_tokens_per_place = 1 << 10};
-        expect_same_graph(explore(net, budget), explore_reference(net, budget));
+        expect_matches_reference(build(), {.max_markings = 5000,
+                                           .max_tokens_per_place = 1 << 10});
     }
-}
-
-TEST(state_space, compact_result_matches_materialized_graph)
-{
-    const petri_net net = nets::figure_2();
-    const state_space space = explore_state_space(net, {.max_markings = 1000});
-    const reachability_graph graph = explore(net, {.max_markings = 1000});
-    ASSERT_EQ(space.state_count(), graph.size());
-    std::size_t edges = 0;
-    for (state_id s = 0; s < static_cast<state_id>(space.state_count()); ++s) {
-        EXPECT_EQ(space.marking_of(s), graph.nodes[s].state);
-        edges += space.successors(s).size();
-        for (const state_space_edge& edge : space.successors(s)) {
-            EXPECT_EQ(space.tokens(edge.to).size(), net.place_count());
-        }
-    }
-    EXPECT_EQ(space.edge_count(), edges);
-    EXPECT_EQ(space.truncated(), graph.truncated);
 }
 
 TEST(token_game, matches_marking_semantics)

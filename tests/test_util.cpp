@@ -86,6 +86,21 @@ private:
     int serial_ = 0;
 };
 
+/// "marking (..), edges t<via>-><to> ..." for a difference report.
+std::string describe_state(const pn::reachability_node& node)
+{
+    std::string text = "marking ";
+    text += node.state.to_string();
+    text += ", edges";
+    for (const auto& [via, to] : node.successors) {
+        text += " t";
+        text += std::to_string(via.value());
+        text += "->";
+        text += std::to_string(to);
+    }
+    return text;
+}
+
 } // namespace
 
 pn::petri_net random_free_choice_net(std::uint64_t seed,
@@ -137,6 +152,52 @@ pn::petri_net counter_net(const std::string& name, std::int64_t root, std::int64
         b.add_arc(leap, c, jump);
     }
     return std::move(b).build();
+}
+
+std::string difference_from_reference(const pn::state_space& space,
+                                      const pn::reachability_graph& reference)
+{
+    std::string difference;
+    if (space.state_count() != reference.size()) {
+        difference += "state count ";
+        difference += std::to_string(space.state_count());
+        difference += ", reference ";
+        difference += std::to_string(reference.size());
+        return difference;
+    }
+    if (space.truncated() != reference.truncated) {
+        difference += "truncated ";
+        difference += space.truncated() ? "yes" : "no";
+        difference += ", reference ";
+        difference += reference.truncated ? "yes" : "no";
+        return difference;
+    }
+    std::size_t edge_total = 0;
+    for (pn::state_id s = 0; s < static_cast<pn::state_id>(space.state_count()); ++s) {
+        // State s in the reference's form, so the two compare field by field.
+        pn::reachability_node engine{space.marking_of(s), {}};
+        for (const pn::state_space_edge& edge : space.successors(s)) {
+            engine.successors.emplace_back(edge.via, edge.to);
+        }
+        const pn::reachability_node& node = reference.nodes[s];
+        if (engine.state != node.state || engine.successors != node.successors) {
+            difference += "state ";
+            difference += std::to_string(s);
+            difference += ": ";
+            difference += describe_state(engine);
+            difference += "; reference ";
+            difference += describe_state(node);
+            return difference;
+        }
+        edge_total += engine.successors.size();
+    }
+    if (space.edge_count() != edge_total) {
+        difference += "edge count ";
+        difference += std::to_string(space.edge_count());
+        difference += ", per-state edges sum to ";
+        difference += std::to_string(edge_total);
+    }
+    return difference;
 }
 
 void eager_react(const pn::petri_net& net, pn::marking& m, pn::transition_id source,

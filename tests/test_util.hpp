@@ -1,7 +1,8 @@
 // Shared test utilities: a seeded random free-choice net generator (for
 // property-style sweeps), the toggles-plus-counter net the exploration
-// tests share, an eager reference simulator that mirrors the generated
-// code's operational semantics on the net itself, and the brute-force
+// tests share, the comparison of an engine result with the reference BFS,
+// an eager reference simulator that mirrors the generated code's
+// operational semantics on the net itself, and the brute-force
 // T-allocation oracle for the scheduler's enumeration.
 #ifndef FCQSS_TESTS_TEST_UTIL_HPP
 #define FCQSS_TESTS_TEST_UTIL_HPP
@@ -16,6 +17,8 @@
 #include "pn/builder.hpp"
 #include "pn/firing.hpp"
 #include "pn/petri_net.hpp"
+#include "pn/reachability.hpp"
+#include "pn/state_space.hpp"
 #include "qss/scheduler.hpp"
 
 namespace fcqss::testutil {
@@ -52,6 +55,16 @@ random_free_choice_net(std::uint64_t seed, const random_net_options& options = {
                                         std::int64_t step, int toggles, int fuse = 0,
                                         std::int64_t walk_step = 0,
                                         std::int64_t jump = 0);
+
+/// The first difference between an engine result and the reference graph
+/// (pn::explore_reference) of the same net and budgets, or "" when they are
+/// the same graph: state count, truncation, each state's marking_of()
+/// against the node's marking, each state's edges in order, and the total
+/// edge count.  A string rather than gtest assertions, so this library
+/// stays independent of gtest.
+[[nodiscard]] std::string
+difference_from_reference(const pn::state_space& space,
+                          const pn::reachability_graph& reference);
 
 /// Eager reference semantics: fire `source`, then repeatedly fire any
 /// enabled non-source transition (choices resolved by the oracle, keyed by
